@@ -144,9 +144,6 @@ def _check_ranges(config):
     budget = config.get("budget")
     if budget is not None and not 0 < budget <= MAX_BUDGET:
         raise UsageError(f"budget must lie in (0, {MAX_BUDGET}], got {budget}")
-    threads = config.get("threads")
-    if threads is not None and threads < 1:
-        raise UsageError(f"threads must be >= 1, got {threads}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +346,6 @@ def run(kind: str, config: dict) -> int:
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON file of options; flags override it")
-    parser.add_argument("--seed", type=int, help="seed recorded for reproducibility")
-    parser.add_argument("--threads", type=int,
-                        help="cap on worker threads (current backends are single-threaded)")
     parser.add_argument("--budget", type=float, help="solver step budget")
     parser.add_argument("--out", help="output artifact path")
     parser.add_argument("--tol", type=float, help="pass/fail tolerance override")

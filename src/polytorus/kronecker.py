@@ -21,17 +21,35 @@ Two backends sit behind :func:`solve`:
   ``2*pi / log p_k`` apart instead of a fraction of ``eps``, which is what
   makes deep constructions affordable.
 
-Either way, candidate angles are linear in the candidate index, so chunks are
-pre-filtered with one fused comparison against a slack-widened window (a
-strict superset of the true acceptance set) and every surviving candidate is
-re-verified with :func:`residuals` before acceptance.  The returned solution
-is therefore exactly the first candidate of the backend's scan order whose
-true residuals all pass, bit for bit, and identical inputs always yield
-identical solutions.
+Either way, candidate angles are linear in the candidate index ``i``, so
+each coordinate's pre-filter is one comparison, ``frac(c - i*s) < w`` in
+units of full turns, against a slack-widened window that is a strict superset
+of the true acceptance set.  The search does not stream every candidate
+through it.  It walks only the hits of the first filtered coordinate's
+window: that coordinate is an irrational rotation in ``i``, and by the
+three-distance theorem (Sos 1958; Slater 1967, "Gaps and steps for the
+sequence n theta mod 1") its returns to a window of width ``W`` are ``n1``,
+``n2`` or ``n1 + n2`` indices apart, with ``n1, n2`` read off the continued
+fraction of the step.  A solve therefore touches about ``candidates * W``
+hits, ``W ~ eps/pi``, instead of every candidate.  (The lattice backend at
+``k = 1`` has no filtered coordinate and visits its candidates in order.)
+
+The walk tracks positions exactly, as integers on a grid of 2^-64 turns,
+and every window it uses is wider than the pre-filter's by a bound on the
+float64 rounding and the grid's drift.  At each hit the other filtered
+coordinates are checked on the same grid; a candidate inside every widened
+window gets the pre-filter in Python floats, with the same IEEE operations a
+vectorized pass performs, and then the :func:`residuals` recheck.  Every
+candidate that such a pass would keep is thus visited, in order.  The
+returned solution is exactly the first candidate of the backend's scan order
+that passes the pre-filter and whose true residuals all pass, bit for bit;
+``steps`` is its index plus one, and identical inputs always yield identical
+solutions.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,13 +59,17 @@ from .errors import BudgetExhaustedError, DimensionError, DomainError
 from .polynomials import TWO_PI
 from .primes import PrimeBasis
 
-_CHUNK_MIN = 1 << 13
-_CHUNK_MAX = 1 << 20
+# Candidates per vectorized pass when the window walk must rescan forward.
+_RESCAN_CHUNK = 1 << 16
+
+# The window walk tracks positions on the circle in units of 2^-64 turns.
+_GRID = 1 << 64
+_GRID_MASK = _GRID - 1
 
 # Width added to the pre-filter window to cover the float discrepancy between
 # the linear-recurrence angles and the canonical residual arithmetic; scaled
 # per solve with the magnitudes involved.
-_EPS64 = np.finfo(np.float64).eps
+_EPS64 = float(np.finfo(np.float64).eps)
 
 
 def circle_distance(a, b):
@@ -89,9 +111,12 @@ class KroneckerProblem:
             )
         if not 0.0 < self.eps < math.pi:
             raise DomainError(f"eps must lie in (0, pi), got {self.eps}")
-        if self.t_min < 0:
-            raise DomainError(f"t_min must be >= 0, got {self.t_min}")
-        canonical = tuple(float(g) % TWO_PI for g in self.targets)
+        if not 0.0 <= self.t_min < math.inf:
+            raise DomainError(f"t_min must be finite and >= 0, got {self.t_min}")
+        raw = tuple(float(g) for g in self.targets)
+        if not all(map(math.isfinite, raw)):
+            raise DomainError(f"targets must be finite, got {raw}")
+        canonical = tuple(g % TWO_PI for g in raw)
         if len(canonical) != self.k:
             raise DomainError(f"expected {self.k} targets, got {len(canonical)}")
         object.__setattr__(self, "targets", canonical)
@@ -116,6 +141,124 @@ def _implied_integers(problem: KroneckerProblem, t: float) -> tuple[int, ...]:
     return tuple(int(q) for q in np.rint(raw))
 
 
+def _return_times(step: int, modulus: int, width: int):
+    """Slater's return times of the rotation ``x -> x + step (mod modulus)``.
+
+    Returns ``(n1, n2)`` with ``n1 = min{n >= 1 : n*step mod m < width}`` and
+    ``n2 = min{n >= 1 : n*step mod m > m - width}``, or ``None`` for a side no
+    multiple reaches (a rational rotation whose period ends first).  All
+    arguments are integers and the arithmetic is exact.  The subtractive
+    continued fraction of ``step / modulus`` visits every one-sided record
+    of ``n*step mod m`` in order; runs of equal subtractions are taken in one
+    division, so the cost is logarithmic in ``modulus``.
+    """
+    n1 = n2 = None
+    lo, n_lo = step, 1            # smallest n*step mod m so far
+    hi, n_hi = modulus - step, 1  # smallest m - (n*step mod m) so far
+    while True:
+        if n1 is None and lo < width:
+            n1 = n_lo
+        if n2 is None and hi < width:
+            n2 = n_hi
+        if (n1 is not None and n2 is not None) or lo == 0:
+            return n1, n2
+        if lo >= hi:
+            m = lo // hi
+            if n1 is None and lo - m * hi < width:
+                n1 = n_lo + ((lo - width) // hi + 1) * n_hi
+            lo, n_lo = lo - m * hi, n_lo + m * n_hi
+        else:
+            m = (hi - 1) // lo  # keep hi > 0: an exact zero counts for n1 only
+            if n2 is None and hi - m * lo < width:
+                n2 = n_hi + ((hi - width) // lo + 1) * n_lo
+            hi, n_hi = hi - m * lo, n_hi + m * n_lo
+
+
+def _to_grid(x: float) -> int:
+    """``floor(x * 2^64) mod 2^64``, exactly: ``x`` in units of 2^-64 turns."""
+    num, den = x.as_integer_ratio()
+    return num * _GRID // den % _GRID
+
+
+def _on_grid(base: float, step: float, width: float, budget: int):
+    """One pre-filter ``frac(base - i*step) < width`` on the 2^-64 grid.
+
+    Returns ``(origin, advance, wide)``: candidate ``i`` sits at ``(origin +
+    i*advance) mod 2^64`` and is inside the widened window when that is below
+    ``wide``; ``None`` when the widened window covers the whole circle.  Index
+    0's position and the step are rounded down onto the grid, which moves
+    candidate ``i`` by less than ``(i + 1) * 2^-64`` turns.  The window is
+    ``[-mu, width + mu)`` modulo 1, where ``mu`` covers that drift and the
+    float64 rounding of ``frac(base - i*step)`` for every ``i < budget``, so
+    every index whose float value lies in ``[0, width)`` is inside it.
+    """
+    mu = 4.0 * _EPS64 * (abs(base) + budget * abs(step) + 1.0)
+    margin = math.ceil(math.ldexp(mu, 64)) + budget + 1
+    wide = math.ceil(math.ldexp(width, 64)) + 2 * margin
+    if wide >= _GRID:
+        return None
+    return (_to_grid(base) + margin) % _GRID, -_to_grid(step) % _GRID, wide
+
+
+def _window_hits(tests, budget: int):
+    """Ascending ``i < budget`` inside every pre-filter's widened window.
+
+    ``tests`` holds ``(base, step, width)`` per pre-filter (see
+    :func:`_on_grid`); every index whose float values all pass is yielded.
+    The walk follows the first window's hits, and on the grid the rotation
+    is exact integer arithmetic modulo 2^64, so the three-distance theorem
+    applies verbatim: from one hit the next is ``n1``, ``n2`` or ``n1 + n2``
+    indices later (see :func:`_return_times`), and the first of those that
+    lands is it.  The first hit, and the rare case where no jump lands (a
+    rational grid step that never reaches one side), come from a vectorized
+    forward rescan in the same integer arithmetic.  The other windows are
+    checked exactly at each hit.
+    """
+    rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
+    if not rotations:
+        yield from range(budget)
+        return
+    (origin, advance, wide), others = rotations[0], rotations[1:]
+    n1, n2 = _return_times(advance, _GRID, wide)
+    jumps = sorted(n for n in (n1, n2) if n is not None)
+    if len(jumps) == 2:
+        jumps.append(n1 + n2)
+    moves = [(n, n * advance % _GRID) for n in jumps]
+    # With both return times, n1 + n2 steps reach the window from anywhere.
+    chunk = min(jumps[-1], _RESCAN_CHUNK)
+
+    def rescan(start):
+        size = chunk
+        while start < budget:
+            stop = min(start + size, budget)
+            pos = np.arange(start, stop, dtype=np.uint64) * np.uint64(advance)
+            pos += np.uint64(origin)  # wraps modulo 2^64, like the grid
+            found = np.flatnonzero(pos < np.uint64(wide))
+            if found.size:
+                return start + int(found[0]), int(pos[found[0]])
+            start, size = stop, _RESCAN_CHUNK
+        return budget, 0
+
+    i, pos = rescan(0)
+    while i < budget:
+        for o, a, w in others:
+            if (o + i * a) & _GRID_MASK >= w:
+                break
+        else:
+            yield i
+        for n, move in moves:
+            if i + n >= budget:
+                return
+            nxt = pos + move
+            if nxt >= _GRID:
+                nxt -= _GRID
+            if nxt < wide:
+                i, pos = i + n, nxt
+                break
+        else:
+            i, pos = rescan(i + 1)
+
+
 class _LinearSearch:
     """Candidates indexed by ``i = 0, 1, ...`` with angles linear in ``i``.
 
@@ -134,74 +277,71 @@ class _LinearSearch:
         self.filter_coords = filter_coords
         self.method = method
 
+    def _prefilter(self, budget: int):
+        """Per filtered coordinate, ``(c, s, w)`` in turns: candidate ``i`` passes
+        when ``frac(c - i*s) < w``.
+
+        The shifted window covers eps plus slack for the float error of the
+        linear parametrization over the whole budget range, so it is a strict
+        superset of the true acceptance set.
+        """
+        eps = self.problem.eps
+        tests = []
+        for r in self.filter_coords:
+            base, step = float(self.base[r]), float(self.step[r])
+            slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
+            tests.append((
+                (base + (eps + slack)) / TWO_PI,
+                step / TWO_PI,
+                2.0 * (eps + slack) / TWO_PI,
+            ))
+        return tests
+
     def run(self, budget: int) -> KroneckerSolution:
         problem = self.problem
-        eps = problem.eps
-        # Pre-filtering works in units of full turns with a shifted window:
-        # candidate i passes coordinate r when frac(c_r - i*s_r) < w_r, where
-        # the width covers eps plus slack for the float error of the linear
-        # parametrization over the whole budget range.  frac() costs a floor
-        # instead of an fmod, which dominates the solver's runtime.
-        slack = 32.0 * _EPS64 * (np.abs(self.base) + budget * self.step + TWO_PI)
-        turn_base = (self.base + (eps + slack)) / TWO_PI
-        turn_step = self.step / TWO_PI
-        turn_width = 2.0 * (eps + slack) / TWO_PI
-
-        steps = 0
-        chunk = _CHUNK_MIN
-        best_proxy = math.inf
-        best_window = (0, 0)
-        while steps < budget:
-            size = min(chunk, budget - steps)
-            idx = np.arange(steps, steps + size, dtype=np.float64)
-            alive = None
-            u0 = None
-            for r in self.filter_coords:
-                sel = idx if alive is None else idx[alive]
-                u = turn_base[r] - sel * turn_step[r]
-                u -= np.floor(u)
-                good = u < turn_width[r]
-                if alive is None:
-                    u0 = u
-                    alive = np.nonzero(good)[0]
-                else:
-                    alive = alive[good]
-                if not alive.size:
+        tests = self._prefilter(budget)
+        for i in _window_hits(tests, budget):
+            # The pre-filter in Python floats: the same IEEE operations, in
+            # the same order, as a vectorized pass would perform.
+            x = float(i)
+            for c, s, w in tests:
+                u = c - x * s
+                if not u - math.floor(u) < w:
                     break
-            if u0 is not None:
-                proxy = float(min(u0.min(), 1.0 - u0.max()))
-                if proxy < best_proxy:
-                    best_proxy = proxy
-                    best_window = (steps, size)
-            if alive is None:  # no coordinates to pre-filter (k == 1 lattice)
-                alive = np.arange(size)
-            for i in alive:
-                t_cand = self.time_of(steps + int(i))
+            else:
+                t_cand = self.time_of(i)
                 if not t_cand > problem.t_min:
                     continue
                 res = residuals(problem.basis, problem.k, t_cand, problem.targets)
-                if bool(np.all(res < eps)):
+                if bool(np.all(res < problem.eps)):
                     return KroneckerSolution(
                         t=float(t_cand),
-                        residuals=tuple(float(x) for x in res),
+                        residuals=tuple(float(r) for r in res),
                         q=_implied_integers(problem, t_cand),
-                        steps=steps + int(i) + 1,
+                        steps=i + 1,
                         method=self.method,
                     )
-            steps += size
-            chunk = min(chunk * 2, _CHUNK_MAX)
-        raise BudgetExhaustedError(steps, *self._best_candidate(best_window))
+        raise BudgetExhaustedError(budget, *self._best_candidate(tests, budget))
 
-    def _best_candidate(self, window):
-        start, size = window
-        if size == 0:
-            return math.nan, np.full(self.problem.k, math.nan)
-        times = self.time_of(np.arange(start, start + size))
-        res = residuals(
-            self.problem.basis, self.problem.k, times, self.problem.targets
-        )
-        idx = int(np.argmin(res.max(axis=-1)))
-        return float(times[idx]), res[idx]
+    def _best_candidate(self, tests, budget: int):
+        """The smallest worst residual among the first window's hits, found by
+        walking again; among all candidates when there was no hit."""
+        problem = self.problem
+        hits = _window_hits(tests[:1], budget)
+        first = next(hits, None)
+        if first is None:
+            candidates = iter(range(budget))
+        else:
+            candidates = itertools.chain([first], hits)
+        best_t, best_worst = math.nan, math.inf
+        while batch := list(itertools.islice(candidates, _RESCAN_CHUNK)):
+            times = self.time_of(np.asarray(batch))
+            worst = residuals(problem.basis, problem.k, times, problem.targets)
+            worst = worst.max(axis=-1)
+            j = int(np.argmin(worst))
+            if worst[j] < best_worst:
+                best_t, best_worst = float(times[j]), worst[j]
+        return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
 
 
 def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
@@ -250,7 +390,8 @@ def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSo
 
     Times ``t(q) = (2*pi*q - theta_k) / log p_k`` make the k-th residual
     vanish up to rounding; the first ``k - 1`` coordinates then perform an
-    irrational rotation in ``q`` and are filtered vectorized.
+    irrational rotation in ``q``, and only the returns of the first one to its
+    window are visited.
     """
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")

@@ -147,6 +147,9 @@ def build_nested_lambda(
                 f"measures live on dimension {dimension}"
             )
     dirichlet_polys = [bohr_unlift(F) for F in polys]
+    space_averages = [
+        _space_averages(polys, mu) for mu in plan.mu_sequence[:sources_needed]
+    ]
     margin = _depth_margin(polys, dimension)
 
     atoms_t: list[float] = []
@@ -161,6 +164,7 @@ def build_nested_lambda(
     masses: list[float] = []
 
     t_cursor = 0.0
+    placed = 0  # atoms solved so far, merged or still in an open window
     prev_total = 1.0  # formal mass of the empty level 0
     for k in range(1, levels + 1):
         n_sources = growth(k)
@@ -208,23 +212,24 @@ def build_nested_lambda(
                         block.weights.append(c)
                         block.reps.append(rounds)
                         t_cursor = sol.t
-                        if len(atoms_t) + sum(len(b.times) for b in blocks) > atom_cap:
+                        placed += 1
+                        if placed > atom_cap:
                             raise CapacityError(
                                 f"nested construction exceeded the atom cap of {atom_cap}"
                             )
                     t_cursor += step
-                still = []
-                for j in pending:
-                    targets = _space_averages(polys, plan.mu_sequence[j])
-                    if blocks[j].worst_error(dirichlet_polys, targets) >= tolerance:
-                        still.append(j)
-                pending = still
+                pending = [
+                    j for j in pending
+                    if blocks[j].worst_error(dirichlet_polys, space_averages[j])
+                    >= tolerance
+                ]
             # close the window: record the estimate and merge normalized blocks
             worst = 0.0
             merged = []
             for j, block in enumerate(blocks, start=1):
-                targets = _space_averages(polys, plan.mu_sequence[j - 1])
-                worst = max(worst, block.worst_error(dirichlet_polys, targets))
+                worst = max(
+                    worst, block.worst_error(dirichlet_polys, space_averages[j - 1])
+                )
                 mass = math.fsum(block.weights)
                 merged.extend(
                     (t_i, w_i / mass, k, j, m_i)

@@ -96,7 +96,7 @@ class DirichletPolynomial:
     ``[1, 2^63 - 1]``, and the instance is immutable once built.
     """
 
-    __slots__ = ("_terms", "_freqs", "_coeffs", "_logs")
+    __slots__ = ("_terms", "_coeffs", "_logs")
 
     def __init__(self, terms):
         cleaned: dict[int, complex] = {}
@@ -111,13 +111,13 @@ class DirichletPolynomial:
             a = complex(a)
             if a != 0:
                 cleaned[n] = a
-        freqs = np.array(sorted(cleaned), dtype=np.float64)
-        coeffs = np.array([cleaned[int(n)] for n in freqs], dtype=np.complex128)
-        logs = np.log(freqs) if len(freqs) else freqs
-        for arr in (freqs, coeffs, logs):
+        # Frequencies stay Python ints: float64 cannot hold every n > 2^53.
+        freqs = sorted(cleaned)
+        coeffs = np.array([cleaned[n] for n in freqs], dtype=np.complex128)
+        logs = np.array([math.log(n) for n in freqs], dtype=np.float64)
+        for arr in (coeffs, logs):
             arr.setflags(write=False)
         object.__setattr__(self, "_terms", cleaned)
-        object.__setattr__(self, "_freqs", freqs)
         object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_logs", logs)
 

@@ -50,6 +50,14 @@ class TestKroneckerCommand:
         summary = json.loads(out[1])
         assert summary["kind"] == "kronecker" and summary["pass"]
 
+    @pytest.mark.parametrize("flag", ["--seed", "--threads"])
+    def test_unused_flags_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["kronecker", "--dim", "1", "--theta", "1.0", "--eps", "0.1",
+                  flag, "1"])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_dim_theta_mismatch(self, capsys):
         code, _, err = run_cli(
             ["kronecker", "--dim", "2", "--theta", "1.0", "--eps", "0.05"],
@@ -64,6 +72,16 @@ class TestKroneckerCommand:
             capsys,
         )
         assert code == 2
+
+    @pytest.mark.parametrize("extra", [["--t-min", "nan"], ["--t-min", "inf"],
+                                       ["--theta", "nan"]])
+    def test_non_finite_input_exit_2(self, extra, capsys):
+        code, _, err = run_cli(
+            ["kronecker", "--dim", "1", "--theta", "0.5", "--eps", "0.1", *extra],
+            capsys,
+        )
+        assert code == 2
+        assert "finite" in err
 
     def test_budget_exhaustion_is_exit_3(self, capsys):
         code, _, err = run_cli(

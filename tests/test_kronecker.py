@@ -17,6 +17,13 @@ from polytorus import (
     scan_solve,
     solve,
 )
+from polytorus.kronecker import (
+    _implied_integers,
+    _lattice_search,
+    _return_times,
+    _scan_search,
+    _window_hits,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,15 +143,26 @@ class TestSolverProperties:
             assert sol.t <= t_star + step
 
     def test_budget_error_reports_best(self):
+        self._check_budget_error(solve, 200)
+
+    @pytest.mark.parametrize("budget", [200, 5000])
+    @pytest.mark.parametrize("backend", [lattice_solve, scan_solve])
+    def test_budget_error_reports_best_per_backend(self, backend, budget):
+        self._check_budget_error(backend, budget)
+
+    @staticmethod
+    def _check_budget_error(backend, budget):
         problem = KroneckerProblem(
             PrimeBasis(3), 3, (1.0, 2.0, 3.0), 0.01, t_min=0.0
         )
         with pytest.raises(BudgetExhaustedError) as info:
-            solve(problem, budget=200)
+            backend(problem, budget=budget)
         err = info.value
-        assert err.steps == 200
+        assert err.steps == budget
         assert len(err.best_residuals) == 3
         assert math.isfinite(err.best_t)
+        recheck = residuals(problem.basis, 3, err.best_t, problem.targets)
+        assert err.best_residuals == tuple(float(r) for r in recheck)
 
     def test_budget_must_be_positive(self):
         problem = KroneckerProblem(PrimeBasis(1), 1, (0.0,), 0.1)
@@ -181,6 +199,159 @@ class TestProblemValidation:
         with pytest.raises(Exception):
             KroneckerProblem(PrimeBasis(1), 2, (0.0, 0.0), 0.1)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_rejected(self, bad):
+        with pytest.raises(DomainError):
+            KroneckerProblem(PrimeBasis(2), 2, (0.5, bad), 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_t_min_rejected(self, bad):
+        with pytest.raises(DomainError):
+            KroneckerProblem(PrimeBasis(2), 2, (0.5, 1.0), 0.1, t_min=bad)
+
+    def test_eps_nan_rejected(self):
+        with pytest.raises(DomainError):
+            KroneckerProblem(PrimeBasis(1), 1, (0.0,), math.nan)
+
     def test_targets_canonicalized(self):
         p = KroneckerProblem(PrimeBasis(1), 1, (-math.pi,), 0.1)
         assert p.targets[0] == pytest.approx(math.pi)
+
+
+def brute_force_first(search, budget):
+    """Oracle for the window walk: one plain numpy pass over every index with
+    the same pre-filter, then the exact ``residuals`` recheck, in order."""
+    problem = search.problem
+    idx = np.arange(budget, dtype=np.float64)
+    alive = np.ones(budget, dtype=bool)
+    for c, s, w in search._prefilter(budget):
+        u = c - idx * s
+        u -= np.floor(u)
+        alive &= u < w
+    for i in np.flatnonzero(alive).tolist():
+        t = search.time_of(i)
+        if not t > problem.t_min:
+            continue
+        res = residuals(problem.basis, problem.k, t, problem.targets)
+        if np.all(res < problem.eps):
+            q = _implied_integers(problem, t)
+            return float(t), tuple(float(r) for r in res), q, i + 1
+    return None
+
+
+class TestWindowWalk:
+    BUDGET = 1 << 18
+
+    @pytest.mark.parametrize(
+        "backend, search", [(lattice_solve, _lattice_search), (scan_solve, _scan_search)]
+    )
+    def test_matches_brute_force(self, backend, search):
+        rng = np.random.default_rng(2024)
+        outcomes = {"found": 0, "exhausted": 0}
+        for _ in range(48):
+            d = int(rng.integers(1, 5))
+            k = int(rng.integers(1, d + 1))
+            eps = 2.0 ** -int(rng.integers(1, 10))
+            t_min = 0.0 if rng.random() < 0.25 else float(10.0 ** rng.uniform(0, 7))
+            targets = tuple(rng.uniform(0, TWO_PI, size=k))
+            problem = KroneckerProblem(PrimeBasis(d), k, targets, eps, t_min)
+            expected = brute_force_first(search(problem), self.BUDGET)
+            if expected is None:
+                outcomes["exhausted"] += 1
+                with pytest.raises(BudgetExhaustedError) as info:
+                    backend(problem, self.BUDGET)
+                assert info.value.steps == self.BUDGET
+            else:
+                outcomes["found"] += 1
+                sol = backend(problem, self.BUDGET)
+                assert (sol.t, sol.residuals, sol.q, sol.steps) == expected
+        assert outcomes["found"] >= 12 and outcomes["exhausted"] >= 1, outcomes
+
+    def test_return_times_exhaustive(self):
+        for m in range(1, 40):
+            for a in range(m):
+                for w in range(1, m + 1):
+                    multiples = [n * a % m for n in range(1, m + 1)]
+                    n1 = next((n for n, v in enumerate(multiples, 1) if v < w), None)
+                    n2 = next((n for n, v in enumerate(multiples, 1) if v > m - w), None)
+                    assert _return_times(a, m, w) == (n1, n2), (a, m, w)
+
+    def test_return_times_large_modulus(self, rng):
+        # continued-fraction records against a direct search up to n1, n2
+        m = 1 << 64
+        for _ in range(20):
+            a = int(rng.integers(1, 1 << 62)) * 4 + 1
+            w = int(m * 10.0 ** rng.uniform(-4, -1))
+            n1, n2 = _return_times(a, m, w)
+            assert n1 * a % m < w and n2 * a % m > m - w
+            assert all(w <= n * a % m <= m - w for n in range(1, min(n1, n2)))
+
+    def test_walk_visits_exactly_the_window(self):
+        # Every index whose float values frac(base - i*step) are all in
+        # [0, width) must be walked, and nothing else when no value sits near
+        # an edge; every third trial adds a second window.
+        rng = np.random.default_rng(11)
+        budget = 1 << 15
+        idx = np.arange(budget, dtype=np.float64)
+        checked = 0
+        for trial in range(160):
+            tests = [self._random_window(rng, trial % 4)]
+            if trial % 3 == 0:
+                tests.append(self._random_window(rng, 0))
+            inside = np.ones(budget, dtype=bool)
+            near_edge = False
+            for base, step, width in tests:
+                u = base - idx * step
+                u -= np.floor(u)
+                inside &= u < width
+                edge = np.minimum(np.minimum(u, 1.0 - u), np.abs(u - width))
+                near_edge |= bool(edge.min() < 1e-8)
+            if near_edge:
+                continue
+            expected = np.flatnonzero(inside).tolist()
+            assert list(_window_hits(tests, budget)) == expected
+            checked += 1
+        assert checked >= 120
+
+    @staticmethod
+    def _random_window(rng, kind):
+        if kind == 0:
+            step = float(rng.uniform(0, 1))
+        elif kind == 1:  # near a rational with a small denominator
+            q = int(rng.integers(1, 8))
+            step = int(rng.integers(0, q)) / q + float(rng.uniform(-1, 1)) * 1e-9
+        elif kind == 2:  # tiny step, as in the scan backend
+            step = float(10.0 ** rng.uniform(-6, -2))
+        else:
+            step = 1.0 - float(10.0 ** rng.uniform(-6, -2))
+        base = float(rng.uniform(-1e4, 1e4))
+        width = float(10.0 ** rng.uniform(-5, -0.3))
+        return base, step, width
+
+    def test_walk_keeps_values_on_the_window_edges(self):
+        # base = i0*step puts index i0 at float value 0 while its exact value
+        # may sit a rounding error below the window; the margins must keep
+        # it, and likewise for values just under the upper edge.  The edge
+        # window is the walked one or the one checked at each hit, in turn.
+        rng = np.random.default_rng(5)
+        budget = 1 << 12
+        idx = np.arange(budget, dtype=np.float64)
+        for trial in range(400):
+            i0 = int(rng.integers(0, budget))
+            windows = []
+            for offset in (0.5, 0.0 if trial % 2 else 1.0 - 1e-15):
+                step = float(rng.uniform(0, 1))
+                width = float(10.0 ** rng.uniform(-4, -1))
+                windows.append((float(i0) * step + width * offset, step, width))
+            tests = windows if trial % 4 < 2 else windows[::-1]
+            inside = np.ones(budget, dtype=bool)
+            loose = np.ones(budget, dtype=bool)
+            for base, step, width in tests:
+                u = base - idx * step
+                u -= np.floor(u)
+                inside &= u < width
+                loose &= (u < width + 1e-9) | (u > 1.0 - 1e-9)
+            walked = list(_window_hits(tests, budget))
+            assert set(np.flatnonzero(inside).tolist()) <= set(walked)
+            assert walked == sorted(set(walked))
+            assert all(loose[walked])

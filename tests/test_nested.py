@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polytorus import (
+    CapacityError,
     GrowthSchedule,
     PlanError,
     PrimeBasis,
@@ -103,6 +104,19 @@ class TestNestedConstruction:
         assert all(
             worst < 1e-12 for level in completed.window_estimates for worst in level
         )
+
+    def test_atom_cap_counts_every_placed_atom(self):
+        mu = TorusPointMassMeasure([((0.3, 4.4), 1.0)])
+        polys = [TorusPolynomial({(): 1.0}, PrimeBasis(2))]
+        plan = NestedConstructionPlan([mu] * 2, polys)
+        growth = GrowthSchedule.constant(2)
+        lam, _ = build_nested_lambda(plan, levels=3, growth=growth)
+        exact, _ = build_nested_lambda(
+            plan, levels=3, growth=growth, atom_cap=len(lam)
+        )
+        assert exact == lam
+        with pytest.raises(CapacityError):
+            build_nested_lambda(plan, levels=3, growth=growth, atom_cap=len(lam) - 1)
 
     def test_atoms_normalized_per_window_source(self, constant_sequence_setup):
         _, _, lam, completed = constant_sequence_setup

@@ -267,6 +267,16 @@ class TestValidation:
         with pytest.raises(FrequencyOverflowError):
             DirichletPolynomial({2**63: 1.0})
 
+    def test_frequencies_beyond_float_precision(self):
+        # 2^53 + 1 has no float64 twin; it must survive construction exactly
+        n = 2**53 + 1
+        f = DirichletPolynomial({n: 1.0, 3: 2.0})
+        assert f.frequencies == (3, n)
+        assert f.coefficient(n) == 1.0
+        assert abs(eval_dirichlet(f, 0.0, 0.0) - 3.0) < 1e-12
+        big = DirichletPolynomial({2**63 - 1: 1.0, 2**63 - 2: 1.0})
+        assert big.frequencies == (2**63 - 2, 2**63 - 1)
+
     def test_torus_poly_dimension_check(self):
         with pytest.raises(DimensionError):
             TorusPolynomial({MultiIndex((1, 1, 1)): 1.0}, PrimeBasis(2))
