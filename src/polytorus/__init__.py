@@ -52,6 +52,7 @@ from .measures import (
     empty_measure,
     load_atoms,
     save_atoms,
+    weighted_mean_square,
     window_check,
     windowed_time_means,
 )

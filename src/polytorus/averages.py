@@ -15,17 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, EmptyMeasureError
-from .measures import AtomicLineMeasure, TorusPointMassMeasure
+from .measures import AtomicLineMeasure, TorusPointMassMeasure, weighted_mean_square
 from .polynomials import (
     DirichletPolynomial,
     MultiIndex,
     TorusPolynomial,
     _mean_kernel,
     bohr_lift,
-    eval_dirichlet,
     eval_torus,
     lebesgue_line_mean,
 )
+from .polynomials import eval_dirichlet  # unused here; a name bench/tracing.py rebinds
 from .primes import PrimeBasis
 
 # Relative slack applied when validating mean bounds; covers accumulated
@@ -34,17 +34,12 @@ _BOUND_SLACK = 1e-9
 
 
 def atomic_time_mean(f: DirichletPolynomial, lam: AtomicLineMeasure, T: float) -> float:
-    """``(sum_{t_i <= T} w_i |f(i t_i)|^2) / (sum_{t_i <= T} w_i)`` at ``sigma = 0``.
-
-    Sums are accumulated with exact compensated summation so that million-atom
-    measures stay meaningful against 1e-9 tolerances.
-    """
+    """``(sum_{t_i <= T} w_i |f(i t_i)|^2) / (sum_{t_i <= T} w_i)`` at ``sigma = 0``,
+    via :func:`~polytorus.measures.weighted_mean_square`."""
     inside = lam.t <= T
-    w = lam.w[inside]
-    if not len(w):
+    if not inside.any():
         raise EmptyMeasureError(f"no mass in [0, {T}]")
-    values = np.abs(eval_dirichlet(f, 0.0, lam.t[inside])) ** 2
-    return math.fsum(values * w) / math.fsum(w)
+    return weighted_mean_square(f, lam.t[inside], lam.w[inside])
 
 
 def point_mass_space_average(F: TorusPolynomial, mu: TorusPointMassMeasure) -> float:

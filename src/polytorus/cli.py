@@ -29,14 +29,7 @@ from .averages import (
     point_mass_space_average,
     recover_moments,
 )
-from .errors import (
-    BudgetExhaustedError,
-    CapacityError,
-    ConstructionError,
-    ParseError,
-    PlanError,
-    PolytorusError,
-)
+from .errors import BudgetExhaustedError, ConstructionError, PolytorusError
 from .formats import (
     dirichlet_from_json,
     measure_sequence_from_json,
@@ -322,18 +315,10 @@ def run(kind: str, config: dict) -> int:
     try:
         _check_ranges(config)
         metrics, passed = _RUNNERS[kind](config)
-    except (UsageError, ParseError, PlanError, CapacityError) as exc:
+    except (UsageError, PolytorusError) as exc:
         print(json.dumps({"kind": kind, "error": str(exc), "pass": False}),
               file=sys.stderr)
-        return 2
-    except (BudgetExhaustedError, ConstructionError) as exc:
-        print(json.dumps({"kind": kind, "error": str(exc), "pass": False}),
-              file=sys.stderr)
-        return 3
-    except PolytorusError as exc:
-        print(json.dumps({"kind": kind, "error": str(exc), "pass": False}),
-              file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, (BudgetExhaustedError, ConstructionError)) else 2
     summary = {
         "kind": kind,
         "wall_time": round(time.perf_counter() - started, 6),

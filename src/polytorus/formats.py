@@ -10,15 +10,18 @@ Torus polynomials:
 Point-mass measures:
     {"dim": 2, "atoms": [{"theta": [0.0, 3.14], "c": 0.5}, ...]}
 
-Parsing rejects duplicate JSON keys, duplicate term entries, and explicit
-zero coefficients; writers emit floats exactly (shortest round-trip repr).
+Parsing rejects duplicate JSON keys, non-finite numbers, duplicate term
+entries, explicit zero coefficients, and missing or mistyped fields; writers
+emit floats exactly (shortest round-trip repr).
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 
-from .errors import ParseError
+from .errors import ParseError, PolytorusError
 from .polynomials import (
     DirichletPolynomial,
     MultiIndex,
@@ -38,12 +41,37 @@ def _reject_duplicate_keys(pairs):
     return dict(pairs)
 
 
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite number {token}")
+    return value
+
+
 def loads_strict(text: str | bytes):
-    """``json.loads`` that refuses objects with repeated keys."""
+    """``json.loads`` that refuses repeated keys, ``NaN``/``Infinity`` tokens
+    and literals that overflow float64."""
     try:
-        return json.loads(text, object_pairs_hook=_reject_duplicate_keys)
+        return json.loads(text, object_pairs_hook=_reject_duplicate_keys,
+                          parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def _parser(parse):
+    """Report a missing key or a mistyped value as a :class:`ParseError`; the
+    library's own errors pass through unchanged."""
+
+    @functools.wraps(parse)
+    def wrapped(text):
+        try:
+            return parse(text)
+        except PolytorusError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"malformed entry: {exc!r}") from exc
+
+    return wrapped
 
 
 def _term_coefficient(entry, label) -> complex:
@@ -60,6 +88,7 @@ def dirichlet_to_json(f: DirichletPolynomial, basis_dim: int) -> str:
     return json.dumps({"basis_dim": basis_dim, "terms": terms})
 
 
+@_parser
 def dirichlet_from_json(text) -> tuple[DirichletPolynomial, PrimeBasis]:
     """Parse and validate a Dirichlet polynomial plus its declared basis."""
     data = loads_strict(text)
@@ -84,6 +113,7 @@ def torus_to_json(F: TorusPolynomial) -> str:
     return json.dumps({"basis_dim": F.basis.dimension, "terms": terms})
 
 
+@_parser
 def torus_from_json(text) -> TorusPolynomial:
     return _torus_from_data(loads_strict(text))
 
@@ -110,10 +140,12 @@ def _point_mass_from_data(data) -> TorusPointMassMeasure:
     return TorusPointMassMeasure(atoms, dimension=dim)
 
 
+@_parser
 def point_mass_from_json(text) -> TorusPointMassMeasure:
     return _point_mass_from_data(loads_strict(text))
 
 
+@_parser
 def measure_sequence_from_json(text) -> list[TorusPointMassMeasure]:
     """Parse {"measures": [mu, ...]}; each entry follows the point-mass format."""
     data = loads_strict(text)
@@ -136,6 +168,7 @@ def _torus_from_data(data) -> TorusPolynomial:
     return TorusPolynomial(terms, PrimeBasis(dim))
 
 
+@_parser
 def polynomial_family_from_json(text) -> list[TorusPolynomial]:
     """Parse {"polynomials": [F, ...]}; each entry follows the torus format."""
     data = loads_strict(text)

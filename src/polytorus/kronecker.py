@@ -5,7 +5,8 @@ with ``-t log p_r`` within ``eps`` of ``theta_r`` modulo 2*pi for each of the
 first ``k`` primes.  Existence is guaranteed because the prime logarithms are
 rationally independent; the solvers below differ only in how they search.
 
-Two backends sit behind :func:`solve`:
+There are two backends.  :func:`solve` is the lattice backend, and
+:func:`scan_solve` the reference:
 
 * ``"scan"`` -- a forward grid scan with step ``eps / (2 max_r log p_r)``.
   With that step no interval containing a point whose residuals are all below
@@ -113,6 +114,14 @@ class KroneckerProblem:
             raise DomainError(f"eps must lie in (0, pi), got {self.eps}")
         if not 0.0 <= self.t_min < math.inf:
             raise DomainError(f"t_min must be finite and >= 0, got {self.t_min}")
+        # Float64 times near t_min are ulp(t_min) apart, so their angles on the
+        # k-th prime step by ulp(t_min) * log p_k, and each computed angle is
+        # off by about as much.  Once that reaches eps, a residual below eps is
+        # rounding, not approximation: no candidate could be certified.
+        resolution = math.ulp(self.t_min) * float(self.basis.logs[self.k - 1])
+        if not resolution < self.eps:
+            raise DomainError(f"float64 cannot resolve eps={self.eps} at t_min="
+                              f"{self.t_min} (angle step {resolution:.3g})")
         raw = tuple(float(g) for g in self.targets)
         if not all(map(math.isfinite, raw)):
             raise DomainError(f"targets must be finite, got {raw}")
@@ -398,18 +407,4 @@ def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSo
     return _lattice_search(problem).run(int(budget))
 
 
-def solve(
-    problem: KroneckerProblem,
-    budget: int = 10**8,
-    method: str = "auto",
-) -> KroneckerSolution:
-    """Find the first qualifying ``t > t_min`` under the chosen backend.
-
-    ``"auto"`` uses the lattice backend; the scan remains available as the
-    slow, provably complete reference.
-    """
-    if method in ("auto", "lattice"):
-        return lattice_solve(problem, budget)
-    if method == "scan":
-        return scan_solve(problem, budget)
-    raise DomainError(f"unknown solver method {method!r}")
+solve = lattice_solve  # the default; scan_solve is the complete reference

@@ -80,7 +80,7 @@ class TorusPointMassMeasure:
             if not isinstance(omega, TorusPoint):
                 omega = TorusPoint(omega)
             c = float(c)
-            if c <= 0:
+            if not c > 0:
                 raise DomainError(f"point-mass weights must be positive, got {c}")
             points.append(omega)
             weights.append(c)
@@ -150,10 +150,10 @@ class AtomicLineMeasure:
         rep = np.asarray(rep, dtype=np.int64)
         if not (len(t) == len(w) == len(level) == len(source) == len(rep)):
             raise DomainError("atom field arrays must have equal lengths")
-        if len(t) and np.any(np.diff(t) <= 0):
-            raise DomainError("atom positions must be strictly increasing")
-        if len(t) and (t[0] < 0 or np.any(w <= 0)):
-            raise DomainError("atoms need t >= 0 and positive weights")
+        if not np.all(np.isfinite(t)) or not np.all(np.diff(t) > 0):
+            raise DomainError("atom positions must be finite and strictly increasing")
+        if len(t) and not (t[0] >= 0 and np.all(np.isfinite(w) & (w > 0))):
+            raise DomainError("atoms need t >= 0 and finite positive weights")
         for arr in (t, w, level, source, rep):
             arr.setflags(write=False)
         object.__setattr__(self, "t", t)
@@ -203,7 +203,7 @@ class AtomicLineMeasure:
         )
 
 
-def _level_plan(n_sources: int, levels: int, growth: GrowthSchedule):
+def _level_plan(levels: int, growth: GrowthSchedule):
     """Repetition counts ``M_k`` and cumulative masses; mass of level 0 is 1."""
     reps = []
     masses = []
@@ -223,13 +223,30 @@ def _level_plan(n_sources: int, levels: int, growth: GrowthSchedule):
     return reps, masses
 
 
+def scan_step(basis: PrimeBasis, depth: int) -> float:
+    """Gap between repetitions: one reference-scan step at ``eps = 2^-depth``."""
+    return 2.0**-depth / (2.0 * float(basis.logs[min(depth, basis.dimension) - 1]))
+
+
+def place_atom(basis: PrimeBasis, depth: int, omega: TorusPoint, t_min: float,
+               budget: int, **context) -> float:
+    """The first ``t > t_min`` within ``2^-depth`` of ``omega`` on the first
+    ``min(depth, d)`` primes.  Bad input raises :class:`DomainError`; a failed
+    solve raises :class:`ConstructionError` carrying ``context``."""
+    active = min(depth, basis.dimension)
+    problem = KroneckerProblem(basis, active, omega.angles[:active], 2.0**-depth, t_min)
+    try:
+        return solve(problem, budget).t
+    except Exception as exc:
+        raise ConstructionError(f"solver failed: {exc}", **context) from exc
+
+
 def build_point_mass_lambda(
     mu: TorusPointMassMeasure,
     levels: int,
     growth: GrowthSchedule | None = None,
     solver_budget: int = 10**8,
     *,
-    method: str = "auto",
     atom_cap: int = DEFAULT_ATOM_CAP,
 ) -> AtomicLineMeasure:
     """Place the atoms of the half-line measure chasing ``mu``.
@@ -245,7 +262,7 @@ def build_point_mass_lambda(
         raise DomainError(f"levels must be >= 1, got {levels}")
     growth = growth or GrowthSchedule.default()
     basis = PrimeBasis(mu.dimension)
-    reps_per_level, masses = _level_plan(len(mu), levels, growth)
+    reps_per_level, masses = _level_plan(levels, growth)
     total_atoms = len(mu) * sum(reps_per_level)
     if total_atoms > atom_cap:
         raise CapacityError(
@@ -263,31 +280,17 @@ def build_point_mass_lambda(
     t_cursor = 0.0
     pos = 0
     for k in range(1, levels + 1):
-        eps = 2.0**-k
-        active = min(k, mu.dimension)
-        step = eps / (2.0 * float(basis.logs[active - 1]))
+        step = scan_step(basis, k)
         for m in range(1, reps_per_level[k - 1] + 1):
             for j, (omega, c_j) in enumerate(mu.atoms, start=1):
-                problem = KroneckerProblem(
-                    basis=basis,
-                    k=active,
-                    targets=omega.angles[:active],
-                    eps=eps,
-                    t_min=t_cursor,
-                )
-                try:
-                    sol = solve(problem, solver_budget, method=method)
-                except Exception as exc:
-                    raise ConstructionError(
-                        f"solver failed: {exc}", level=k, source=j, repetition=m
-                    ) from exc
-                t_out[pos] = sol.t
+                t_cursor = place_atom(basis, k, omega, t_cursor, solver_budget,
+                                      level=k, source=j, repetition=m)
+                t_out[pos] = t_cursor
                 w_out[pos] = c_j
                 lvl_out[pos] = k
                 src_out[pos] = j
                 rep_out[pos] = m
                 pos += 1
-                t_cursor = sol.t
             t_cursor += step
         boundaries.append(t_cursor)
 
@@ -310,22 +313,25 @@ class WindowCheckResult:
     window_mass: float
 
 
+def weighted_mean_square(f, times, weights) -> float:
+    """Time mean ``fsum(|f(i t)|^2 w) / fsum(w)`` over atoms ``(times, weights)``.
+
+    Compensated sums keep million-atom means meaningful against 1e-9
+    tolerances.
+    """
+    values = np.abs(eval_dirichlet(f, 0.0, times)) ** 2
+    return math.fsum(values * weights) / math.fsum(weights)
+
+
 def windowed_time_means(lam, t_lo: float, t_hi: float, polys) -> list[float]:
     """Normalized means of ``|f_m(it)|^2`` over atoms with ``t_lo < t <= t_hi``."""
     inside = (lam.t > t_lo) & (lam.t <= t_hi)
-    w = lam.w[inside]
-    if not len(w):
+    if not inside.any():
         raise WindowRepresentationError(
             f"window ({t_lo}, {t_hi}] contains no atoms"
         )
-    times = lam.t[inside]
-    mass = math.fsum(w)
-    means = []
-    for F in polys:
-        f = bohr_unlift(F)
-        values = np.abs(eval_dirichlet(f, 0.0, times)) ** 2
-        means.append(math.fsum(values * w) / mass)
-    return means
+    times, w = lam.t[inside], lam.w[inside]
+    return [weighted_mean_square(bohr_unlift(F), times, w) for F in polys]
 
 
 def window_check(
@@ -439,12 +445,12 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             raise ParseError(f"malformed line: {exc}", number) from exc
         if not isinstance(record, dict):
             raise ParseError("expected a JSON object", number)
-        if "boundaries" in record:
-            boundaries = [float(b) for b in record["boundaries"]]
-            masses = [float(m) for m in record.get("masses", [])]
-            saw_trailer = True
-            continue
         try:
+            if "boundaries" in record:
+                boundaries = [float(b) for b in record["boundaries"]]
+                masses = [float(m) for m in record.get("masses", [])]
+                saw_trailer = True
+                continue
             t_i = float(record["t"])
             w_i = float(record["w"])
             k_i = int(record["k"])
@@ -452,6 +458,8 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             m_i = int(record["m"])
         except KeyError as exc:
             raise ParseError(f"atom line missing key {exc}", number) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"malformed line: {exc}", number) from exc
         if t and t_i <= t[-1]:
             raise ParseError(
                 f"atom positions must strictly increase ({t_i} after {t[-1]})",

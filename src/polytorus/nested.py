@@ -22,21 +22,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    CapacityError,
-    ConstructionError,
-    DomainError,
-    PlanError,
-)
-from .kronecker import KroneckerProblem, solve
+from .averages import point_mass_space_average
+from .errors import CapacityError, ConstructionError, DomainError, PlanError
+from .kronecker import solve  # unused here; a name bench/tracing.py rebinds
 from .measures import (
     DEFAULT_ATOM_CAP,
     AtomicLineMeasure,
     GrowthSchedule,
     TorusPointMassMeasure,
+    place_atom,
+    scan_step,
+    weighted_mean_square,
 )
-from .polynomials import TorusPolynomial, bohr_unlift, eval_dirichlet
+from .polynomials import TorusPolynomial, bohr_unlift
+from .polynomials import eval_dirichlet  # unused here; a name bench/tracing.py rebinds
 from .primes import PrimeBasis
+
+# Rounds (repetitions) a window may take before the construction gives up.
+MAX_ROUNDS_PER_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -84,31 +87,28 @@ def _depth_margin(polys, dimension: int) -> int:
     return 2 + max(0, math.ceil(math.log2(scale)))
 
 
-def _space_averages(polys, mu: TorusPointMassMeasure) -> list[float]:
-    from .averages import point_mass_space_average
-
-    return [point_mass_space_average(F, mu) for F in polys]
-
-
 class _SourceBlock:
-    """Atoms placed for one source measure inside the current window."""
+    """Atoms placed for one source measure inside the current window.
 
-    __slots__ = ("times", "weights", "reps")
+    ``error`` is the worst deviation as of the last :meth:`measure`; a block
+    that meets the tolerance gets no more atoms, so its error is then final.
+    """
+
+    __slots__ = ("times", "weights", "reps", "error")
 
     def __init__(self):
         self.times: list[float] = []
         self.weights: list[float] = []
         self.reps: list[int] = []
+        self.error = math.inf
 
-    def worst_error(self, dirichlet_polys, targets) -> float:
-        w = np.asarray(self.weights)
-        times = np.asarray(self.times)
-        mass = math.fsum(self.weights)
-        worst = 0.0
-        for f, target in zip(dirichlet_polys, targets):
-            mean = math.fsum(np.abs(eval_dirichlet(f, 0.0, times)) ** 2 * w) / mass
-            worst = max(worst, abs(mean - target))
-        return worst
+    def measure(self, dirichlet_polys, targets) -> float:
+        times, w = np.asarray(self.times), np.asarray(self.weights)
+        self.error = max(
+            abs(weighted_mean_square(f, times, w) - target)
+            for f, target in zip(dirichlet_polys, targets)
+        )
+        return self.error
 
 
 def build_nested_lambda(
@@ -117,9 +117,7 @@ def build_nested_lambda(
     growth: GrowthSchedule | None = None,
     solver_budget: int = 10**8,
     *,
-    method: str = "auto",
     atom_cap: int = DEFAULT_ATOM_CAP,
-    max_repetitions_per_window: int = 64,
 ) -> tuple[AtomicLineMeasure, NestedConstructionPlan]:
     """Run the windowed construction; returns the measure and completed plan.
 
@@ -148,16 +146,12 @@ def build_nested_lambda(
             )
     dirichlet_polys = [bohr_unlift(F) for F in polys]
     space_averages = [
-        _space_averages(polys, mu) for mu in plan.mu_sequence[:sources_needed]
+        [point_mass_space_average(F, mu) for F in polys]
+        for mu in plan.mu_sequence[:sources_needed]
     ]
     margin = _depth_margin(polys, dimension)
 
-    atoms_t: list[float] = []
-    atoms_w: list[float] = []
-    atoms_level: list[int] = []
-    atoms_source: list[int] = []
-    atoms_rep: list[int] = []
-
+    atoms: list[tuple] = []  # (t, w, level, source, rep), in order of t
     grid_by_level: list[tuple[float, ...]] = []
     estimates_by_level: list[tuple[float, ...]] = []
     level_end: list[float] = []
@@ -170,18 +164,17 @@ def build_nested_lambda(
         n_sources = growth(k)
         n_windows = int(round(prev_total)) if k > 1 else 1
         tolerance = 2.0**-k
-        depth = k + margin
-        eps_atom = 2.0**-depth
-        step = eps_atom / (2.0 * float(basis.logs[min(depth, dimension) - 1]))
+        depth = k + margin  # escalations carry over to the level's later windows
+        step = scan_step(basis, depth)  # fixed at the level's starting depth
         grid = [t_cursor]
         estimates = []
-        for window_index in range(1, n_windows + 1):
+        for _ in range(n_windows):
             blocks = [_SourceBlock() for _ in range(n_sources)]
             pending = list(range(n_sources))
             rounds = 0
             while pending:
                 rounds += 1
-                if rounds > max_repetitions_per_window:
+                if rounds > MAX_ROUNDS_PER_WINDOW:
                     raise ConstructionError(
                         "window failed to reach tolerance "
                         f"{tolerance} after {rounds - 1} repetitions",
@@ -189,29 +182,16 @@ def build_nested_lambda(
                     )
                 if rounds > 1 and rounds % 4 == 0:
                     depth += 1
-                    eps_atom = 2.0**-depth
                 for j in pending:
-                    mu_j = plan.mu_sequence[j]
                     block = blocks[j]
-                    for omega, c in mu_j.atoms:
-                        problem = KroneckerProblem(
-                            basis=basis,
-                            k=min(depth, dimension),
-                            targets=omega.angles[: min(depth, dimension)],
-                            eps=eps_atom,
-                            t_min=t_cursor,
+                    for omega, c in plan.mu_sequence[j].atoms:
+                        t_cursor = place_atom(
+                            basis, depth, omega, t_cursor, solver_budget,
+                            level=k, source=j + 1, repetition=rounds,
                         )
-                        try:
-                            sol = solve(problem, solver_budget, method=method)
-                        except Exception as exc:
-                            raise ConstructionError(
-                                f"solver failed: {exc}",
-                                level=k, source=j + 1, repetition=rounds,
-                            ) from exc
-                        block.times.append(sol.t)
+                        block.times.append(t_cursor)
                         block.weights.append(c)
                         block.reps.append(rounds)
-                        t_cursor = sol.t
                         placed += 1
                         if placed > atom_cap:
                             raise CapacityError(
@@ -220,29 +200,20 @@ def build_nested_lambda(
                     t_cursor += step
                 pending = [
                     j for j in pending
-                    if blocks[j].worst_error(dirichlet_polys, space_averages[j])
+                    if blocks[j].measure(dirichlet_polys, space_averages[j])
                     >= tolerance
                 ]
             # close the window: record the estimate and merge normalized blocks
-            worst = 0.0
             merged = []
             for j, block in enumerate(blocks, start=1):
-                worst = max(
-                    worst, block.worst_error(dirichlet_polys, space_averages[j - 1])
-                )
                 mass = math.fsum(block.weights)
                 merged.extend(
                     (t_i, w_i / mass, k, j, m_i)
                     for t_i, w_i, m_i in zip(block.times, block.weights, block.reps)
                 )
             merged.sort(key=lambda item: item[0])
-            for t_i, w_i, k_i, j_i, m_i in merged:
-                atoms_t.append(t_i)
-                atoms_w.append(w_i)
-                atoms_level.append(k_i)
-                atoms_source.append(j_i)
-                atoms_rep.append(m_i)
-            estimates.append(worst)
+            atoms.extend(merged)
+            estimates.append(max(block.error for block in blocks))
             grid.append(t_cursor)
         grid_by_level.append(tuple(grid))
         estimates_by_level.append(tuple(estimates))
@@ -252,7 +223,7 @@ def build_nested_lambda(
         prev_total = total
 
     measure = AtomicLineMeasure(
-        atoms_t, atoms_w, atoms_level, atoms_source, atoms_rep,
+        *zip(*atoms),
         level_boundaries=level_end,
         total_mass_by_level=masses,
         growth_name=growth.name,

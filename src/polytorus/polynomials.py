@@ -74,8 +74,10 @@ class TorusPoint:
     angles: tuple[float, ...]
 
     def __init__(self, angles):
-        canonical = tuple(float(a) % TWO_PI for a in angles)
-        object.__setattr__(self, "angles", canonical)
+        raw = tuple(float(a) for a in angles)
+        if not all(map(math.isfinite, raw)):
+            raise DomainError(f"torus angles must be finite, got {raw}")
+        object.__setattr__(self, "angles", tuple(a % TWO_PI for a in raw))
 
     @property
     def dimension(self) -> int:

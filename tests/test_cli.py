@@ -83,6 +83,15 @@ class TestKroneckerCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_unresolvable_t_min_exit_2(self, capsys):
+        code, _, err = run_cli(
+            ["kronecker", "--dim", "1", "--theta", "1.0", "--eps", "2e-6",
+             "--t-min", "1e15"],
+            capsys,
+        )
+        assert code == 2
+        assert "cannot resolve" in json.loads(err)["error"]
+
     def test_budget_exhaustion_is_exit_3(self, capsys):
         code, _, err = run_cli(
             ["kronecker", "--dim", "3", "--theta", "1.0,2.0,3.0",
@@ -129,6 +138,21 @@ class TestBuildMeasureCommand:
         assert code == 2
         assert "sum to 1" in err
 
+    @pytest.mark.parametrize("atom", ['{"c": 1.0}', '{"theta": [0.5], "c": NaN}',
+                                      '{"theta": [NaN], "c": 1.0}'])
+    def test_malformed_mu_exit_2(self, atom, workdir, capsys):
+        bad = workdir / "bad.json"
+        bad.write_text(f'{{"dim": 1, "atoms": [{atom}]}}')
+        out_path = workdir / "x.jsonl"
+        code, out, err = run_cli(
+            ["build-measure", "--mu", bad, "--levels", "2", "--out", out_path],
+            capsys,
+        )
+        assert code == 2
+        assert out == []
+        assert json.loads(err)["pass"] is False
+        assert not out_path.exists()
+
     def test_levels_out_of_range(self, workdir, capsys):
         code, _, _ = run_cli(
             ["build-measure", "--mu", workdir / "mu.json",
@@ -139,6 +163,20 @@ class TestBuildMeasureCommand:
 
 
 class TestVerifyCommands:
+    def test_malformed_poly_exit_2(self, workdir, capsys):
+        bad = workdir / "bad.json"
+        bad.write_text('{"basis_dim": 2, "terms": [{"re": 1.0, "im": 0.0}]}')
+        code, out, err = run_cli(
+            ["verify-sigma", "--poly", bad, "--sigma", "1.0",
+             "--t-grid", "10,100", "--out", workdir / "sigma.csv"],
+            capsys,
+        )
+        assert code == 2
+        assert out == []
+        line = json.loads(err)
+        assert line["kind"] == "verify-sigma" and line["pass"] is False
+        assert "'n'" in line["error"]
+
     def test_verify_sigma(self, workdir, capsys):
         out_path = workdir / "sigma.csv"
         code, out, _ = run_cli(

@@ -27,6 +27,41 @@ class TestStrictJson:
         with pytest.raises(ParseError):
             loads_strict('{"terms": [{"n": 2, "n": 3, "re": 1.0}]}')
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_numbers_rejected(self, token):
+        with pytest.raises(ParseError):
+            loads_strict(f'{{"c": {token}}}')
+
+
+class TestMalformedStructure:
+    """A missing key or a wrongly shaped entry is a ParseError, never a
+    KeyError or TypeError escaping from the parser."""
+
+    @pytest.mark.parametrize("parse, text, match", [
+        (dirichlet_from_json,
+         '{"basis_dim": 2, "terms": [{"re": 1.0, "im": 0.0}]}', "'n'"),
+        (dirichlet_from_json, '{"basis_dim": 2, "terms": [7]}', "malformed"),
+        (dirichlet_from_json, '{"basis_dim": 2, "terms": 7}', "malformed"),
+        (dirichlet_from_json,
+         '{"basis_dim": 1, "terms": [{"n": 2, "re": NaN}]}', "NaN"),
+        (point_mass_from_json, '{"dim": 1, "atoms": [{"c": 1.0}]}', "'theta'"),
+        (point_mass_from_json, '{"dim": 1, "atoms": [{"theta": [0.5]}]}', "'c'"),
+        (point_mass_from_json, '{"dim": 1, "atoms": ["x"]}', "malformed"),
+        (point_mass_from_json,
+         '{"dim": 1, "atoms": [{"theta": [0.5], "c": NaN}]}', "NaN"),
+        (point_mass_from_json,
+         '{"dim": 1, "atoms": [{"theta": [Infinity], "c": 1.0}]}', "Infinity"),
+        (torus_from_json, '{"terms": [{"re": 1.0}]}', "'alpha'"),
+        (torus_from_json, '{"terms": [{"alpha": [-1], "re": 1.0}]}', "malformed"),
+        (measure_sequence_from_json, '{"measures": [{"dim": 1, "atoms": [{}]}]}',
+         "'theta'"),
+        (polynomial_family_from_json, '{"polynomials": [{"terms": [3]}]}',
+         "malformed"),
+    ])
+    def test_parse_error(self, parse, text, match):
+        with pytest.raises(ParseError, match=match):
+            parse(text)
+
 
 class TestDirichletFormat:
     def test_round_trip(self):

@@ -217,6 +217,21 @@ class TestProblemValidation:
         p = KroneckerProblem(PrimeBasis(1), 1, (-math.pi,), 0.1)
         assert p.targets[0] == pytest.approx(math.pi)
 
+    def test_unresolvable_eps_rejected_at_construction(self):
+        # ulp(1e15) * log 2 ~ 0.087 dwarfs eps: no residual below eps could
+        # be told apart from rounding, so the problem is refused up front
+        # instead of spending the whole budget.
+        with pytest.raises(DomainError, match="cannot resolve"):
+            KroneckerProblem(PrimeBasis(1), 1, (1.0,), 1e-6, t_min=1e15)
+        with pytest.raises(DomainError, match="cannot resolve"):
+            KroneckerProblem(PrimeBasis(3), 3, (1.0, 2.0, 3.0), 2.0**-4, t_min=1e16)
+
+    def test_large_resolvable_t_min_accepted(self):
+        problem = KroneckerProblem(PrimeBasis(2), 2, (1.0, 2.0), 2.0**-12, t_min=1e7)
+        sol = solve(problem)
+        assert sol.t > 1e7
+        assert np.all(residuals(problem.basis, 2, sol.t, problem.targets) < 2.0**-12)
+
 
 def brute_force_first(search, budget):
     """Oracle for the window walk: one plain numpy pass over every index with

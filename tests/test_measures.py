@@ -11,6 +11,8 @@ from polytorus import (
     GrowthSchedule,
     ParseError,
     PrimeBasis,
+    DirichletPolynomial,
+    TorusPoint,
     TorusPointMassMeasure,
     TorusPolynomial,
     WindowRepresentationError,
@@ -21,6 +23,7 @@ from polytorus import (
     load_atoms,
     residuals,
     save_atoms,
+    weighted_mean_square,
     window_check,
 )
 
@@ -64,6 +67,17 @@ class TestPointMassMeasure:
     def test_dimension_consistency(self):
         with pytest.raises(Exception):
             TorusPointMassMeasure([((0.0,), 0.5), ((1.0, 2.0), 0.5)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            TorusPoint((bad, 1.0))
+        with pytest.raises(DomainError, match="finite"):
+            TorusPointMassMeasure([((bad, 1.0), 1.0)])
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(DomainError, match="positive"):
+            TorusPointMassMeasure([((0.5, 1.0), math.nan)])
 
 
 class TestPointMassConstruction:
@@ -268,6 +282,30 @@ class TestAtomFiles:
         with pytest.raises(ParseError):
             atoms_from_bytes(b'{"format": "something-else", "version": 1}\n')
 
+    @pytest.mark.parametrize("atom", [
+        '{"t": NaN, "w": 1.0, "k": 1, "j": 1, "m": 1}',
+        '{"t": 1.0, "w": NaN, "k": 1, "j": 1, "m": 1}',
+        '{"t": Infinity, "w": 1.0, "k": 1, "j": 1, "m": 1}',
+        '{"t": 1.0, "w": Infinity, "k": 1, "j": 1, "m": 1}',
+    ])
+    def test_non_finite_atom_rejected(self, atom):
+        header = json.dumps({"format": "lambda-atoms", "version": 1,
+                             "growth": "2^k", "levels": 1})
+        with pytest.raises(ParseError, match="finite"):
+            atoms_from_bytes(f"{header}\n{atom}\n".encode())
+
+    @pytest.mark.parametrize("line", [
+        '{"t": [1.0], "w": 0.5, "k": 1, "j": 1, "m": 1}',
+        '{"t": 1.0, "w": 0.5, "k": Infinity, "j": 1, "m": 1}',
+        '{"boundaries": 5}',
+        '{"boundaries": [2.0], "masses": ["x"]}',
+    ])
+    def test_wrongly_typed_field(self, line):
+        header = json.dumps({"format": "lambda-atoms", "version": 1,
+                             "growth": "2^k", "levels": 1})
+        with pytest.raises(ParseError, match="line 2"):
+            atoms_from_bytes(f"{header}\n{line}\n".encode())
+
     def test_missing_key(self):
         blob = (
             json.dumps({"format": "lambda-atoms", "version": 1,
@@ -288,3 +326,30 @@ class TestAtomicLineMeasureValidation:
         with pytest.raises(DomainError):
             AtomicLineMeasure([1.0, 2.0], [0.5, 0.0], [1, 1], [1, 2], [1, 1],
                               level_boundaries=(3.0,), total_mass_by_level=(0.5,))
+
+    @pytest.mark.parametrize("field", ["t", "w"])
+    def test_nan_rejected(self, field):
+        fields = {"t": [1.0, 2.0], "w": [0.5, 0.5]}
+        fields[field] = [1.0, math.nan]
+        with pytest.raises(DomainError, match="finite"):
+            AtomicLineMeasure(fields["t"], fields["w"], [1, 1], [1, 2], [1, 1],
+                              level_boundaries=(3.0,), total_mass_by_level=(1.0,))
+
+
+class TestWeightedMeanSquare:
+    def test_matches_direct_sum(self):
+        f = DirichletPolynomial({1: 1.0, 2: 0.5j, 3: -0.25})
+        times = np.array([0.3, 1.7, 4.2])
+        weights = np.array([0.2, 0.5, 0.3])
+        values = [abs(sum(a * n ** (-1j * t) for n, a in f.terms.items())) ** 2
+                  for t in times]
+        expected = sum(v * w for v, w in zip(values, weights)) / weights.sum()
+        assert weighted_mean_square(f, times, weights) == pytest.approx(
+            expected, rel=1e-12)
+
+    def test_scale_invariant_in_weights(self):
+        f = DirichletPolynomial({1: 1.0, 6: 1.0})
+        times = np.array([0.5, 2.0])
+        w = np.array([1.0, 3.0])
+        assert weighted_mean_square(f, times, w) == pytest.approx(
+            weighted_mean_square(f, times, w / 7.0), rel=1e-14)

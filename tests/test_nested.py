@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import polytorus.nested as nested
 from polytorus import (
     CapacityError,
     GrowthSchedule,
@@ -13,6 +14,7 @@ from polytorus import (
     bohr_unlift,
     build_nested_lambda,
     point_mass_space_average,
+    weighted_mean_square,
 )
 
 
@@ -117,6 +119,43 @@ class TestNestedConstruction:
         assert exact == lam
         with pytest.raises(CapacityError):
             build_nested_lambda(plan, levels=3, growth=growth, atom_cap=len(lam) - 1)
+
+    def test_window_estimates_recomputed_from_atoms(self, monkeypatch):
+        # With no depth margin the windows need several rounds, and the two
+        # sources finish at different rounds, so an estimate taken before a
+        # block's last round would differ from one recomputed from its atoms.
+        monkeypatch.setattr(nested, "_depth_margin", lambda polys, dimension: 0)
+        rng = np.random.default_rng(0)
+        mus = [
+            TorusPointMassMeasure(
+                [(tuple(rng.uniform(0, 6.28, 2)), 0.5) for _ in range(2)]
+            )
+            for _ in range(2)
+        ]
+        basis = PrimeBasis(2)
+        polys = [
+            TorusPolynomial({(): 1.0, (1,): 1.0, (0, 1): 1.0}, basis),
+            TorusPolynomial({(1, 1): 0.5, (0, 1): 1.0}, basis),
+        ]
+        lam, completed = build_nested_lambda(
+            NestedConstructionPlan(mus, polys), levels=3,
+            growth=GrowthSchedule.constant(2),
+        )
+        first = lam.level == 1
+        assert [int(lam.rep[first & (lam.source == j)].max()) for j in (1, 2)] == [13, 6]
+        fs = [bohr_unlift(F) for F in polys]
+        for k, grid in enumerate(completed.window_boundaries, start=1):
+            window = np.searchsorted(grid, lam.t) - 1
+            for l, recorded in enumerate(completed.window_estimates[k - 1]):
+                inside = (lam.level == k) & (window == l)
+                worst = max(
+                    abs(weighted_mean_square(f, lam.t[block], lam.w[block])
+                        - point_mass_space_average(F, mus[j - 1]))
+                    for j in (1, 2)
+                    for block in [inside & (lam.source == j)]
+                    for f, F in zip(fs, polys)
+                )
+                assert recorded == pytest.approx(worst, rel=1e-12, abs=0.0)
 
     def test_atoms_normalized_per_window_source(self, constant_sequence_setup):
         _, _, lam, completed = constant_sequence_setup
