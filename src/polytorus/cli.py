@@ -32,6 +32,7 @@ from .averages import (
 from .errors import BudgetExhaustedError, ConstructionError, PolytorusError
 from .formats import (
     dirichlet_from_json,
+    loads_strict,
     measure_sequence_from_json,
     point_mass_from_json,
     polynomial_family_from_json,
@@ -49,6 +50,11 @@ from .primes import PrimeBasis
 
 MAX_LEVELS = 8
 MAX_BUDGET = 10**10
+
+# The numeric options and the types argparse gives their flags; values read
+# from a --config file must have them too.
+_NUMERIC_OPTIONS = {"dim": int, "levels": int, "eps": float, "budget": float,
+                    "t_min": float, "sigma": float, "tol": float, "t_max": float}
 
 KINDS = (
     "kronecker",
@@ -127,7 +133,22 @@ def _require(config, *names):
         raise UsageError(f"missing required option(s): {', '.join('--' + n for n in missing)}")
 
 
+def _check_types(config):
+    """Every numeric option is finite and of its flag's type; a bool, a
+    string or, for an integer option, a float is refused."""
+    for name, kind in _NUMERIC_OPTIONS.items():
+        value = config.get(name)
+        if value is None:
+            continue
+        allowed = (int, float) if kind is float else int
+        if (isinstance(value, bool) or not isinstance(value, allowed)
+                or isinstance(value, float) and not math.isfinite(value)):
+            what = "a finite number" if kind is float else "an integer"
+            raise UsageError(f"{name} must be {what}, got {value!r}")
+
+
 def _check_ranges(config):
+    _check_types(config)
     levels = config.get("levels")
     if levels is not None and not 1 <= levels <= MAX_LEVELS:
         raise UsageError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
@@ -135,8 +156,8 @@ def _check_ranges(config):
     if eps is not None and not 1e-6 < eps < math.pi:
         raise UsageError(f"eps must lie in (1e-6, pi), got {eps}")
     budget = config.get("budget")
-    if budget is not None and not 0 < budget <= MAX_BUDGET:
-        raise UsageError(f"budget must lie in (0, {MAX_BUDGET}], got {budget}")
+    if budget is not None and not 1 <= budget <= MAX_BUDGET:
+        raise UsageError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +413,7 @@ def merged_config(args: argparse.Namespace) -> dict:
     """Start from --config file values, then apply explicitly given flags."""
     config: dict = {}
     if getattr(args, "config", None):
-        raw = _read(args.config)
-        data = json.loads(raw)
+        data = loads_strict(_read(args.config))
         if not isinstance(data, dict):
             raise UsageError("--config must hold a JSON object")
         config.update(data)
@@ -402,8 +422,6 @@ def merged_config(args: argparse.Namespace) -> dict:
             continue
         if value is not None and value is not False:
             config[key] = value
-    if config.get("budget") is not None:
-        config["budget"] = int(config["budget"])
     return config
 
 
@@ -412,7 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = merged_config(args)
-    except (UsageError, json.JSONDecodeError) as exc:
+    except (UsageError, PolytorusError) as exc:
         print(json.dumps({"kind": args.kind, "error": str(exc), "pass": False}),
               file=sys.stderr)
         return 2

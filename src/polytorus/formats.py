@@ -11,7 +11,9 @@ Point-mass measures:
     {"dim": 2, "atoms": [{"theta": [0.0, 3.14], "c": 0.5}, ...]}
 
 Parsing rejects duplicate JSON keys, non-finite numbers, duplicate term
-entries, explicit zero coefficients, and missing or mistyped fields; writers
+entries, explicit zero coefficients, and missing or mistyped fields; integer
+fields (``n``, ``alpha`` entries, ``dim``, ``basis_dim``) must be JSON
+integers, so ``2.7``, ``"3"`` and ``true`` are errors, not truncated; writers
 emit floats exactly (shortest round-trip repr).
 """
 
@@ -74,6 +76,13 @@ def _parser(parse):
     return wrapped
 
 
+def _integer(value, label: str) -> int:
+    """``value`` when it is a JSON integer; a float, string or bool is refused."""
+    if type(value) is not int:
+        raise ParseError(f"{label} must be an integer, got {value!r}")
+    return value
+
+
 def _term_coefficient(entry, label) -> complex:
     coeff = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
     if coeff == 0:
@@ -94,10 +103,10 @@ def dirichlet_from_json(text) -> tuple[DirichletPolynomial, PrimeBasis]:
     data = loads_strict(text)
     if not isinstance(data, dict) or "terms" not in data:
         raise ParseError("expected an object with a 'terms' list")
-    basis = PrimeBasis(int(data.get("basis_dim", 1)))
+    basis = PrimeBasis(_integer(data.get("basis_dim", 1), "basis_dim"))
     terms: dict[int, complex] = {}
     for entry in data["terms"]:
-        n = int(entry["n"])
+        n = _integer(entry["n"], "frequency n")
         if n in terms:
             raise ParseError(f"duplicate frequency {n}")
         terms[n] = _term_coefficient(entry, f"frequency {n}")
@@ -128,7 +137,7 @@ def point_mass_to_json(mu: TorusPointMassMeasure) -> str:
 def _point_mass_from_data(data) -> TorusPointMassMeasure:
     if not isinstance(data, dict) or "atoms" not in data or "dim" not in data:
         raise ParseError("expected an object with 'dim' and 'atoms'")
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     atoms = []
     for entry in data["atoms"]:
         theta = [float(x) for x in entry["theta"]]
@@ -159,12 +168,12 @@ def _torus_from_data(data) -> TorusPolynomial:
         raise ParseError("expected an object with a 'terms' list")
     terms: dict[MultiIndex, complex] = {}
     for entry in data["terms"]:
-        alpha = MultiIndex(entry["alpha"])
+        alpha = MultiIndex([_integer(e, "alpha entry") for e in entry["alpha"]])
         if alpha in terms:
             raise ParseError(f"duplicate index {alpha.exponents}")
         terms[alpha] = _term_coefficient(entry, f"index {alpha.exponents}")
     inferred = max((alpha.length for alpha in terms), default=1)
-    dim = max(int(data.get("basis_dim", inferred)), inferred, 1)
+    dim = max(_integer(data.get("basis_dim", inferred), "basis_dim"), inferred, 1)
     return TorusPolynomial(terms, PrimeBasis(dim))
 
 

@@ -46,10 +46,21 @@ returned solution is exactly the first candidate of the backend's scan order
 that passes the pre-filter and whose true residuals all pass, bit for bit;
 ``steps`` is its index plus one, and identical inputs always yield identical
 solutions.
+
+A build makes one solve per atom, mostly shallow ones, so the fixed work of a
+solve is kept small.  The set-up and the accept path (candidate time,
+residual recheck, implied integers) run in Python floats, one coordinate at
+a time, with the IEEE operations of the numpy forms in the same order; the
+numpy :func:`residuals` stays the public form, and the budget error's
+vectorized search still uses it.  What ignores ``t_min`` (the logs, the
+reduced targets and each walk's grid step) is memoized across solves, and
+when the first hit lies within a short span it is found by a Python integer
+loop instead of a numpy pass.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,6 +73,9 @@ from .primes import PrimeBasis
 
 # Candidates per vectorized pass when the window walk must rescan forward.
 _RESCAN_CHUNK = 1 << 16
+# A first rescan over at most this many candidates runs as a Python integer
+# loop: that stops at the first hit and skips numpy's fixed cost per call.
+_SHORT_SCAN = 256
 
 # The window walk tracks positions on the circle in units of 2^-64 turns.
 _GRID = 1 << 64
@@ -144,10 +158,35 @@ class KroneckerSolution:
     method: str
 
 
+@functools.lru_cache(maxsize=256)
+def _coordinates(basis: PrimeBasis, k: int, targets):
+    """``(logs, reduced)``: ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k``,
+    as tuples of Python floats.
+
+    They ignore ``t_min``, so the solves of one level share them.  The targets
+    are reduced again, as :func:`residuals` reduces its argument.
+    """
+    return tuple(basis.logs[:k].tolist()), tuple(g % TWO_PI for g in targets)
+
+
+def _circle_residuals(logs, reduced, t: float) -> list[float]:
+    """:func:`residuals` of one float ``t``, in Python floats.
+
+    Python's float ``%`` and ``np.mod`` both take ``fmod`` and then add the
+    modulus to a remainder of the wrong sign, so every entry has the bits of
+    the numpy form.
+    """
+    out = []
+    for log, g in zip(logs, reduced):
+        d = (-t * log - g) % TWO_PI
+        out.append(min(d, TWO_PI - d))
+    return out
+
+
 def _implied_integers(problem: KroneckerProblem, t: float) -> tuple[int, ...]:
-    logs = problem.basis.logs[: problem.k]
-    raw = (-t * logs - np.asarray(problem.targets)) / TWO_PI
-    return tuple(int(q) for q in np.rint(raw))
+    """``rint((-t log p_r - theta_r) / 2*pi)``; ``round`` rounds half to even."""
+    logs, _ = _coordinates(problem.basis, problem.k, problem.targets)
+    return tuple(round((-t * log - g) / TWO_PI) for log, g in zip(logs, problem.targets))
 
 
 def _return_times(step: int, modulus: int, width: int):
@@ -189,6 +228,12 @@ def _to_grid(x: float) -> int:
     return num * _GRID // den % _GRID
 
 
+@functools.lru_cache(maxsize=1024)
+def _grid_advance(step: float) -> int:
+    """``-step`` on the 2^-64 grid; it ignores ``t_min``, so solves share it."""
+    return -_to_grid(step) % _GRID
+
+
 def _on_grid(base: float, step: float, width: float, budget: int):
     """One pre-filter ``frac(base - i*step) < width`` on the 2^-64 grid.
 
@@ -206,7 +251,7 @@ def _on_grid(base: float, step: float, width: float, budget: int):
     wide = math.ceil(math.ldexp(width, 64)) + 2 * margin
     if wide >= _GRID:
         return None
-    return (_to_grid(base) + margin) % _GRID, -_to_grid(step) % _GRID, wide
+    return (_to_grid(base) + margin) % _GRID, _grid_advance(step), wide
 
 
 def _window_hits(tests, budget: int):
@@ -238,6 +283,14 @@ def _window_hits(tests, budget: int):
 
     def rescan(start):
         size = chunk
+        if size <= _SHORT_SCAN:
+            stop = min(start + size, budget)
+            pos = (origin + start * advance) & _GRID_MASK
+            for j in range(start, stop):
+                if pos < wide:
+                    return j, pos
+                pos = (pos + advance) & _GRID_MASK
+            start, size = stop, _RESCAN_CHUNK
         while start < budget:
             stop = min(start + size, budget)
             pos = np.arange(start, stop, dtype=np.uint64) * np.uint64(advance)
@@ -271,11 +324,12 @@ def _window_hits(tests, budget: int):
 class _LinearSearch:
     """Candidates indexed by ``i = 0, 1, ...`` with angles linear in ``i``.
 
-    ``time_of(i)`` maps indices to times; coordinate ``r`` of candidate ``i``
-    has flow angle ``base[r] - i*step[r]`` modulo 2*pi up to rounding, which
-    the pre-filter absorbs into its slack.  ``filter_coords`` lists the
-    coordinates worth pre-filtering (the lattice backend's nailed coordinate
-    is skipped; the exact recheck covers it).
+    ``time_of(i)`` maps indices to times, for a Python int or an array of
+    them, with the same IEEE operations either way; coordinate ``r`` of
+    candidate ``i`` has flow angle ``base[r] - i*step[r]`` modulo 2*pi up to
+    rounding, which the pre-filter absorbs into its slack.  ``filter_coords``
+    lists the coordinates worth pre-filtering (the lattice backend's nailed
+    coordinate is skipped; the exact recheck covers it).
     """
 
     def __init__(self, problem, base, step, time_of, filter_coords, method):
@@ -297,7 +351,7 @@ class _LinearSearch:
         eps = self.problem.eps
         tests = []
         for r in self.filter_coords:
-            base, step = float(self.base[r]), float(self.step[r])
+            base, step = self.base[r], self.step[r]
             slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
             tests.append((
                 (base + (eps + slack)) / TWO_PI,
@@ -308,6 +362,7 @@ class _LinearSearch:
 
     def run(self, budget: int) -> KroneckerSolution:
         problem = self.problem
+        logs, reduced = _coordinates(problem.basis, problem.k, problem.targets)
         tests = self._prefilter(budget)
         for i in _window_hits(tests, budget):
             # The pre-filter in Python floats: the same IEEE operations, in
@@ -321,11 +376,11 @@ class _LinearSearch:
                 t_cand = self.time_of(i)
                 if not t_cand > problem.t_min:
                     continue
-                res = residuals(problem.basis, problem.k, t_cand, problem.targets)
-                if bool(np.all(res < problem.eps)):
+                res = _circle_residuals(logs, reduced, t_cand)
+                if max(res) < problem.eps:
                     return KroneckerSolution(
-                        t=float(t_cand),
-                        residuals=tuple(float(r) for r in res),
+                        t=t_cand,
+                        residuals=tuple(res),
                         q=_implied_integers(problem, t_cand),
                         steps=i + 1,
                         method=self.method,
@@ -344,7 +399,7 @@ class _LinearSearch:
             candidates = itertools.chain([first], hits)
         best_t, best_worst = math.nan, math.inf
         while batch := list(itertools.islice(candidates, _RESCAN_CHUNK)):
-            times = self.time_of(np.asarray(batch))
+            times = self.time_of(np.asarray(batch, dtype=np.float64))
             worst = residuals(problem.basis, problem.k, times, problem.targets)
             worst = worst.max(axis=-1)
             j = int(np.argmin(worst))
@@ -353,36 +408,39 @@ class _LinearSearch:
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
 
 
+# The set-ups below run in Python floats, per coordinate, with the IEEE
+# operations of the vectorized expressions they replaced, in the same order.
+
 def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
-    logs = problem.basis.logs[: problem.k]
-    targets = np.asarray(problem.targets)
-    delta = problem.eps / (2.0 * float(logs[-1]))
+    logs, _ = _coordinates(problem.basis, problem.k, problem.targets)
+    t_min = problem.t_min
+    delta = problem.eps / (2.0 * logs[-1])
 
     def time_of(i):
-        return problem.t_min + (np.asarray(i, dtype=np.float64) + 1.0) * delta
+        return t_min + (i + 1.0) * delta
 
-    base = -(problem.t_min + delta) * logs - targets
-    step = delta * logs
+    base = [-(t_min + delta) * log - g for log, g in zip(logs, problem.targets)]
+    step = [delta * log for log in logs]
     return _LinearSearch(problem, base, step, time_of,
                          list(range(problem.k)), "scan")
 
 
 def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
-    logs = problem.basis.logs[: problem.k]
-    targets = np.asarray(problem.targets)
-    log_last = float(logs[-1])
+    logs, _ = _coordinates(problem.basis, problem.k, problem.targets)
+    log_last = logs[-1]
     theta_last = problem.targets[-1]
     q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
     while (TWO_PI * q0 - theta_last) / log_last <= problem.t_min:
         q0 += 1
+    q0_float = float(q0)
 
     def time_of(i):
-        q = q0 + np.asarray(i, dtype=np.float64)
-        return (TWO_PI * q - theta_last) / log_last
+        return (TWO_PI * (q0_float + i) - theta_last) / log_last
 
-    beta = logs / log_last
-    base = theta_last * beta - targets - (TWO_PI * q0) * beta
-    step = TWO_PI * beta
+    beta = [log / log_last for log in logs]
+    offset = TWO_PI * q0
+    base = [theta_last * b - g - offset * b for b, g in zip(beta, problem.targets)]
+    step = [TWO_PI * b for b in beta]
     return _LinearSearch(problem, base, step, time_of,
                          list(range(problem.k - 1)), "lattice")
 

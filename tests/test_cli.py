@@ -264,6 +264,42 @@ class TestConfigFile:
         assert solution["t"] > 5.0
         assert max(solution["residuals"]) < 0.1
 
+    @pytest.mark.parametrize("content, match", [
+        ({"levels": "abc"}, "levels must be an integer"),
+        ({"levels": True}, "levels must be an integer"),
+        ({"levels": 2.5}, "levels must be an integer"),
+        ({"levels": 2, "eps": "0.1"}, "eps must be a finite number"),
+        ({"levels": 2, "budget": False}, "budget must be a finite number"),
+    ])
+    def test_mistyped_config_exit_2(self, content, match, workdir, capsys):
+        config = workdir / "config.json"
+        config.write_text(json.dumps(content))
+        code, _, err = run_cli(
+            ["build-measure", "--config", config, "--mu", workdir / "mu.json",
+             "--out", workdir / "lam.jsonl"],
+            capsys,
+        )
+        assert code == 2
+        assert match in json.loads(err)["error"]
+        assert not (workdir / "lam.jsonl").exists()
+
+    def test_non_finite_config_token_exit_2(self, workdir, capsys):
+        config = workdir / "config.json"
+        config.write_text('{"dim": 1, "theta": "0.0", "eps": NaN}')
+        code, _, err = run_cli(["kronecker", "--config", config], capsys)
+        assert code == 2
+        assert "NaN" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_non_finite_budget_flag_exit_2(self, budget, capsys):
+        code, _, err = run_cli(
+            ["kronecker", "--dim", "1", "--theta", "1.0", "--eps", "0.1",
+             "--budget", budget],
+            capsys,
+        )
+        assert code == 2
+        assert "budget must be a finite number" in json.loads(err)["error"]
+
 
 class TestAtomicWrite:
     def test_no_partial_artifact_on_crash(self, tmp_path, monkeypatch):

@@ -57,6 +57,21 @@ class TestMalformedStructure:
          "'theta'"),
         (polynomial_family_from_json, '{"polynomials": [{"terms": [3]}]}',
          "malformed"),
+        (dirichlet_from_json,
+         '{"basis_dim": 1, "terms": [{"n": 2.7, "re": 1.0}]}', "must be an integer"),
+        (dirichlet_from_json,
+         '{"basis_dim": 1, "terms": [{"n": true, "re": 1.0}]}', "must be an integer"),
+        (dirichlet_from_json,
+         '{"basis_dim": 1, "terms": [{"n": "3", "re": 1.0}]}', "must be an integer"),
+        (dirichlet_from_json,
+         '{"basis_dim": 2.0, "terms": [{"n": 2, "re": 1.0}]}', "basis_dim"),
+        (point_mass_from_json,
+         '{"dim": 1.5, "atoms": [{"theta": [0.5], "c": 1.0}]}', "dim"),
+        (point_mass_from_json,
+         '{"dim": true, "atoms": [{"theta": [0.5], "c": 1.0}]}', "dim"),
+        (torus_from_json, '{"terms": [{"alpha": [1.0], "re": 1.0}]}', "alpha"),
+        (torus_from_json,
+         '{"basis_dim": "3", "terms": [{"alpha": [1], "re": 1.0}]}', "basis_dim"),
     ])
     def test_parse_error(self, parse, text, match):
         with pytest.raises(ParseError, match=match):

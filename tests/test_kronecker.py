@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytorus import (
@@ -18,6 +19,9 @@ from polytorus import (
     solve,
 )
 from polytorus.kronecker import (
+    _circle_residuals,
+    _coordinates,
+    _grid_advance,
     _implied_integers,
     _lattice_search,
     _return_times,
@@ -370,3 +374,87 @@ class TestWindowWalk:
             assert set(np.flatnonzero(inside).tolist()) <= set(walked)
             assert walked == sorted(set(walked))
             assert all(loose[walked])
+
+
+def pinned_outcomes():
+    """Both backends on a fixed seeded set of problems: every field of each
+    solution, or the text, steps, best time and residuals of its budget error.
+
+    Targets range over several turns, some canonicalize to exactly 2*pi, and
+    a third of the budgets are too small for any solution."""
+    rng = np.random.default_rng(4)
+    for _ in range(600):
+        d = int(rng.integers(1, 5))
+        k = int(rng.integers(1, d + 1))
+        eps = 2.0 ** -int(rng.integers(1, 8))
+        t_min = 0.0 if rng.random() < 0.2 else float(10.0 ** rng.uniform(0, 6))
+        targets = tuple(float(g) for g in rng.uniform(-20, 20, size=k))
+        if rng.random() < 0.1:
+            targets = (-1e-300,) + targets[1:]
+        budget = int(rng.choice([40, 3000, 1 << 16]))
+        problem = KroneckerProblem(PrimeBasis(d), k, targets, eps, t_min)
+        for backend in (lattice_solve, scan_solve):
+            try:
+                s = backend(problem, budget)
+                yield (s.t, s.residuals, s.q, s.steps, s.method)
+            except BudgetExhaustedError as exc:
+                yield (str(exc), exc.steps, exc.best_t, exc.best_residuals)
+
+
+class TestSolutionPin:
+    # SHA-256 of the reprs of pinned_outcomes(), one per line, as the numpy
+    # set-up and accept path produced them; the scalar paths must keep every bit.
+    DIGEST = "e67ba88046f7ec0662bd8b9fcc66385236e434ea678c5d36b9789abfdea8f419"
+
+    def test_solutions_bit_identical(self):
+        outcomes = list(pinned_outcomes())
+        assert sum(isinstance(o[0], str) for o in outcomes) >= 100
+        text = "\n".join(map(repr, outcomes))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+
+
+class TestScalarAcceptPath:
+    @given(st.floats(0.0, 1e7),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=4))
+    @example(0.0, [math.pi])  # implied integer rint(-0.5): a tie
+    @example(0.0, [-1e-300])  # canonical target exactly 2*pi
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_forms(self, t, targets):
+        basis, k = PrimeBasis(4), len(targets)
+        scalar = _circle_residuals(*_coordinates(basis, k, tuple(targets)), t)
+        vector = residuals(basis, k, t, targets).tolist()
+        assert [r.hex() for r in scalar] == [r.hex() for r in vector]
+        problem = KroneckerProblem(basis, k, targets, 0.1)
+        raw = (-t * basis.logs[:k] - np.asarray(problem.targets)) / TWO_PI
+        assert _implied_integers(problem, t) == tuple(int(q) for q in np.rint(raw))
+
+    def test_interleaved_solves_match_solves_alone(self):
+        # The memo caches are keyed on what ignores t_min; solving problems
+        # that differ in basis, k, targets, eps and t_min in turn must give
+        # what each gives on cold caches.
+        rng = np.random.default_rng(8)
+        problems = []
+        for d in (1, 2, 3, 4):
+            for k in range(1, d + 1):
+                targets = tuple(rng.uniform(0, TWO_PI, size=k))
+                for eps in (2.0 ** -2, 2.0 ** -4):
+                    for t_min in (0.0, float(rng.uniform(1, 1e4))):
+                        problems.append(KroneckerProblem(
+                            PrimeBasis(d), k, targets, eps, t_min))
+        cases = [(p, b) for p in problems for b in (lattice_solve, scan_solve)]
+
+        def outcome(problem, backend):
+            try:
+                return backend(problem, 1 << 14)
+            except BudgetExhaustedError as exc:
+                return str(exc)
+
+        alone = []
+        for problem, backend in cases:
+            _coordinates.cache_clear()
+            _grid_advance.cache_clear()
+            alone.append(outcome(problem, backend))
+        order = rng.permutation(len(cases)).tolist() * 2
+        for i in order:
+            assert outcome(*cases[i]) == alone[i]
