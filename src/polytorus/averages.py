@@ -95,21 +95,28 @@ def convergence_sweep(
     """Tabulate time means over an increasing T grid.
 
     ``lam=None`` selects the Lebesgue line at the given ``sigma`` (closed
-    form); an atomic measure is averaged at ``sigma = 0``.  Every mean is
-    validated against the a-priori range ``[0, (sum |a_n|)^2]``.
+    form); an atomic measure is averaged at ``sigma = 0``.  The atoms with
+    ``t <= T`` are a prefix of ``lam`` (positions strictly increase), so one
+    :func:`~polytorus.measures.weighted_mean_square` call evaluates ``|f|^2``
+    once per sweep and gives every T the mean over its prefix, with the bits
+    of :func:`atomic_time_mean`.  Every mean is validated against the
+    a-priori range ``[0, (sum |a_n|)^2]``.
     """
     grid = [float(T) for T in t_grid]
     if not grid:
         raise DomainError("T grid must not be empty")
-    if any(T <= 0 for T in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
+    if any(not T > 0 for T in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError(f"T grid must be positive and increasing, got {grid}")
     bound = f.sup_square_bound()
+    if lam is None:
+        means = (lebesgue_line_mean(f, sigma, T) for T in grid)
+    else:
+        ends = np.searchsorted(lam.t, grid, side="right").tolist()
+        if not ends[0]:
+            raise EmptyMeasureError(f"no mass in [0, {grid[0]}]")
+        means = weighted_mean_square(f, lam.t, lam.w, ends)
     rows = []
-    for T in grid:
-        if lam is None:
-            mean = lebesgue_line_mean(f, sigma, T)
-        else:
-            mean = atomic_time_mean(f, lam, T)
+    for T, mean in zip(grid, means):
         if not -_BOUND_SLACK * (1.0 + bound) <= mean <= bound * (1.0 + _BOUND_SLACK):
             raise ArithmeticError(
                 f"time mean {mean!r} at T={T} escapes [0, {bound}]; this "
@@ -165,19 +172,25 @@ def recover_moments(
         mass = math.fsum(w)
 
     out = []
+    # The character depends on the pair only through log_ratio, so pairs
+    # with the same alpha - beta share one evaluation.
+    empirical_by_ratio: dict[float, complex] = {}
     for alpha, beta in normalized:
         diff = np.zeros(basis.dimension)
         diff[: alpha.length] += alpha.exponents
         diff[: beta.length] -= beta.exponents
         log_ratio = float(diff @ basis.logs)
-        if lam is None:
-            empirical = complex(_mean_kernel(T * log_ratio))
-        else:
-            phases = np.exp(-1j * log_ratio * times)
-            empirical = complex(
-                math.fsum(phases.real * w) / mass,
-                math.fsum(phases.imag * w) / mass,
-            )
+        empirical = empirical_by_ratio.get(log_ratio)
+        if empirical is None:
+            if lam is None:
+                empirical = complex(_mean_kernel(T * log_ratio))
+            else:
+                phases = np.exp(-1j * log_ratio * times)
+                empirical = complex(
+                    math.fsum(phases.real * w) / mass,
+                    math.fsum(phases.imag * w) / mass,
+                )
+            empirical_by_ratio[log_ratio] = empirical
         reference = None
         if mu is not None:
             acc = 0j

@@ -55,6 +55,9 @@ MAX_BUDGET = 10**10
 # from a --config file must have them too.
 _NUMERIC_OPTIONS = {"dim": int, "levels": int, "eps": float, "budget": float,
                     "t_min": float, "sigma": float, "tol": float, "t_max": float}
+# The options whose flags take text (paths, lists, schedules).
+_STRING_OPTIONS = ("theta", "mu", "atoms", "poly", "out", "pairs", "growth",
+                   "t_grid", "mu_seq", "polys")
 
 KINDS = (
     "kronecker",
@@ -134,8 +137,9 @@ def _require(config, *names):
 
 
 def _check_types(config):
-    """Every numeric option is finite and of its flag's type; a bool, a
-    string or, for an integer option, a float is refused."""
+    """Every option has its flag's type: a numeric option is finite, and a
+    bool, a string or, for an integer option, a float is refused; a text
+    option is a string and ``lebesgue`` a bool."""
     for name, kind in _NUMERIC_OPTIONS.items():
         value = config.get(name)
         if value is None:
@@ -145,6 +149,13 @@ def _check_types(config):
                 or isinstance(value, float) and not math.isfinite(value)):
             what = "a finite number" if kind is float else "an integer"
             raise UsageError(f"{name} must be {what}, got {value!r}")
+    for name in _STRING_OPTIONS:
+        value = config.get(name)
+        if value is not None and not isinstance(value, str):
+            raise UsageError(f"{name} must be a string, got {value!r}")
+    value = config.get("lebesgue")
+    if value is not None and not isinstance(value, bool):
+        raise UsageError(f"lebesgue must be true or false, got {value!r}")
 
 
 def _check_ranges(config):

@@ -313,14 +313,21 @@ class WindowCheckResult:
     window_mass: float
 
 
-def weighted_mean_square(f, times, weights) -> float:
+def weighted_mean_square(f, times, weights, ends=None):
     """Time mean ``fsum(|f(i t)|^2 w) / fsum(w)`` over atoms ``(times, weights)``.
 
-    Compensated sums keep million-atom means meaningful against 1e-9
-    tolerances.
+    With ``ends``, a list holding the mean over each prefix ``[:n]`` for
+    ``n`` in ``ends`` (each ``n >= 1``); ``|f|^2`` is evaluated once, on the
+    atoms up to the longest prefix.  :func:`eval_dirichlet` reduces each
+    atom's row on its own and compensated sums are correctly rounded, so each
+    prefix mean has the bits of a call on that prefix alone; the compensated
+    sums also keep million-atom means meaningful against 1e-9 tolerances.
     """
-    values = np.abs(eval_dirichlet(f, 0.0, times)) ** 2
-    return math.fsum(values * weights) / math.fsum(weights)
+    last = len(times) if ends is None else max(ends)
+    values = np.abs(eval_dirichlet(f, 0.0, times[:last])) ** 2 * weights[:last]
+    if ends is None:
+        return math.fsum(values) / math.fsum(weights)
+    return [math.fsum(values[:n]) / math.fsum(weights[:n]) for n in ends]
 
 
 def windowed_time_means(lam, t_lo: float, t_hi: float, polys) -> list[float]:
@@ -399,15 +406,13 @@ def atoms_to_bytes(lam: AtomicLineMeasure) -> bytes:
         "levels": lam.levels,
     }
     buf.write(json.dumps(header) + "\n")
-    for i in range(len(lam)):
-        line = {
-            "t": float(lam.t[i]),
-            "w": float(lam.w[i]),
-            "k": int(lam.level[i]),
-            "j": int(lam.source[i]),
-            "m": int(lam.rep[i]),
-        }
-        buf.write(json.dumps(line) + "\n")
+    # json.dumps writes a finite float as float.__repr__ and an int as str;
+    # AtomicLineMeasure refuses non-finite t and w, so these are its bytes.
+    buf.write("".join(
+        f'{{"t": {t!r}, "w": {w!r}, "k": {k}, "j": {j}, "m": {m}}}\n'
+        for t, w, k, j, m in zip(lam.t.tolist(), lam.w.tolist(), lam.level.tolist(),
+                                 lam.source.tolist(), lam.rep.tolist())
+    ))
     if len(lam) or lam.level_boundaries:
         trailer = {
             "boundaries": list(lam.level_boundaries),

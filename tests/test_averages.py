@@ -152,6 +152,41 @@ class TestConvergenceSweep:
         f = DirichletPolynomial({1: 1})
         with pytest.raises(DomainError):
             convergence_sweep(f, None, 1.0, (10.0, 5.0), sigma=1.0)
+        lam = single_atom_measure(5.0)
+        for grid in [(float("nan"),), (1.0, float("nan")), (float("nan"), 10.0)]:
+            with pytest.raises(DomainError):
+                convergence_sweep(f, lam, 1.0, grid)
+            with pytest.raises(DomainError):
+                convergence_sweep(f, None, 1.0, grid, sigma=1.0)
+
+    def test_atomic_sweep_matches_per_T_means_bitwise(self, rng):
+        # one evaluation per sweep gives each T the bits of its own mean
+        mu = random_point_mass(rng, d=2, n_atoms=3)
+        lam = build_point_mass_lambda(mu, levels=3)
+        f = random_dirichlet(rng, d=2, max_terms=6, max_exp=3)
+        t = lam.t
+        grid = [
+            float(t[0]),                 # exactly on the first atom
+            float(t[7]),                 # exactly on an atom
+            float((t[20] + t[21]) / 2),  # between atoms
+            float(t[-1]),                # the last atom
+            float(t[-1]) * 3.0,          # past the last atom
+        ]
+        record = convergence_sweep(f, lam, 0.5, grid)
+        assert [row.T for row in record.rows] == grid
+        for row in record.rows:
+            expected = atomic_time_mean(f, lam, row.T)
+            assert row.time_mean.hex() == expected.hex()
+            assert row.abs_error.hex() == abs(expected - 0.5).hex()
+
+    def test_atomic_sweep_below_first_atom(self):
+        lam = single_atom_measure(5.0)
+        f = DirichletPolynomial({1: 1, 2: 0.5})
+        with pytest.raises(EmptyMeasureError) as sweep_error:
+            convergence_sweep(f, lam, 1.0, (1.0, 10.0))
+        with pytest.raises(EmptyMeasureError) as mean_error:
+            atomic_time_mean(f, lam, 1.0)
+        assert str(sweep_error.value) == str(mean_error.value)
 
 
 class TestBoundaryConvergence:
@@ -259,6 +294,21 @@ class TestMoments:
         _, _, lam = delta_setup
         with pytest.raises(EmptyMeasureError):
             recover_moments(lam, PrimeBasis(2), [((1, 0), (0, 0))], 1e-9)
+
+    @pytest.mark.parametrize("atomic", [True, False])
+    def test_shared_characters_match_one_call_per_pair(self, delta_setup, atomic):
+        # pairs with the same alpha - beta share one character evaluation
+        _, mu, lam = delta_setup
+        pairs = [((1, 0), (0, 0)), ((2, 1), (1, 1)), ((0, 0), (1, 0)),
+                 ((1, 1), (2, 1)), ((1, 1), (1, 1)), ((0, 0), (0, 0)),
+                 ((1, 0), (0, 0)), ((0, 2), (1, 0)), ((1, 0), (0, 2))]
+        source = lam if atomic else None
+        T = float(lam.t[-1]) if atomic else 37.5
+        batch = recover_moments(source, PrimeBasis(2), pairs, T, mu=mu)
+        for pair, got in zip(pairs, batch):
+            alone = recover_moments(source, PrimeBasis(2), [pair], T, mu=mu)[0]
+            assert repr(got.empirical) == repr(alone.empirical)
+            assert repr(got.reference) == repr(alone.reference)
 
 
 class TestErrorBound:

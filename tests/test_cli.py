@@ -283,6 +283,27 @@ class TestConfigFile:
         assert match in json.loads(err)["error"]
         assert not (workdir / "lam.jsonl").exists()
 
+    @pytest.mark.parametrize("kind, content, match", [
+        ("kronecker", {"dim": 1, "theta": 5, "eps": 0.1}, "theta must be a string"),
+        # a path given as a number would be opened as a file descriptor
+        ("build-measure", {"mu": 0, "levels": 2}, "mu must be a string"),
+        ("build-measure", {"mu": "mu.json", "levels": 2, "growth": 2},
+         "growth must be a string"),
+        ("moments", {"lebesgue": 1, "pairs": "1:0", "t_max": 5.0},
+         "lebesgue must be true or false"),
+        ("moments", {"lebesgue": True, "pairs": [[1], [0]], "t_max": 5.0},
+         "pairs must be a string"),
+    ])
+    def test_mistyped_text_option_exit_2(self, kind, content, match, workdir,
+                                         capsys, monkeypatch):
+        monkeypatch.chdir(workdir)
+        config = workdir / "config.json"
+        config.write_text(json.dumps({**content, "out": str(workdir / "x.out")}))
+        code, _, err = run_cli([kind, "--config", config], capsys)
+        assert code == 2
+        assert match in json.loads(err)["error"]
+        assert not (workdir / "x.out").exists()
+
     def test_non_finite_config_token_exit_2(self, workdir, capsys):
         config = workdir / "config.json"
         config.write_text('{"dim": 1, "theta": "0.0", "eps": NaN}')

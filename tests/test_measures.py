@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polytorus import (
     AtomicLineMeasure,
@@ -27,7 +29,7 @@ from polytorus import (
     window_check,
 )
 
-from conftest import random_point_mass
+from conftest import random_dirichlet, random_point_mass
 
 TWO_PI = 2.0 * math.pi
 
@@ -228,6 +230,21 @@ class TestWindowCheck:
             window_check(lam, 5.0, 5.0, polys, mu, 0.5)
 
 
+def json_dumps_atoms(lam):
+    """The atom stream written with one json.dumps per line."""
+    lines = [json.dumps({"format": "lambda-atoms", "version": 1,
+                         "growth": lam.growth_name, "levels": lam.levels})]
+    for i in range(len(lam)):
+        lines.append(json.dumps({
+            "t": float(lam.t[i]), "w": float(lam.w[i]), "k": int(lam.level[i]),
+            "j": int(lam.source[i]), "m": int(lam.rep[i]),
+        }))
+    if len(lam) or lam.level_boundaries:
+        lines.append(json.dumps({"boundaries": list(lam.level_boundaries),
+                                 "masses": list(lam.total_mass_by_level)}))
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
 class TestAtomFiles:
     def test_round_trip(self, delta_lambda, tmp_path):
         path = tmp_path / "atoms.jsonl"
@@ -238,6 +255,20 @@ class TestAtomFiles:
         blob = atoms_to_bytes(delta_lambda)
         again = atoms_to_bytes(atoms_from_bytes(blob))
         assert blob == again
+
+    @given(
+        st.lists(st.floats(0.0, 1e300), unique=True, max_size=12).map(sorted),
+        st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=12, max_size=12),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=36, max_size=36),
+    )
+    @example([0.0, 1e-300, 12.5], [5e-324, 1.7976931348623157e308, 1.0],
+             [2**63 - 1] * 36)
+    @settings(max_examples=200, deadline=None)
+    def test_encoder_matches_json_dumps_per_line(self, t, w, ints):
+        n = len(t)
+        lam = AtomicLineMeasure(t, w[:n], ints[:n], ints[12:12 + n], ints[24:24 + n],
+                                level_boundaries=t[-1:], total_mass_by_level=w[:1])
+        assert atoms_to_bytes(lam) == json_dumps_atoms(lam)
 
     def test_empty_measure_header_only(self):
         blob = atoms_to_bytes(empty_measure())
@@ -353,3 +384,15 @@ class TestWeightedMeanSquare:
         w = np.array([1.0, 3.0])
         assert weighted_mean_square(f, times, w) == pytest.approx(
             weighted_mean_square(f, times, w / 7.0), rel=1e-14)
+
+    def test_prefix_means_match_separate_calls_bitwise(self, rng):
+        f = random_dirichlet(rng, d=3, max_terms=8, max_exp=3)
+        times = np.sort(rng.uniform(0.0, 1e4, size=200))
+        w = rng.uniform(0.1, 3.0, size=200)
+        ends = [1, 2, 57, 57, 133, 200]
+        means = weighted_mean_square(f, times, w, ends)
+        assert [m.hex() for m in means] == [
+            weighted_mean_square(f, times[:n], w[:n]).hex() for n in ends]
+        means = weighted_mean_square(f, times, w, [3, 50])
+        assert [m.hex() for m in means] == [
+            weighted_mean_square(f, times[:n], w[:n]).hex() for n in (3, 50)]

@@ -28,6 +28,7 @@ from polytorus import (
     minimal_basis,
 )
 from polytorus.kronecker import circle_distance
+from polytorus.polynomials import _mean_kernel
 
 from conftest import random_dirichlet
 
@@ -209,6 +210,15 @@ def simpson_line_mean(f, sigma, T, intervals=100_000):
     return (h / 3.0) * total / T
 
 
+def full_matrix_line_mean(f, sigma, T):
+    """The closed form with the kernel evaluated on the whole matrix."""
+    damped = f._coeffs * np.exp(-sigma * f._logs)
+    diagonal = float(np.sum(np.abs(damped) ** 2))
+    kernel = _mean_kernel(T * (f._logs[:, None] - f._logs[None, :]))
+    np.fill_diagonal(kernel, 0.0)
+    return float((diagonal + complex(damped @ kernel @ np.conj(damped))).real)
+
+
 class TestLebesgueLineMean:
     def test_cross_term_vanishes_at_full_turn(self):
         f = DirichletPolynomial({1: 1, 2: 1})
@@ -237,6 +247,22 @@ class TestLebesgueLineMean:
             exact = lebesgue_line_mean(f, sigma, T)
             approx = simpson_line_mean(f, sigma, T)
             assert exact == pytest.approx(approx, rel=1e-6)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    def test_half_kernel_matches_full_matrix_bitwise(self, rng, sigma):
+        polys = [DirichletPolynomial({3: 0.5 - 1j}),
+                 DirichletPolynomial({1: 1.0, 6: 0.25j})]
+        polys += [random_dirichlet(rng, d=4, max_terms=12, max_exp=3)
+                  for _ in range(6)]
+        # sizes around the kernel's row blocks: one block, one more row, several
+        for size in (32, 33, 34, 65, 100):
+            freqs = rng.choice(np.arange(1, 5000), size=size, replace=False)
+            polys.append(DirichletPolynomial(
+                {int(n): complex(*rng.normal(size=2)) for n in freqs}))
+        for f in polys:
+            for T in (1e-3, 1.0, 37.5, 1e3, 1e8, 1e12):
+                expected = full_matrix_line_mean(f, sigma, T)
+                assert lebesgue_line_mean(f, sigma, T).hex() == expected.hex()
 
     def test_carlson_envelope(self, rng):
         # |mean - target| <= C_f / T, and the envelope decreases along the grid
