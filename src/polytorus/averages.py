@@ -105,8 +105,10 @@ def convergence_sweep(
     grid = [float(T) for T in t_grid]
     if not grid:
         raise DomainError("T grid must not be empty")
-    if any(not T > 0 for T in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise DomainError(f"T grid must be positive and increasing, got {grid}")
+    if any(not 0 < T < math.inf for T in grid) or any(
+            b <= a for a, b in zip(grid, grid[1:])):
+        raise DomainError(
+            f"T grid must be positive, finite and increasing, got {grid}")
     bound = f.sup_square_bound()
     if lam is None:
         means = (lebesgue_line_mean(f, sigma, T) for T in grid)

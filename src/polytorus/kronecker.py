@@ -35,6 +35,23 @@ fraction of the step.  A solve therefore touches about ``candidates * W``
 hits, ``W ~ eps/pi``, instead of every candidate.  (The lattice backend at
 ``k = 1`` has no filtered coordinate and visits its candidates in order.)
 
+With two or more filtered coordinates the walk also steps between joint
+hits, the hits of every window at once.  Two joint hits ``n`` indices apart
+move each filtered coordinate by less than its window's width, so the
+ascending list of such ``n`` up to a span of a few mean return times to the
+box (the higher-dimensional form of Slater's gap theorem; Haynes & Marklof,
+Ann. Sci. ENS 2020, bound how many gaps there are) holds every gap.  It is
+found once per level by the same walk over doubled windows, and from a joint
+hit the first ``n`` in it that lands is the next joint hit; when none lands
+within the span, the walk goes back to the first window's hits past it.  A
+fresh solve meets about one joint hit, its answer, so the gaps pay only from
+a known joint hit: the lattice backend keeps the lattice integer of its last
+solution per ``(basis, k, targets, eps)`` in a bounded memo, and a later
+solve of the same problem starts from it when it lies below the solve's
+first candidate and inside every widened window of the solve's own grid.
+The memo only decides where the walk starts; the indices walked, and so
+every solution, are the same whatever it holds.
+
 The walk tracks positions exactly, as integers on a grid of 2^-64 turns,
 and every window it uses is wider than the pre-filter's by a bound on the
 float64 rounding and the grid's drift.  At each hit the other filtered
@@ -80,6 +97,18 @@ _SHORT_SCAN = 256
 # The window walk tracks positions on the circle in units of 2^-64 turns.
 _GRID = 1 << 64
 _GRID_MASK = _GRID - 1
+
+# A joint-gap table covers gaps up to this many mean return times to the box
+# of every filtered window, and at most _JOINT_MAX indices.
+_JOINT_SPAN = 8.0
+_JOINT_MAX = 1 << 21
+
+# The lattice integer q of the last accepted solution per (basis, k, targets,
+# eps), for problems with at least two filtered coordinates; a later solve of
+# the same problem starts its walk there.  At most _ANCHORS_MAX entries, the
+# least recently stored dropped first.
+_ANCHORS: dict = {}
+_ANCHORS_MAX = 256
 
 # Width added to the pre-filter window to cover the float discrepancy between
 # the linear-recurrence angles and the canonical residual arithmetic; scaled
@@ -254,62 +283,160 @@ def _on_grid(base: float, step: float, width: float, budget: int):
     return (_to_grid(base) + margin) % _GRID, _grid_advance(step), wide
 
 
-def _window_hits(tests, budget: int):
+def _round_up(width: int) -> int:
+    """``width`` rounded up to its leading 6 bits, so that the slightly
+    different windows of one level's solves share a joint-gap table."""
+    shift = max(width.bit_length() - 6, 0)
+    return -(-width >> shift) << shift
+
+
+@functools.lru_cache(maxsize=64)
+def _joint_gaps(advances, wides):
+    """``(span, table)``: the joint gaps of rotations with these grid advances
+    and windows no wider than ``wides``.
+
+    ``table`` lists, ascending, every ``n <= span`` with ``n*advance_r``
+    within ``wide_r`` of 0 modulo 2^64 for every ``r``, each with its shifts
+    ``n*advance_r mod 2^64``.  Two hits of the box (every window at once)
+    ``n`` indices apart satisfy this, so from one hit the first ``n`` of the
+    table that lands is the next hit, if that lies within ``span``.  The
+    table is found by the window walk itself, over the doubled windows
+    ``[-wide_r, wide_r)``.  ``span`` is ``_JOINT_SPAN`` mean return times to
+    the box, at most ``_JOINT_MAX``.
+    """
+    measure = math.prod(w / _GRID for w in wides)
+    if measure * _JOINT_MAX <= _JOINT_SPAN:
+        span = _JOINT_MAX
+    else:
+        span = int(_JOINT_SPAN / measure)
+    doubled = [(w, a, 2 * w) for a, w in zip(advances, wides) if 2 * w < _GRID]
+    gaps = _rotation_hits(doubled, 1, span + 1, False) if doubled else range(1, span + 1)
+    return span, tuple((n, tuple(n * a % _GRID for a in advances)) for n in gaps)
+
+
+def _window_hits(tests, budget: int, anchor: int | None = None):
     """Ascending ``i < budget`` inside every pre-filter's widened window.
 
     ``tests`` holds ``(base, step, width)`` per pre-filter (see
     :func:`_on_grid`); every index whose float values all pass is yielded.
-    The walk follows the first window's hits, and on the grid the rotation
-    is exact integer arithmetic modulo 2^64, so the three-distance theorem
-    applies verbatim: from one hit the next is ``n1``, ``n2`` or ``n1 + n2``
-    indices later (see :func:`_return_times`), and the first of those that
-    lands is it.  The first hit, and the rare case where no jump lands (a
-    rational grid step that never reaches one side), come from a vectorized
-    forward rescan in the same integer arithmetic.  The other windows are
-    checked exactly at each hit.
+    ``anchor``, a negative index, only decides where the walk starts: when
+    there are at least two windows and it lies inside every one of them, the
+    walk steps from it by joint gaps instead of walking from index 0.  The
+    indices yielded are the same either way.
     """
     rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
     if not rotations:
-        yield from range(budget)
-        return
-    (origin, advance, wide), others = rotations[0], rotations[1:]
+        return iter(range(budget))
+    joint = len(rotations) >= 2
+    start = 0
+    if (joint and anchor is not None and anchor < 0
+            and all((o + anchor * a) & _GRID_MASK < w for o, a, w in rotations)):
+        start = anchor
+    return _rotation_hits(rotations, start, budget, joint)
+
+
+def _first_jumps(advance: int, wide: int):
+    """``[(n, n*advance mod 2^64)]`` for the three-distance jumps ``n1``,
+    ``n2`` and ``n1 + n2`` of one window (see :func:`_return_times`),
+    ascending; with both return times the last jump reaches the window from
+    anywhere."""
     n1, n2 = _return_times(advance, _GRID, wide)
     jumps = sorted(n for n in (n1, n2) if n is not None)
     if len(jumps) == 2:
         jumps.append(n1 + n2)
-    moves = [(n, n * advance % _GRID) for n in jumps]
-    # With both return times, n1 + n2 steps reach the window from anywhere.
-    chunk = min(jumps[-1], _RESCAN_CHUNK)
+    return [(n, n * advance % _GRID) for n in jumps]
 
-    def rescan(start):
-        size = chunk
-        if size <= _SHORT_SCAN:
-            stop = min(start + size, budget)
-            pos = (origin + start * advance) & _GRID_MASK
-            for j in range(start, stop):
-                if pos < wide:
-                    return j, pos
-                pos = (pos + advance) & _GRID_MASK
-            start, size = stop, _RESCAN_CHUNK
-        while start < budget:
-            stop = min(start + size, budget)
-            pos = np.arange(start, stop, dtype=np.uint64) * np.uint64(advance)
-            pos += np.uint64(origin)  # wraps modulo 2^64, like the grid
-            found = np.flatnonzero(pos < np.uint64(wide))
-            if found.size:
-                return start + int(found[0]), int(pos[found[0]])
-            start, size = stop, _RESCAN_CHUNK
-        return budget, 0
 
-    i, pos = rescan(0)
-    while i < budget:
+def _rescan(origin: int, advance: int, wide: int, start: int, stop: int, reach: int):
+    """``(i, position)`` of the first ``i`` in ``[start, stop)`` inside one
+    window, or ``(stop, 0)``.  ``reach`` is the window's longest jump, which
+    reaches it from anywhere when both return times exist; when that span is
+    short it is scanned by a Python integer loop, which stops at the first
+    hit and skips numpy's fixed cost per call."""
+    size = min(reach, _RESCAN_CHUNK)
+    if size <= _SHORT_SCAN:
+        end = min(start + size, stop)
+        pos = (origin + start * advance) & _GRID_MASK
+        for j in range(start, end):
+            if pos < wide:
+                return j, pos
+            pos = (pos + advance) & _GRID_MASK
+        start, size = end, _RESCAN_CHUNK
+    while start < stop:
+        end = min(start + size, stop)
+        pos = np.arange(start, end, dtype=np.uint64) * np.uint64(advance)
+        pos += np.uint64(origin)  # wraps modulo 2^64, like the grid
+        found = np.flatnonzero(pos < np.uint64(wide))
+        if found.size:
+            return start + int(found[0]), int(pos[found[0]])
+        start, size = end, _RESCAN_CHUNK
+    return stop, 0
+
+
+def _joint_step(positions, wides, gaps):
+    """``(n, shift)`` for the first ``n`` of ``gaps`` that moves every
+    position into its window, with the first window's shift; ``None`` when
+    none does."""
+    for n, shifts in gaps:
+        for p, s, w in zip(positions, shifts, wides):
+            if (p + s) & _GRID_MASK >= w:
+                break
+        else:
+            return n, shifts[0]
+    return None
+
+
+def _rotation_hits(rotations, start: int, stop: int, joint: bool):
+    """Indices ``i`` in ``[max(start, 0), stop)`` with ``(origin + i*advance)
+    mod 2^64 < wide`` for every rotation, ascending.
+
+    The walk follows the first window's hits, and on the grid the rotation
+    is exact integer arithmetic modulo 2^64, so the three-distance theorem
+    applies verbatim: from one hit the next is ``n1``, ``n2`` or ``n1 + n2``
+    indices later (see :func:`_first_jumps`), and the first of those that
+    lands is it.  The first hit, and the rare case where no jump lands (a
+    rational grid step that never reaches one side), come from a forward
+    rescan in the same integer arithmetic.  The other windows are checked
+    exactly at each hit.  With ``joint``, the walk steps from each hit of
+    every window to the next by the joint gaps (see :func:`_joint_gaps`),
+    and goes back to the first window's hits past the table's span when no
+    gap lands.  A negative ``start`` must be such a joint hit; hits below 0
+    are stepped over, not yielded.
+    """
+    (origin, advance, wide), others = rotations[0], rotations[1:]
+    # A walk from a joint hit below 0 finds the first window's jumps only if
+    # it falls back to them; the joint gaps are found at the first joint hit.
+    moves = None if start < 0 else _first_jumps(advance, wide)
+    gaps = None
+    i, pos = start, (origin + start * advance) & _GRID_MASK
+    if pos >= wide:
+        i, pos = _rescan(origin, advance, wide, i, stop, moves[-1][0])
+    while i < stop:
         for o, a, w in others:
             if (o + i * a) & _GRID_MASK >= w:
                 break
         else:
-            yield i
+            if not joint:
+                yield i
+            else:
+                if i >= 0:
+                    yield i
+                if gaps is None:
+                    wides = [w for _, _, w in rotations]
+                    span, gaps = _joint_gaps(tuple(a for _, a, _ in rotations),
+                                             tuple(map(_round_up, wides)))
+                at = [(o + i * a) & _GRID_MASK for o, a, _ in rotations]
+                step = _joint_step(at, wides, gaps)
+                if step is not None:
+                    i, pos = i + step[0], (pos + step[1]) & _GRID_MASK
+                    continue
+                if moves is None:
+                    moves = _first_jumps(advance, wide)
+                i, pos = _rescan(origin, advance, wide, max(i + span + 1, 0),
+                                 stop, moves[-1][0])
+                continue
         for n, move in moves:
-            if i + n >= budget:
+            if i + n >= stop:
                 return
             nxt = pos + move
             if nxt >= _GRID:
@@ -318,7 +445,7 @@ def _window_hits(tests, budget: int):
                 i, pos = i + n, nxt
                 break
         else:
-            i, pos = rescan(i + 1)
+            i, pos = _rescan(origin, advance, wide, i + 1, stop, moves[-1][0])
 
 
 class _LinearSearch:
@@ -329,16 +456,20 @@ class _LinearSearch:
     candidate ``i`` has flow angle ``base[r] - i*step[r]`` modulo 2*pi up to
     rounding, which the pre-filter absorbs into its slack.  ``filter_coords``
     lists the coordinates worth pre-filtering (the lattice backend's nailed
-    coordinate is skipped; the exact recheck covers it).
+    coordinate is skipped; the exact recheck covers it).  ``memo`` is
+    ``(key, q0)`` when the solve keeps its anchor in ``_ANCHORS`` (candidate
+    ``i`` is lattice integer ``q0 + i``), else ``None``.
     """
 
-    def __init__(self, problem, base, step, time_of, filter_coords, method):
+    def __init__(self, problem, base, step, time_of, filter_coords, method,
+                 memo=None):
         self.problem = problem
         self.base = base
         self.step = step
         self.time_of = time_of
         self.filter_coords = filter_coords
         self.method = method
+        self.memo = memo
 
     def _prefilter(self, budget: int):
         """Per filtered coordinate, ``(c, s, w)`` in turns: candidate ``i`` passes
@@ -364,7 +495,13 @@ class _LinearSearch:
         problem = self.problem
         logs, reduced = _coordinates(problem.basis, problem.k, problem.targets)
         tests = self._prefilter(budget)
-        for i in _window_hits(tests, budget):
+        anchor = None
+        if self.memo is not None:
+            key, q0 = self.memo
+            q = _ANCHORS.get(key)
+            if q is not None:
+                anchor = q - q0
+        for i in _window_hits(tests, budget, anchor):
             # The pre-filter in Python floats: the same IEEE operations, in
             # the same order, as a vectorized pass would perform.
             x = float(i)
@@ -378,6 +515,8 @@ class _LinearSearch:
                     continue
                 res = _circle_residuals(logs, reduced, t_cand)
                 if max(res) < problem.eps:
+                    if self.memo is not None:
+                        _remember(*self.memo, i)
                     return KroneckerSolution(
                         t=t_cand,
                         residuals=tuple(res),
@@ -406,6 +545,13 @@ class _LinearSearch:
             if worst[j] < best_worst:
                 best_t, best_worst = float(times[j]), worst[j]
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
+
+
+def _remember(key, q0: int, i: int) -> None:
+    _ANCHORS.pop(key, None)
+    _ANCHORS[key] = q0 + i
+    if len(_ANCHORS) > _ANCHORS_MAX:
+        del _ANCHORS[next(iter(_ANCHORS))]
 
 
 # The set-ups below run in Python floats, per coordinate, with the IEEE
@@ -441,8 +587,11 @@ def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
     offset = TWO_PI * q0
     base = [theta_last * b - g - offset * b for b, g in zip(beta, problem.targets)]
     step = [TWO_PI * b for b in beta]
+    memo = None
+    if problem.k >= 3:  # two filtered coordinates: joint gaps can pay
+        memo = ((problem.basis, problem.k, problem.targets, problem.eps), q0)
     return _LinearSearch(problem, base, step, time_of,
-                         list(range(problem.k - 1)), "lattice")
+                         list(range(problem.k - 1)), "lattice", memo)
 
 
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:

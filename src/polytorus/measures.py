@@ -423,6 +423,8 @@ def atoms_to_bytes(lam: AtomicLineMeasure) -> bytes:
 
 
 def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
+    from .formats import _integer  # formats imports this module
+
     lines = data.decode("utf-8").splitlines()
     if not lines:
         raise ParseError("empty atom stream, expected a header line", 1)
@@ -458,9 +460,9 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
                 continue
             t_i = float(record["t"])
             w_i = float(record["w"])
-            k_i = int(record["k"])
-            j_i = int(record["j"])
-            m_i = int(record["m"])
+            k_i = _integer(record["k"], "level k")
+            j_i = _integer(record["j"], "source j")
+            m_i = _integer(record["m"], "repetition m")
         except KeyError as exc:
             raise ParseError(f"atom line missing key {exc}", number) from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -383,8 +383,8 @@ def lebesgue_line_mean(f: DirichletPolynomial, sigma: float, T: float) -> float:
     floating imaginary residue is checked against 1e-10 (relative) and then
     discarded.  A larger residue signals a bug and raises.
     """
-    if T <= 0:
-        raise DomainError(f"T must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise DomainError(f"T must be positive and finite, got {T}")
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
     if len(f) == 0:

@@ -19,6 +19,7 @@ from polytorus import (
     carlson_target,
     convergence_sweep,
     eval_dirichlet,
+    lebesgue_line_mean,
     lebesgue_space_average,
     point_mass_space_average,
     recover_moments,
@@ -158,6 +159,18 @@ class TestConvergenceSweep:
                 convergence_sweep(f, lam, 1.0, grid)
             with pytest.raises(DomainError):
                 convergence_sweep(f, None, 1.0, grid, sigma=1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_infinite_T_refused(self, bad):
+        f = DirichletPolynomial({1: 1, 2: 1})
+        with pytest.raises(DomainError):
+            lebesgue_line_mean(f, 0.5, bad)
+        lam = single_atom_measure(5.0)
+        for grid in [(10.0, bad), (bad,)]:
+            with pytest.raises(DomainError):
+                convergence_sweep(f, None, 1.0, grid, sigma=0.5)
+            with pytest.raises(DomainError):
+                convergence_sweep(f, lam, 1.0, grid)
 
     def test_atomic_sweep_matches_per_T_means_bitwise(self, rng):
         # one evaluation per sweep gives each T the bits of its own mean

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 
@@ -49,6 +50,16 @@ class TestKroneckerCommand:
         assert max(solution["residuals"]) < 0.05
         summary = json.loads(out[1])
         assert summary["kind"] == "kronecker" and summary["pass"]
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, capsys):
+        # in-process callers run many experiments; each call used to leave
+        # its argparse parser behind as cyclic garbage
+        args = ["kronecker", "--dim", "2", "--theta", "1.0,2.0", "--eps", "0.05"]
+        assert main(args) == 0
+        gc.collect()
+        for _ in range(5):
+            assert main(args) == 0
+        assert gc.collect() == 0
 
     @pytest.mark.parametrize("flag", ["--seed", "--threads"])
     def test_unused_flags_rejected(self, flag, capsys):
@@ -176,6 +187,20 @@ class TestVerifyCommands:
         line = json.loads(err)
         assert line["kind"] == "verify-sigma" and line["pass"] is False
         assert "'n'" in line["error"]
+
+    @pytest.mark.parametrize("grid", ["10,inf", "inf"])
+    def test_verify_sigma_infinite_T_exit_2(self, workdir, capsys, grid):
+        # T = inf used to reach the bound check as NaN: a traceback, exit 1
+        code, out, err = run_cli(
+            ["verify-sigma", "--poly", workdir / "f.json", "--sigma", "0.5",
+             "--t-grid", grid, "--out", workdir / "sigma.csv"],
+            capsys,
+        )
+        assert code == 2
+        assert out == []
+        line = json.loads(err)
+        assert line["kind"] == "verify-sigma" and line["pass"] is False
+        assert "finite" in line["error"]
 
     def test_verify_sigma(self, workdir, capsys):
         out_path = workdir / "sigma.csv"

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from polytorus import (
     BudgetExhaustedError,
     DomainError,
+    GrowthSchedule,
     KroneckerProblem,
     PrimeBasis,
+    TorusPointMassMeasure,
     circle_distance,
     flow_angles,
     lattice_solve,
@@ -18,16 +20,23 @@ from polytorus import (
     scan_solve,
     solve,
 )
+from polytorus import kronecker
 from polytorus.kronecker import (
+    _ANCHORS,
+    _GRID_MASK,
     _circle_residuals,
     _coordinates,
     _grid_advance,
     _implied_integers,
+    _joint_gaps,
     _lattice_search,
+    _on_grid,
     _return_times,
+    _round_up,
     _scan_search,
     _window_hits,
 )
+from polytorus.measures import build_point_mass_lambda, scan_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -458,3 +467,164 @@ class TestScalarAcceptPath:
         order = rng.permutation(len(cases)).tolist() * 2
         for i in order:
             assert outcome(*cases[i]) == alone[i]
+
+
+def first_window_then_filter(tests, budget):
+    """Reference for the joint-gap walk: the first window's hits alone, then
+    the other widened windows checked exactly on the same 2^-64 grid."""
+    rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
+    return [i for i in _window_hits(tests[:1], budget)
+            if all((o + i * a) & _GRID_MASK < w for o, a, w in rotations[1:])]
+
+
+def inside_every_window(tests, budget, index):
+    rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
+    return all((o + index * a) & _GRID_MASK < w for o, a, w in rotations)
+
+
+@pytest.fixture
+def cold_memos():
+    """Empty anchor memo and joint-gap cache, before and after the test."""
+    _ANCHORS.clear()
+    _joint_gaps.cache_clear()
+    yield
+    _ANCHORS.clear()
+    _joint_gaps.cache_clear()
+
+
+def seeded_problem(rng, k, eps):
+    targets = tuple(float(g) for g in rng.uniform(0, TWO_PI, size=k))
+    t_min = float(10.0 ** rng.uniform(0, 5))
+    return KroneckerProblem(PrimeBasis(k), k, targets, eps, t_min)
+
+
+class TestJointGaps:
+    BUDGET = 1 << 20
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_joint_walk_matches_first_window_walk(self, k, cold_memos):
+        # Over 2^20 candidates per problem the joint-gap steps visit exactly
+        # the first window's hits that lie in every other widened window.
+        rng = np.random.default_rng(60 + k)
+        joint_hits = 0
+        for depth in range(3, 10):
+            problem = seeded_problem(rng, k, 2.0 ** -depth)
+            for search in (_lattice_search, _scan_search):
+                tests = search(problem)._prefilter(self.BUDGET)
+                expected = first_window_then_filter(tests, self.BUDGET)
+                assert list(_window_hits(tests, self.BUDGET)) == expected
+                joint_hits += len(expected)
+        assert joint_hits >= {3: 1000, 4: 50}[k]
+
+    def test_anchor_below_zero_inside_the_box(self, cold_memos):
+        # A joint hit of an earlier problem with the same target, below the
+        # later problem's first candidate, starts the walk; the indices
+        # yielded are those of a walk from 0.
+        rng = np.random.default_rng(71)
+        budget = 1 << 18
+        used = 0
+        for depth in (3, 4, 5):
+            early = seeded_problem(rng, 3, 2.0 ** -depth)
+            search = _lattice_search(early)
+            q0 = search.memo[1]
+            hits = list(_window_hits(search._prefilter(budget), budget))
+            assert len(hits) >= 4
+            for h in hits[: len(hits) // 2: max(1, len(hits) // 8)]:
+                later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
+                                         search.time_of(h + 3))
+                tests = _lattice_search(later)._prefilter(budget)
+                anchor = q0 + h - _lattice_search(later).memo[1]
+                assert anchor < 0
+                if inside_every_window(tests, budget, anchor):
+                    used += 1
+                assert list(_window_hits(tests, budget, anchor)) == \
+                    first_window_then_filter(tests, budget)
+        assert used >= 6
+
+    def test_anchor_outside_the_box_or_not_below_zero(self, cold_memos):
+        rng = np.random.default_rng(72)
+        budget = 1 << 16
+        for depth in (3, 4):
+            problem = seeded_problem(rng, 3, 2.0 ** -depth)
+            tests = _lattice_search(problem)._prefilter(budget)
+            expected = first_window_then_filter(tests, budget)
+            assert len(expected) >= 2
+            outside = [a for a in range(-50, 0)
+                       if not inside_every_window(tests, budget, a)]
+            assert outside
+            # at or above 0 an anchor would skip hits, whether it is a hit
+            # itself (the first, the last) or not
+            positive = [0, expected[0], expected[-1], expected[-1] + 1]
+            for anchor in outside[:10] + positive:
+                assert list(_window_hits(tests, budget, anchor)) == expected
+
+    def test_positive_anchor_left_in_the_memo(self, cold_memos):
+        # A later solution of the same problem is ignored by an earlier solve.
+        basis = PrimeBasis(3)
+        solve(KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 5e4))
+        early = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 10.0)
+        key = (basis, 3, early.targets, early.eps)
+        assert _ANCHORS[key] > _lattice_search(early).memo[1]
+        warm = solve(early)
+        _ANCHORS.clear()
+        assert repr(warm) == repr(solve(early))
+
+    def test_positive_anchor_left_by_an_earlier_build(self, cold_memos):
+        mu = TorusPointMassMeasure([((0.9, 2.2, 4.1), 0.5), ((3.3, 0.4, 5.7), 0.5)])
+        first = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
+        assert _ANCHORS
+        again = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
+        _ANCHORS.clear()
+        cold = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
+        assert first == again == cold
+
+    @pytest.mark.parametrize("joint_span", [1e-9, 0.5])
+    def test_fallback_when_no_gap_lands(self, joint_span, monkeypatch, cold_memos):
+        # A tiny span leaves gaps that do not reach the next joint hit (or no
+        # gaps at all), so the walk goes back to the first window's hits.
+        monkeypatch.setattr(kronecker, "_JOINT_SPAN", joint_span)
+        rng = np.random.default_rng(73)
+        budget = 1 << 18
+        for k, depth in ((3, 3), (3, 4), (4, 3)):
+            problem = seeded_problem(rng, k, 2.0 ** -depth)
+            tests = _lattice_search(problem)._prefilter(budget)
+            expected = first_window_then_filter(tests, budget)
+            assert len(expected) >= 2
+            assert list(_window_hits(tests, budget)) == expected
+            # from the first hit, as an anchor below 0 of a shifted problem
+            later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
+                                     _lattice_search(problem).time_of(expected[0]))
+            tests = _lattice_search(later)._prefilter(budget)
+            hits = first_window_then_filter(tests, budget)
+            assert list(_window_hits(tests, budget, -1)) == hits
+            rotations = [_on_grid(*test, budget) for test in tests]
+            span, _ = _joint_gaps(tuple(a for _, a, _ in rotations),
+                                  tuple(_round_up(w) for _, _, w in rotations))
+            # some consecutive joint hits lie further apart than the span
+            assert max(b - a for a, b in zip(hits, hits[1:])) > span
+
+    @pytest.mark.parametrize("d, depth", [(3, 5), (4, 3)])
+    def test_chained_solves_warm_memo_equal_cold(self, d, depth, cold_memos):
+        # Three targets in turn, each solve starting one scan step after the
+        # previous solution, as the builders do: the same reprs whether the
+        # memo holds each target's last solution or is cleared every time.
+        rng = np.random.default_rng(74 + d)
+        basis, k, eps = PrimeBasis(d), min(d, depth), 2.0 ** -depth
+        targets = [tuple(float(g) for g in rng.uniform(0, TWO_PI, size=k))
+                   for _ in range(3)]
+        step = scan_step(basis, depth)
+
+        def chain(clear):
+            out, t = [], 0.0
+            for _ in range(12):
+                for omega in targets:
+                    if clear:
+                        _ANCHORS.clear()
+                    sol = solve(KroneckerProblem(basis, k, omega, eps, t))
+                    out.append(repr(sol))
+                    t = sol.t + step
+            return out
+
+        warm = chain(False)
+        assert len(_ANCHORS) == 3
+        assert warm == chain(True)

@@ -337,6 +337,18 @@ class TestAtomFiles:
         with pytest.raises(ParseError, match="line 2"):
             atoms_from_bytes(f"{header}\n{line}\n".encode())
 
+    @pytest.mark.parametrize("field", ["k", "j", "m"])
+    @pytest.mark.parametrize("value", ["1.9", "true", '"3"'])
+    def test_integer_field_must_be_a_json_integer(self, field, value):
+        # 1.9 used to load as level 1 and true as 1; neither is truncated now
+        fields = {"k": "1", "j": "1", "m": "1", field: value}
+        atom = ('{"t": 1.0, "w": 0.5, '
+                + ", ".join(f'"{key}": {v}' for key, v in fields.items()) + "}")
+        header = json.dumps({"format": "lambda-atoms", "version": 1,
+                             "growth": "2^k", "levels": 1})
+        with pytest.raises(ParseError, match="line 2.*must be an integer"):
+            atoms_from_bytes(f"{header}\n{atom}\n".encode())
+
     def test_missing_key(self):
         blob = (
             json.dumps({"format": "lambda-atoms", "version": 1,
