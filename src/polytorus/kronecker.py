@@ -35,25 +35,27 @@ fraction of the step.  A solve therefore touches about ``candidates * W``
 hits, ``W ~ eps/pi``, instead of every candidate.  (The lattice backend at
 ``k = 1`` has no filtered coordinate and visits its candidates in order.)
 
-With two or more filtered coordinates the walk also steps between joint
-hits, the hits of every window at once.  Two joint hits ``n`` indices apart
+From a known joint hit, a hit of every filtered window at once, a second
+walk steps between joint hits instead.  Two joint hits ``n`` indices apart
 move each filtered coordinate by less than its window's width, so the
 ascending list of such ``n`` up to a span of a few mean return times to the
 box (the higher-dimensional form of Slater's gap theorem; Haynes & Marklof,
 Ann. Sci. ENS 2020, bound how many gaps there are) holds every gap.  It is
-found once per level by the same walk over doubled windows, and from a joint
-hit the first ``n`` in it that lands is the next joint hit; when none lands
-within the span, the walk goes back to the first window's hits past it.  A
-fresh solve meets about one joint hit, its answer, so the gaps pay only from
-a known joint hit: the lattice backend keeps the lattice integer of its last
-solution per ``(basis, k, targets, eps)`` in a bounded memo, and a later
-solve of the same problem starts from it when it lies below the solve's
-first candidate and inside every widened window of the solve's own grid.
-The memo only decides where the walk starts; the indices walked, and so
-every solution, are the same whatever it holds.
+found once per level by the first walk over doubled windows, and from a
+joint hit the first ``n`` in it that lands is the next joint hit; when none
+lands within the span, the first walk takes over past it.  A fresh solve
+meets about one joint hit, its answer, so it uses the first walk alone, and
+so does the scan backend.  The gaps pay from the previous solution of the
+same target: each problem ``(basis, k, targets, eps)`` has one bounded memo
+entry, holding its logs, its reduced targets and the lattice integer of its
+last lattice solution, and a later lattice solve of the problem starts the
+second walk there when that integer lies below the solve's first candidate
+and inside every widened window of the solve's own grid, with at least two
+windows.  The anchor only decides where the walk starts; the indices walked,
+and so every solution, are the same whatever the memo holds.
 
-The walk tracks positions exactly, as integers on a grid of 2^-64 turns,
-and every window it uses is wider than the pre-filter's by a bound on the
+Both walks track positions exactly, as integers on a grid of 2^-64 turns,
+and every window they use is wider than the pre-filter's by a bound on the
 float64 rounding and the grid's drift.  At each hit the other filtered
 coordinates are checked on the same grid; a candidate inside every widened
 window gets the pre-filter in Python floats, with the same IEEE operations a
@@ -69,10 +71,10 @@ solve is kept small.  The set-up and the accept path (candidate time,
 residual recheck, implied integers) run in Python floats, one coordinate at
 a time, with the IEEE operations of the numpy forms in the same order; the
 numpy :func:`residuals` stays the public form, and the budget error's
-vectorized search still uses it.  What ignores ``t_min`` (the logs, the
-reduced targets and each walk's grid step) is memoized across solves, and
-when the first hit lies within a short span it is found by a Python integer
-loop instead of a numpy pass.
+vectorized search still uses it.  What ignores ``t_min`` (the problem's
+memo entry and each walk's grid step) is shared across solves, and when the
+first hit lies within a short span it is found by a Python integer loop
+instead of a numpy pass.
 """
 
 from __future__ import annotations
@@ -102,13 +104,6 @@ _GRID_MASK = _GRID - 1
 # of every filtered window, and at most _JOINT_MAX indices.
 _JOINT_SPAN = 8.0
 _JOINT_MAX = 1 << 21
-
-# The lattice integer q of the last accepted solution per (basis, k, targets,
-# eps), for problems with at least two filtered coordinates; a later solve of
-# the same problem starts its walk there.  At most _ANCHORS_MAX entries, the
-# least recently stored dropped first.
-_ANCHORS: dict = {}
-_ANCHORS_MAX = 256
 
 # Width added to the pre-filter window to cover the float discrepancy between
 # the linear-recurrence angles and the canonical residual arithmetic; scaled
@@ -187,15 +182,34 @@ class KroneckerSolution:
     method: str
 
 
-@functools.lru_cache(maxsize=256)
-def _coordinates(basis: PrimeBasis, k: int, targets):
-    """``(logs, reduced)``: ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k``,
-    as tuples of Python floats.
+class _ProblemMemo:
+    """What the solves of one problem share: ``logs`` and ``reduced``, the
+    ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as Python floats, and
+    ``anchor``, the lattice integer of its last lattice solution or ``None``.
 
-    They ignore ``t_min``, so the solves of one level share them.  The targets
-    are reduced again, as :func:`residuals` reduces its argument.
+    The targets are reduced again, as :func:`residuals` reduces its argument.
     """
-    return tuple(basis.logs[:k].tolist()), tuple(g % TWO_PI for g in targets)
+
+    __slots__ = ("logs", "reduced", "anchor")
+
+    def __init__(self, logs, reduced):
+        self.logs = logs
+        self.reduced = reduced
+        self.anchor = None
+
+
+@functools.lru_cache(maxsize=256)
+def _problem_memo(dimension: int, k: int, targets, eps: float) -> _ProblemMemo:
+    """The :class:`_ProblemMemo` of a problem, keyed by what ignores
+    ``t_min``, so the solves of one level share it.  The key holds the
+    basis by its dimension, an int, which hashes without a Python call."""
+    logs = PrimeBasis(dimension).logs[:k].tolist()
+    return _ProblemMemo(tuple(logs), tuple(g % TWO_PI for g in targets))
+
+
+def _memo_of(problem: KroneckerProblem) -> _ProblemMemo:
+    return _problem_memo(problem.basis.dimension, problem.k, problem.targets,
+                         problem.eps)
 
 
 def _circle_residuals(logs, reduced, t: float) -> list[float]:
@@ -212,10 +226,9 @@ def _circle_residuals(logs, reduced, t: float) -> list[float]:
     return out
 
 
-def _implied_integers(problem: KroneckerProblem, t: float) -> tuple[int, ...]:
+def _implied_integers(logs, targets, t: float) -> tuple[int, ...]:
     """``rint((-t log p_r - theta_r) / 2*pi)``; ``round`` rounds half to even."""
-    logs, _ = _coordinates(problem.basis, problem.k, problem.targets)
-    return tuple(round((-t * log - g) / TWO_PI) for log, g in zip(logs, problem.targets))
+    return tuple(round((-t * log - g) / TWO_PI) for log, g in zip(logs, targets))
 
 
 def _return_times(step: int, modulus: int, width: int):
@@ -310,7 +323,7 @@ def _joint_gaps(advances, wides):
     else:
         span = int(_JOINT_SPAN / measure)
     doubled = [(w, a, 2 * w) for a, w in zip(advances, wides) if 2 * w < _GRID]
-    gaps = _rotation_hits(doubled, 1, span + 1, False) if doubled else range(1, span + 1)
+    gaps = _rotation_hits(doubled, 1, span + 1) if doubled else range(1, span + 1)
     return span, tuple((n, tuple(n * a % _GRID for a in advances)) for n in gaps)
 
 
@@ -321,18 +334,16 @@ def _window_hits(tests, budget: int, anchor: int | None = None):
     :func:`_on_grid`); every index whose float values all pass is yielded.
     ``anchor``, a negative index, only decides where the walk starts: when
     there are at least two windows and it lies inside every one of them, the
-    walk steps from it by joint gaps instead of walking from index 0.  The
-    indices yielded are the same either way.
+    walk steps from it by joint gaps (:func:`_joint_hits`) instead of walking
+    from index 0.  The indices yielded are the same either way.
     """
     rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
     if not rotations:
         return iter(range(budget))
-    joint = len(rotations) >= 2
-    start = 0
-    if (joint and anchor is not None and anchor < 0
+    if (len(rotations) >= 2 and anchor is not None and anchor < 0
             and all((o + anchor * a) & _GRID_MASK < w for o, a, w in rotations)):
-        start = anchor
-    return _rotation_hits(rotations, start, budget, joint)
+        return _joint_hits(rotations, anchor, budget)
+    return _rotation_hits(rotations, 0, budget)
 
 
 def _first_jumps(advance: int, wide: int):
@@ -373,22 +384,9 @@ def _rescan(origin: int, advance: int, wide: int, start: int, stop: int, reach: 
     return stop, 0
 
 
-def _joint_step(positions, wides, gaps):
-    """``(n, shift)`` for the first ``n`` of ``gaps`` that moves every
-    position into its window, with the first window's shift; ``None`` when
-    none does."""
-    for n, shifts in gaps:
-        for p, s, w in zip(positions, shifts, wides):
-            if (p + s) & _GRID_MASK >= w:
-                break
-        else:
-            return n, shifts[0]
-    return None
-
-
-def _rotation_hits(rotations, start: int, stop: int, joint: bool):
-    """Indices ``i`` in ``[max(start, 0), stop)`` with ``(origin + i*advance)
-    mod 2^64 < wide`` for every rotation, ascending.
+def _rotation_hits(rotations, start: int, stop: int):
+    """Indices ``i`` in ``[start, stop)`` with ``(origin + i*advance) mod
+    2^64 < wide`` for every rotation, ascending; ``start >= 0``.
 
     The walk follows the first window's hits, and on the grid the rotation
     is exact integer arithmetic modulo 2^64, so the three-distance theorem
@@ -397,44 +395,20 @@ def _rotation_hits(rotations, start: int, stop: int, joint: bool):
     lands is it.  The first hit, and the rare case where no jump lands (a
     rational grid step that never reaches one side), come from a forward
     rescan in the same integer arithmetic.  The other windows are checked
-    exactly at each hit.  With ``joint``, the walk steps from each hit of
-    every window to the next by the joint gaps (see :func:`_joint_gaps`),
-    and goes back to the first window's hits past the table's span when no
-    gap lands.  A negative ``start`` must be such a joint hit; hits below 0
-    are stepped over, not yielded.
+    exactly at each hit.
     """
     (origin, advance, wide), others = rotations[0], rotations[1:]
-    # A walk from a joint hit below 0 finds the first window's jumps only if
-    # it falls back to them; the joint gaps are found at the first joint hit.
-    moves = None if start < 0 else _first_jumps(advance, wide)
-    gaps = None
+    moves = _first_jumps(advance, wide)
+    reach = moves[-1][0]
     i, pos = start, (origin + start * advance) & _GRID_MASK
     if pos >= wide:
-        i, pos = _rescan(origin, advance, wide, i, stop, moves[-1][0])
+        i, pos = _rescan(origin, advance, wide, i, stop, reach)
     while i < stop:
         for o, a, w in others:
             if (o + i * a) & _GRID_MASK >= w:
                 break
         else:
-            if not joint:
-                yield i
-            else:
-                if i >= 0:
-                    yield i
-                if gaps is None:
-                    wides = [w for _, _, w in rotations]
-                    span, gaps = _joint_gaps(tuple(a for _, a, _ in rotations),
-                                             tuple(map(_round_up, wides)))
-                at = [(o + i * a) & _GRID_MASK for o, a, _ in rotations]
-                step = _joint_step(at, wides, gaps)
-                if step is not None:
-                    i, pos = i + step[0], (pos + step[1]) & _GRID_MASK
-                    continue
-                if moves is None:
-                    moves = _first_jumps(advance, wide)
-                i, pos = _rescan(origin, advance, wide, max(i + span + 1, 0),
-                                 stop, moves[-1][0])
-                continue
+            yield i
         for n, move in moves:
             if i + n >= stop:
                 return
@@ -445,7 +419,40 @@ def _rotation_hits(rotations, start: int, stop: int, joint: bool):
                 i, pos = i + n, nxt
                 break
         else:
-            i, pos = _rescan(origin, advance, wide, i + 1, stop, moves[-1][0])
+            i, pos = _rescan(origin, advance, wide, i + 1, stop, reach)
+
+
+def _joint_hits(rotations, anchor: int, stop: int):
+    """The indices of :func:`_rotation_hits` from 0, walked from ``anchor``,
+    a negative index inside every window.
+
+    From one joint hit (an index inside every window) the next is the first
+    ``n`` of :func:`_joint_gaps` that moves every position into its window;
+    joint hits below 0 are stepped over, not yielded.  When no gap lands, the
+    next joint hit lies past the table's span, and the walk goes on as
+    :func:`_rotation_hits` from there.
+    """
+    wides = [w for _, _, w in rotations]
+    span, gaps = _joint_gaps(tuple(a for _, a, _ in rotations),
+                             tuple(map(_round_up, wides)))
+    i = anchor
+    at = [(o + i * a) & _GRID_MASK for o, a, _ in rotations]
+    while True:
+        for n, shifts in gaps:
+            for p, s, w in zip(at, shifts, wides):
+                if (p + s) & _GRID_MASK >= w:
+                    break
+            else:
+                break
+        else:
+            yield from _rotation_hits(rotations, max(i + span + 1, 0), stop)
+            return
+        i += n
+        if i >= stop:
+            return
+        at = [(p + s) & _GRID_MASK for p, s in zip(at, shifts)]
+        if i >= 0:
+            yield i
 
 
 class _LinearSearch:
@@ -456,20 +463,21 @@ class _LinearSearch:
     candidate ``i`` has flow angle ``base[r] - i*step[r]`` modulo 2*pi up to
     rounding, which the pre-filter absorbs into its slack.  ``filter_coords``
     lists the coordinates worth pre-filtering (the lattice backend's nailed
-    coordinate is skipped; the exact recheck covers it).  ``memo`` is
-    ``(key, q0)`` when the solve keeps its anchor in ``_ANCHORS`` (candidate
-    ``i`` is lattice integer ``q0 + i``), else ``None``.
+    coordinate is skipped; the exact recheck covers it).  ``q0`` is the
+    lattice integer of candidate 0 for the lattice backend (candidate ``i``
+    is ``q0 + i``), whose solves keep their last solution's integer in the
+    problem's memo as the next solve's anchor; ``None`` for the scan.
     """
 
     def __init__(self, problem, base, step, time_of, filter_coords, method,
-                 memo=None):
+                 q0=None):
         self.problem = problem
         self.base = base
         self.step = step
         self.time_of = time_of
         self.filter_coords = filter_coords
         self.method = method
-        self.memo = memo
+        self.q0 = q0
 
     def _prefilter(self, budget: int):
         """Per filtered coordinate, ``(c, s, w)`` in turns: candidate ``i`` passes
@@ -493,14 +501,11 @@ class _LinearSearch:
 
     def run(self, budget: int) -> KroneckerSolution:
         problem = self.problem
-        logs, reduced = _coordinates(problem.basis, problem.k, problem.targets)
+        memo = _memo_of(problem)
         tests = self._prefilter(budget)
         anchor = None
-        if self.memo is not None:
-            key, q0 = self.memo
-            q = _ANCHORS.get(key)
-            if q is not None:
-                anchor = q - q0
+        if self.q0 is not None and memo.anchor is not None:
+            anchor = memo.anchor - self.q0
         for i in _window_hits(tests, budget, anchor):
             # The pre-filter in Python floats: the same IEEE operations, in
             # the same order, as a vectorized pass would perform.
@@ -513,14 +518,14 @@ class _LinearSearch:
                 t_cand = self.time_of(i)
                 if not t_cand > problem.t_min:
                     continue
-                res = _circle_residuals(logs, reduced, t_cand)
+                res = _circle_residuals(memo.logs, memo.reduced, t_cand)
                 if max(res) < problem.eps:
-                    if self.memo is not None:
-                        _remember(*self.memo, i)
+                    if self.q0 is not None:
+                        memo.anchor = self.q0 + i
                     return KroneckerSolution(
                         t=t_cand,
                         residuals=tuple(res),
-                        q=_implied_integers(problem, t_cand),
+                        q=_implied_integers(memo.logs, problem.targets, t_cand),
                         steps=i + 1,
                         method=self.method,
                     )
@@ -547,18 +552,11 @@ class _LinearSearch:
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
 
 
-def _remember(key, q0: int, i: int) -> None:
-    _ANCHORS.pop(key, None)
-    _ANCHORS[key] = q0 + i
-    if len(_ANCHORS) > _ANCHORS_MAX:
-        del _ANCHORS[next(iter(_ANCHORS))]
-
-
 # The set-ups below run in Python floats, per coordinate, with the IEEE
 # operations of the vectorized expressions they replaced, in the same order.
 
 def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
-    logs, _ = _coordinates(problem.basis, problem.k, problem.targets)
+    logs = _memo_of(problem).logs
     t_min = problem.t_min
     delta = problem.eps / (2.0 * logs[-1])
 
@@ -572,7 +570,7 @@ def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
 
 
 def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
-    logs, _ = _coordinates(problem.basis, problem.k, problem.targets)
+    logs = _memo_of(problem).logs
     log_last = logs[-1]
     theta_last = problem.targets[-1]
     q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
@@ -587,11 +585,8 @@ def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
     offset = TWO_PI * q0
     base = [theta_last * b - g - offset * b for b, g in zip(beta, problem.targets)]
     step = [TWO_PI * b for b in beta]
-    memo = None
-    if problem.k >= 3:  # two filtered coordinates: joint gaps can pay
-        memo = ((problem.basis, problem.k, problem.targets, problem.eps), q0)
     return _LinearSearch(problem, base, step, time_of,
-                         list(range(problem.k - 1)), "lattice", memo)
+                         list(range(problem.k - 1)), "lattice", q0)
 
 
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:

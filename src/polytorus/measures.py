@@ -478,7 +478,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
         source.append(j_i)
         rep.append(m_i)
     try:
-        return AtomicLineMeasure(
+        lam = AtomicLineMeasure(
             t, w, level, source, rep,
             level_boundaries=boundaries,
             total_mass_by_level=masses,
@@ -486,6 +486,30 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
         )
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
+    # The structure both builders give: one boundary and one cumulative mass
+    # per level, and each level-k atom above T_{k-1} and below T_k.
+    levels = _integer(header.get("levels"), "header levels")
+    if not len(boundaries) == len(masses) == levels:
+        raise ParseError(f"header says {levels} levels, but the trailer has "
+                         f"{len(boundaries)} boundaries and {len(masses)} masses")
+    ends = np.asarray(boundaries)
+    if not np.all(np.diff(ends) > 0):
+        raise ParseError("level boundaries must strictly increase")
+    # The sorted times, cut at the boundaries, fall into the levels in turn:
+    # level k's atoms are those in [T_{k-1}, T_k).  Each level is checked by
+    # its min and max, which allocate no array of the atoms' length.
+    cuts = [0, *np.searchsorted(lam.t, ends).tolist()]
+    for k in range(1, levels + 1):
+        block = lam.level[cuts[k - 1]:cuts[k]]
+        if block.size and not block.min() == k == block.max():
+            i = cuts[k - 1] + int(np.flatnonzero(block != k)[0])
+            raise ParseError(f"atom {i + 1} (t={t[i]!r}) has level k={level[i]}, "
+                             f"but its position lies in level {k} of {levels}")
+    if cuts[-1] < len(t):
+        i = cuts[-1]
+        raise ParseError(f"atom {i + 1} (t={t[i]!r}) has level k={level[i]}, "
+                         f"but its position lies past level {levels}")
+    return lam
 
 
 def save_atoms(lam: AtomicLineMeasure, path) -> None:

@@ -30,6 +30,7 @@ from .measures import (
     AtomicLineMeasure,
     GrowthSchedule,
     TorusPointMassMeasure,
+    _level_plan,
     place_atom,
     scan_step,
     weighted_mean_square,
@@ -155,14 +156,15 @@ def build_nested_lambda(
     grid_by_level: list[tuple[float, ...]] = []
     estimates_by_level: list[tuple[float, ...]] = []
     level_end: list[float] = []
-    masses: list[float] = []
+    # Level k places M_k = growth(k) * ||lambda^(k-1)|| unit-mass blocks, one
+    # per window and source, so its window count is M_k / growth(k).
+    reps_per_level, masses = _level_plan(levels, growth)
 
     t_cursor = 0.0
     placed = 0  # atoms solved so far, merged or still in an open window
-    prev_total = 1.0  # formal mass of the empty level 0
     for k in range(1, levels + 1):
         n_sources = growth(k)
-        n_windows = int(round(prev_total)) if k > 1 else 1
+        n_windows = reps_per_level[k - 1] // n_sources
         tolerance = 2.0**-k
         depth = k + margin  # escalations carry over to the level's later windows
         step = scan_step(basis, depth)  # fixed at the level's starting depth
@@ -218,9 +220,6 @@ def build_nested_lambda(
         grid_by_level.append(tuple(grid))
         estimates_by_level.append(tuple(estimates))
         level_end.append(t_cursor)
-        total = (prev_total if k > 1 else 0.0) + n_windows * n_sources
-        masses.append(total)
-        prev_total = total
 
     measure = AtomicLineMeasure(
         *zip(*atoms),

@@ -231,6 +231,23 @@ class TestVerifyCommands:
         assert summary["key_metrics"]["final_abs_error"] <= summary[
             "key_metrics"]["tol"]
 
+    def test_verify_boundary_refuses_inconsistent_atoms(self, workdir, capsys):
+        # a header that claims one more level than the trailer records
+        atoms = workdir / "atoms.jsonl"
+        run_cli(["build-measure", "--mu", workdir / "mu.json",
+                 "--levels", "2", "--out", atoms], capsys)
+        header, rest = atoms.read_text().split("\n", 1)
+        assert '"levels": 2' in header
+        atoms.write_text(header.replace('"levels": 2', '"levels": 3') + "\n" + rest)
+        code, out, err = run_cli(
+            ["verify-boundary", "--poly", workdir / "f.json",
+             "--atoms", atoms, "--mu", workdir / "mu.json",
+             "--out", workdir / "boundary.csv"],
+            capsys,
+        )
+        assert code == 2 and out == []
+        assert "header says 3 levels" in json.loads(err)["error"]
+
     def test_moments(self, workdir, capsys):
         atoms = workdir / "atoms.jsonl"
         run_cli(["build-measure", "--mu", workdir / "mu.json",

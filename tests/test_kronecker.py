@@ -22,15 +22,15 @@ from polytorus import (
 )
 from polytorus import kronecker
 from polytorus.kronecker import (
-    _ANCHORS,
     _GRID_MASK,
     _circle_residuals,
-    _coordinates,
     _grid_advance,
     _implied_integers,
     _joint_gaps,
+    _joint_hits,
     _lattice_search,
     _on_grid,
+    _problem_memo,
     _return_times,
     _round_up,
     _scan_search,
@@ -262,7 +262,8 @@ def brute_force_first(search, budget):
             continue
         res = residuals(problem.basis, problem.k, t, problem.targets)
         if np.all(res < problem.eps):
-            q = _implied_integers(problem, t)
+            logs = problem.basis.logs[: problem.k].tolist()
+            q = _implied_integers(logs, problem.targets, t)
             return float(t), tuple(float(r) for r in res), q, i + 1
     return None
 
@@ -431,12 +432,14 @@ class TestScalarAcceptPath:
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_forms(self, t, targets):
         basis, k = PrimeBasis(4), len(targets)
-        scalar = _circle_residuals(*_coordinates(basis, k, tuple(targets)), t)
+        memo = _problem_memo(basis.dimension, k, tuple(targets), 0.1)
+        scalar = _circle_residuals(memo.logs, memo.reduced, t)
         vector = residuals(basis, k, t, targets).tolist()
         assert [r.hex() for r in scalar] == [r.hex() for r in vector]
         problem = KroneckerProblem(basis, k, targets, 0.1)
         raw = (-t * basis.logs[:k] - np.asarray(problem.targets)) / TWO_PI
-        assert _implied_integers(problem, t) == tuple(int(q) for q in np.rint(raw))
+        assert _implied_integers(memo.logs, problem.targets, t) == \
+            tuple(int(q) for q in np.rint(raw))
 
     def test_interleaved_solves_match_solves_alone(self):
         # The memo caches are keyed on what ignores t_min; solving problems
@@ -461,7 +464,7 @@ class TestScalarAcceptPath:
 
         alone = []
         for problem, backend in cases:
-            _coordinates.cache_clear()
+            _problem_memo.cache_clear()
             _grid_advance.cache_clear()
             alone.append(outcome(problem, backend))
         order = rng.permutation(len(cases)).tolist() * 2
@@ -469,26 +472,30 @@ class TestScalarAcceptPath:
             assert outcome(*cases[i]) == alone[i]
 
 
+def grid_rotations(tests, budget):
+    return [g for g in (_on_grid(*test, budget) for test in tests) if g]
+
+
 def first_window_then_filter(tests, budget):
     """Reference for the joint-gap walk: the first window's hits alone, then
     the other widened windows checked exactly on the same 2^-64 grid."""
-    rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
+    rotations = grid_rotations(tests, budget)
     return [i for i in _window_hits(tests[:1], budget)
             if all((o + i * a) & _GRID_MASK < w for o, a, w in rotations[1:])]
 
 
 def inside_every_window(tests, budget, index):
-    rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
-    return all((o + index * a) & _GRID_MASK < w for o, a, w in rotations)
+    return all((o + index * a) & _GRID_MASK < w
+               for o, a, w in grid_rotations(tests, budget))
 
 
 @pytest.fixture
 def cold_memos():
-    """Empty anchor memo and joint-gap cache, before and after the test."""
-    _ANCHORS.clear()
+    """Empty problem memo and joint-gap cache, before and after the test."""
+    _problem_memo.cache_clear()
     _joint_gaps.cache_clear()
     yield
-    _ANCHORS.clear()
+    _problem_memo.cache_clear()
     _joint_gaps.cache_clear()
 
 
@@ -498,23 +505,45 @@ def seeded_problem(rng, k, eps):
     return KroneckerProblem(PrimeBasis(k), k, targets, eps, t_min)
 
 
+def anchor_of(problem):
+    """The lattice anchor the problem's memo holds, or ``None``."""
+    return _problem_memo(problem.basis.dimension, problem.k, problem.targets,
+                         problem.eps).anchor
+
+
 class TestJointGaps:
     BUDGET = 1 << 20
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_joint_walk_matches_first_window_walk(self, k, cold_memos):
-        # Over 2^20 candidates per problem the joint-gap steps visit exactly
-        # the first window's hits that lie in every other widened window.
+        # Each problem is rebuilt with t_min at its fourth joint hit (or its
+        # last, when it has fewer), so that its first joint hit sits below 0:
+        # over 2^20 candidates the joint-gap steps from there step over the
+        # joint hits below 0 and visit exactly the first window's hits that
+        # lie in every other widened window.
         rng = np.random.default_rng(60 + k)
-        joint_hits = 0
+        total, anchored = 0, []
         for depth in range(3, 10):
             problem = seeded_problem(rng, k, 2.0 ** -depth)
             for search in (_lattice_search, _scan_search):
-                tests = search(problem)._prefilter(self.BUDGET)
+                early = search(problem)
+                hits = first_window_then_filter(early._prefilter(self.BUDGET),
+                                                self.BUDGET)
+                if not hits:
+                    continue
+                anchored.append(search)
+                last = hits[:4][-1]
+                later = KroneckerProblem(problem.basis, k, problem.targets,
+                                         problem.eps, early.time_of(last))
+                tests = search(later)._prefilter(self.BUDGET)
                 expected = first_window_then_filter(tests, self.BUDGET)
-                assert list(_window_hits(tests, self.BUDGET)) == expected
-                joint_hits += len(expected)
-        assert joint_hits >= {3: 1000, 4: 50}[k]
+                anchor = hits[0] - last - 1
+                assert inside_every_window(tests, self.BUDGET, anchor)
+                rotations = grid_rotations(tests, self.BUDGET)
+                assert list(_joint_hits(rotations, anchor, self.BUDGET)) == expected
+                total += len(expected)
+        assert len(anchored) >= 4 and set(anchored) == {_lattice_search, _scan_search}
+        assert total >= {3: 1000, 4: 50}[k]
 
     def test_anchor_below_zero_inside_the_box(self, cold_memos):
         # A joint hit of an earlier problem with the same target, below the
@@ -526,14 +555,14 @@ class TestJointGaps:
         for depth in (3, 4, 5):
             early = seeded_problem(rng, 3, 2.0 ** -depth)
             search = _lattice_search(early)
-            q0 = search.memo[1]
+            q0 = search.q0
             hits = list(_window_hits(search._prefilter(budget), budget))
             assert len(hits) >= 4
             for h in hits[: len(hits) // 2: max(1, len(hits) // 8)]:
                 later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
                                          search.time_of(h + 3))
                 tests = _lattice_search(later)._prefilter(budget)
-                anchor = q0 + h - _lattice_search(later).memo[1]
+                anchor = q0 + h - _lattice_search(later).q0
                 assert anchor < 0
                 if inside_every_window(tests, budget, anchor):
                     used += 1
@@ -563,20 +592,44 @@ class TestJointGaps:
         basis = PrimeBasis(3)
         solve(KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 5e4))
         early = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 10.0)
-        key = (basis, 3, early.targets, early.eps)
-        assert _ANCHORS[key] > _lattice_search(early).memo[1]
+        assert anchor_of(early) > _lattice_search(early).q0
         warm = solve(early)
-        _ANCHORS.clear()
+        _problem_memo.cache_clear()
         assert repr(warm) == repr(solve(early))
 
     def test_positive_anchor_left_by_an_earlier_build(self, cold_memos):
         mu = TorusPointMassMeasure([((0.9, 2.2, 4.1), 0.5), ((3.3, 0.4, 5.7), 0.5)])
         first = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
-        assert _ANCHORS
+        level4 = [KroneckerProblem(PrimeBasis(3), 3, omega.angles, 2.0 ** -4)
+                  for omega, _ in mu.atoms]
+        assert all(anchor_of(problem) is not None for problem in level4)
         again = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
-        _ANCHORS.clear()
+        _problem_memo.cache_clear()
         cold = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
         assert first == again == cold
+
+    def test_scan_solve_never_reaches_joint_gaps(self, monkeypatch, cold_memos):
+        # The scan backend walks fresh, even when the problem's memo holds a
+        # lattice anchor.
+        rng = np.random.default_rng(76)
+        problems = [seeded_problem(rng, k, 2.0 ** -depth)
+                    for k, depth in ((2, 3), (3, 3), (3, 5), (4, 3))]
+        for problem in problems:
+            lattice_solve(problem)
+
+        def refuse(*args):
+            raise AssertionError("scan_solve reached _joint_gaps")
+
+        monkeypatch.setattr(kronecker, "_joint_gaps", refuse)
+        for problem in problems:
+            t = problem.t_min
+            for _ in range(4):
+                sol = scan_solve(KroneckerProblem(problem.basis, problem.k,
+                                                  problem.targets, problem.eps, t))
+                assert np.all(residuals(problem.basis, problem.k, sol.t,
+                                        problem.targets) < problem.eps)
+                t = sol.t
+            assert anchor_of(problem) is not None
 
     @pytest.mark.parametrize("joint_span", [1e-9, 0.5])
     def test_fallback_when_no_gap_lands(self, joint_span, monkeypatch, cold_memos):
@@ -619,12 +672,14 @@ class TestJointGaps:
             for _ in range(12):
                 for omega in targets:
                     if clear:
-                        _ANCHORS.clear()
+                        _problem_memo.cache_clear()
                     sol = solve(KroneckerProblem(basis, k, omega, eps, t))
                     out.append(repr(sol))
                     t = sol.t + step
             return out
 
         warm = chain(False)
-        assert len(_ANCHORS) == 3
+        assert _problem_memo.cache_info().currsize == 3
+        assert all(anchor_of(KroneckerProblem(basis, k, omega, eps)) is not None
+                   for omega in targets)
         assert warm == chain(True)

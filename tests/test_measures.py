@@ -358,6 +358,51 @@ class TestAtomFiles:
         with pytest.raises(ParseError, match="missing key"):
             atoms_from_bytes(blob)
 
+    @staticmethod
+    def _two_level_stream(levels=2, ks=(1, 1, 2), boundaries=(3.0, 5.0),
+                          masses=(1.0, 2.0)):
+        header = {"format": "lambda-atoms", "version": 1, "growth": "2^k",
+                  "levels": levels}
+        if levels is None:
+            del header["levels"]
+        lines = [json.dumps(header)]
+        lines += [json.dumps({"t": t, "w": 0.5, "k": k, "j": 1, "m": 1})
+                  for t, k in zip((1.5, 2.5, 4.0), ks)]
+        lines.append(json.dumps({"boundaries": list(boundaries),
+                                 "masses": list(masses)}))
+        return "".join(line + "\n" for line in lines).encode()
+
+    def test_consistent_structure_loads(self):
+        lam = atoms_from_bytes(self._two_level_stream())
+        assert lam.levels == 2 and lam.level.tolist() == [1, 1, 2]
+
+    @pytest.mark.parametrize("change, message", [
+        ({"levels": 2.0}, "header levels must be an integer"),
+        ({"levels": "2"}, "header levels must be an integer"),
+        ({"levels": True}, "header levels must be an integer"),
+        ({"levels": None}, "header levels must be an integer"),
+        ({"levels": 3}, "header says 3 levels"),
+        ({"levels": 1}, "header says 1 levels"),
+        ({"boundaries": (3.0,)}, "1 boundaries and 2 masses"),
+        ({"masses": (1.0, 2.0, 3.0)}, "2 boundaries and 3 masses"),
+        # the header says 3 levels, the trailer has 1 boundary and 2 masses,
+        # and an atom says k=9: this used to load as a 1-level measure
+        ({"levels": 3, "boundaries": (5.0,), "ks": (1, 1, 9)}, "header says 3"),
+        ({"boundaries": (5.0, 3.0)}, "boundaries must strictly increase"),
+        ({"boundaries": (3.0, 3.0)}, "boundaries must strictly increase"),
+        ({"ks": (1, 1, 9)}, r"atom 3 \(t=4.0\) has level k=9, but .* level 2"),
+        ({"ks": (1, 2, 2)}, r"atom 2 \(t=2.5\) has level k=2, but .* level 1"),
+        ({"ks": (1, 1, 1)}, r"atom 3 \(t=4.0\) has level k=1, but .* level 2"),
+        ({"boundaries": (2.5, 5.0)}, r"atom 2 \(t=2.5\) has level k=1"),
+        # every atom must lie below the last boundary
+        ({"boundaries": (1.0, 2.0), "ks": (2, 3, 3)},
+         r"atom 2 \(t=2.5\) has level k=3, but its position lies past level 2"),
+        ({"levels": 0, "boundaries": (), "masses": ()}, "atom 1 .* past level 0"),
+    ])
+    def test_inconsistent_structure_rejected(self, change, message):
+        with pytest.raises(ParseError, match=message):
+            atoms_from_bytes(self._two_level_stream(**change))
+
 
 class TestAtomicLineMeasureValidation:
     def test_strictly_increasing_required(self):
