@@ -56,7 +56,9 @@ def loads_strict(text: str | bytes):
     try:
         return json.loads(text, object_pairs_hook=_reject_duplicate_keys,
                           parse_constant=_finite_float, parse_float=_finite_float)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    except ValueError as exc:  # malformed, or an integer past int()'s digit limit
         raise ParseError(f"invalid JSON: {exc}") from exc
 
 
@@ -81,6 +83,14 @@ def _integer(value, label: str) -> int:
     if type(value) is not int:
         raise ParseError(f"{label} must be an integer, got {value!r}")
     return value
+
+
+def _number(value, label: str) -> float:
+    """``value`` as a float when it is a JSON number; a string or bool is
+    refused."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{label} must be a number, got {value!r}")
+    return float(value)
 
 
 def _term_coefficient(entry, label) -> complex:

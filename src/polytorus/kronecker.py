@@ -45,14 +45,23 @@ found once per level by the first walk over doubled windows, and from a
 joint hit the first ``n`` in it that lands is the next joint hit; when none
 lands within the span, the first walk takes over past it.  A fresh solve
 meets about one joint hit, its answer, so it uses the first walk alone, and
-so does the scan backend.  The gaps pay from the previous solution of the
-same target: each problem ``(basis, k, targets, eps)`` has one bounded memo
-entry, holding its logs, its reduced targets and the lattice integer of its
-last lattice solution, and a later lattice solve of the problem starts the
-second walk there when that integer lies below the solve's first candidate
-and inside every widened window of the solve's own grid, with at least two
-windows.  The anchor only decides where the walk starts; the indices walked,
-and so every solution, are the same whatever the memo holds.
+so does the scan backend.
+
+Each problem ``(basis, k, targets, eps)`` has one bounded memo entry, its
+resumable search: what its solves share whatever ``t_min`` (its logs and
+reduced targets, the lattice ratios and each backend's steps) and the
+lattice integer of its last lattice solution, the anchor.  The grid
+advances are memoized by step, and the walks' jumps and joint gaps by grid
+advance and by window width rounded up to its leading bits, so the solves of
+a problem share them too; a solve computes only its first candidate, its
+pre-filter constants and its grid origins.  A later lattice solve of the problem starts its walk at
+the anchor when that lies below the solve's first candidate and inside every
+widened window of the solve's own grid: with one filtered window it walks
+the first window's jumps from there, with more it steps by joint gaps, and
+either way it steps over the hits below its first candidate instead of
+searching forward for its first hit.  The anchor only decides where the
+walk starts; the indices walked, and so every solution, are the same
+whatever the memo holds.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the pre-filter's by a bound on the
@@ -71,10 +80,8 @@ solve is kept small.  The set-up and the accept path (candidate time,
 residual recheck, implied integers) run in Python floats, one coordinate at
 a time, with the IEEE operations of the numpy forms in the same order; the
 numpy :func:`residuals` stays the public form, and the budget error's
-vectorized search still uses it.  What ignores ``t_min`` (the problem's
-memo entry and each walk's grid step) is shared across solves, and when the
-first hit lies within a short span it is found by a Python integer loop
-instead of a numpy pass.
+vectorized search still uses it.  When a fresh walk's first hit lies within
+a short span it is found by a Python integer loop instead of a numpy pass.
 """
 
 from __future__ import annotations
@@ -182,19 +189,43 @@ class KroneckerSolution:
     method: str
 
 
-class _ProblemMemo:
-    """What the solves of one problem share: ``logs`` and ``reduced``, the
-    ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as Python floats, and
-    ``anchor``, the lattice integer of its last lattice solution or ``None``.
+class _Lines:
+    """One backend's candidate lines over one problem, apart from where they
+    start: per filtered coordinate, ``steps``, the angle step per candidate
+    in radians, and ``turns``, the same in turns."""
 
-    The targets are reduced again, as :func:`residuals` reduces its argument.
+    __slots__ = ("method", "steps", "turns")
+
+    def __init__(self, method, steps):
+        self.method = method
+        self.steps = steps
+        self.turns = [step / TWO_PI for step in steps]
+
+
+class _ProblemMemo:
+    """One problem's resumable search: what its solves share, whatever
+    ``t_min``.
+
+    ``logs`` and ``reduced`` are ``log p_r`` and ``theta_r mod 2*pi`` for
+    ``r < k`` as Python floats; the targets are reduced again, as
+    :func:`residuals` reduces its argument.  ``beta`` holds the lattice
+    ratios ``log p_r / log p_k`` for ``r < k - 1``, ``delta`` the scan step
+    in ``t``, and ``lattice`` and ``scan`` the backends' :class:`_Lines`.
+    ``anchor`` is the lattice integer of the problem's last lattice
+    solution, or ``None``.  A solve adds only what depends on ``t_min``:
+    the first candidate, the pre-filter constants and the grid origins.
     """
 
-    __slots__ = ("logs", "reduced", "anchor")
+    __slots__ = ("logs", "reduced", "beta", "delta", "lattice", "scan", "anchor")
 
-    def __init__(self, logs, reduced):
+    def __init__(self, dimension: int, k: int, targets, eps: float):
+        logs = tuple(PrimeBasis(dimension).logs[:k].tolist())
         self.logs = logs
-        self.reduced = reduced
+        self.reduced = tuple(g % TWO_PI for g in targets)
+        self.beta = [log / logs[-1] for log in logs[:-1]]
+        self.delta = eps / (2.0 * logs[-1])
+        self.lattice = _Lines("lattice", [TWO_PI * b for b in self.beta])
+        self.scan = _Lines("scan", [self.delta * log for log in logs])
         self.anchor = None
 
 
@@ -203,8 +234,7 @@ def _problem_memo(dimension: int, k: int, targets, eps: float) -> _ProblemMemo:
     """The :class:`_ProblemMemo` of a problem, keyed by what ignores
     ``t_min``, so the solves of one level share it.  The key holds the
     basis by its dimension, an int, which hashes without a Python call."""
-    logs = PrimeBasis(dimension).logs[:k].tolist()
-    return _ProblemMemo(tuple(logs), tuple(g % TWO_PI for g in targets))
+    return _ProblemMemo(dimension, k, targets, eps)
 
 
 def _memo_of(problem: KroneckerProblem) -> _ProblemMemo:
@@ -298,7 +328,8 @@ def _on_grid(base: float, step: float, width: float, budget: int):
 
 def _round_up(width: int) -> int:
     """``width`` rounded up to its leading 6 bits, so that the slightly
-    different windows of one level's solves share a joint-gap table."""
+    different windows of one problem's solves share their memoized jumps
+    and joint gaps."""
     shift = max(width.bit_length() - 6, 0)
     return -(-width >> shift) << shift
 
@@ -332,38 +363,44 @@ def _window_hits(tests, budget: int, anchor: int | None = None):
 
     ``tests`` holds ``(base, step, width)`` per pre-filter (see
     :func:`_on_grid`); every index whose float values all pass is yielded.
-    ``anchor``, a negative index, only decides where the walk starts: when
-    there are at least two windows and it lies inside every one of them, the
-    walk steps from it by joint gaps (:func:`_joint_hits`) instead of walking
-    from index 0.  The indices yielded are the same either way.
+    ``anchor``, a negative index, only decides where the walk starts: when it
+    lies inside every widened window, the walk starts there and steps over
+    the hits below 0, by the first window's jumps (:func:`_rotation_hits`)
+    when there is one window and by joint gaps (:func:`_joint_hits`) when
+    there are more, instead of searching forward from index 0.  The indices
+    yielded are the same either way.
     """
     rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
     if not rotations:
         return iter(range(budget))
-    if (len(rotations) >= 2 and anchor is not None and anchor < 0
+    if (anchor is not None and anchor < 0
             and all((o + anchor * a) & _GRID_MASK < w for o, a, w in rotations)):
+        if len(rotations) == 1:
+            return _rotation_hits(rotations, anchor, budget)
         return _joint_hits(rotations, anchor, budget)
     return _rotation_hits(rotations, 0, budget)
 
 
+@functools.lru_cache(maxsize=1024)
 def _first_jumps(advance: int, wide: int):
     """``[(n, n*advance mod 2^64)]`` for the three-distance jumps ``n1``,
     ``n2`` and ``n1 + n2`` of one window (see :func:`_return_times`),
     ascending; with both return times the last jump reaches the window from
-    anywhere."""
+    anywhere.  Memoized: the walks give it their windows rounded up by
+    :func:`_round_up`, so the solves of a problem share one entry."""
     n1, n2 = _return_times(advance, _GRID, wide)
     jumps = sorted(n for n in (n1, n2) if n is not None)
     if len(jumps) == 2:
         jumps.append(n1 + n2)
-    return [(n, n * advance % _GRID) for n in jumps]
+    return tuple((n, n * advance % _GRID) for n in jumps)
 
 
 def _rescan(origin: int, advance: int, wide: int, start: int, stop: int, reach: int):
     """``(i, position)`` of the first ``i`` in ``[start, stop)`` inside one
-    window, or ``(stop, 0)``.  ``reach`` is the window's longest jump, which
-    reaches it from anywhere when both return times exist; when that span is
-    short it is scanned by a Python integer loop, which stops at the first
-    hit and skips numpy's fixed cost per call."""
+    window, or ``(stop, 0)``; ``start >= 0``.  ``reach`` is the window's
+    longest jump, which reaches it from anywhere when both return times
+    exist; when that span is short it is scanned by a Python integer loop,
+    which stops at the first hit and skips numpy's fixed cost per call."""
     size = min(reach, _RESCAN_CHUNK)
     if size <= _SHORT_SCAN:
         end = min(start + size, stop)
@@ -385,41 +422,46 @@ def _rescan(origin: int, advance: int, wide: int, start: int, stop: int, reach: 
 
 
 def _rotation_hits(rotations, start: int, stop: int):
-    """Indices ``i`` in ``[start, stop)`` with ``(origin + i*advance) mod
-    2^64 < wide`` for every rotation, ascending; ``start >= 0``.
+    """Indices ``i`` in ``[max(start, 0), stop)`` with ``(origin + i*advance)
+    mod 2^64 < wide`` for every rotation, ascending.  A negative ``start``
+    must lie inside the first window; the walk then starts there and steps
+    over the hits below 0.
 
-    The walk follows the first window's hits, and on the grid the rotation
-    is exact integer arithmetic modulo 2^64, so the three-distance theorem
-    applies verbatim: from one hit the next is ``n1``, ``n2`` or ``n1 + n2``
-    indices later (see :func:`_first_jumps`), and the first of those that
-    lands is it.  The first hit, and the rare case where no jump lands (a
-    rational grid step that never reaches one side), come from a forward
-    rescan in the same integer arithmetic.  The other windows are checked
-    exactly at each hit.
+    The walk follows the hits of the first window rounded up by
+    :func:`_round_up`, a superset of its own hits, and yields those inside
+    the exact window.  On the grid the rotation is exact integer arithmetic
+    modulo 2^64, so the three-distance theorem applies verbatim: from one
+    hit the next is ``n1``, ``n2`` or ``n1 + n2`` indices later (see
+    :func:`_first_jumps`), and the first of those that lands is it.  The
+    first hit, and the rare case where no jump lands (a rational grid step
+    that never reaches one side), come from a forward rescan in the same
+    integer arithmetic.  The other windows are checked exactly at each hit.
     """
     (origin, advance, wide), others = rotations[0], rotations[1:]
-    moves = _first_jumps(advance, wide)
+    walked = _round_up(wide)
+    moves = _first_jumps(advance, walked)
     reach = moves[-1][0]
     i, pos = start, (origin + start * advance) & _GRID_MASK
-    if pos >= wide:
-        i, pos = _rescan(origin, advance, wide, i, stop, reach)
+    if pos >= walked:
+        i, pos = _rescan(origin, advance, walked, i, stop, reach)
     while i < stop:
-        for o, a, w in others:
-            if (o + i * a) & _GRID_MASK >= w:
-                break
-        else:
-            yield i
+        if pos < wide and i >= 0:
+            for o, a, w in others:
+                if (o + i * a) & _GRID_MASK >= w:
+                    break
+            else:
+                yield i
         for n, move in moves:
             if i + n >= stop:
                 return
             nxt = pos + move
             if nxt >= _GRID:
                 nxt -= _GRID
-            if nxt < wide:
+            if nxt < walked:
                 i, pos = i + n, nxt
                 break
         else:
-            i, pos = _rescan(origin, advance, wide, i + 1, stop, reach)
+            i, pos = _rescan(origin, advance, walked, i + 1, stop, reach)
 
 
 def _joint_hits(rotations, anchor: int, stop: int):
@@ -456,27 +498,30 @@ def _joint_hits(rotations, anchor: int, stop: int):
 
 
 class _LinearSearch:
-    """Candidates indexed by ``i = 0, 1, ...`` with angles linear in ``i``.
+    """One solve's candidates, indexed by ``i = 0, 1, ...`` with angles
+    linear in ``i``.
 
-    ``time_of(i)`` maps indices to times, for a Python int or an array of
-    them, with the same IEEE operations either way; coordinate ``r`` of
-    candidate ``i`` has flow angle ``base[r] - i*step[r]`` modulo 2*pi up to
-    rounding, which the pre-filter absorbs into its slack.  ``filter_coords``
-    lists the coordinates worth pre-filtering (the lattice backend's nailed
-    coordinate is skipped; the exact recheck covers it).  ``q0`` is the
-    lattice integer of candidate 0 for the lattice backend (candidate ``i``
-    is ``q0 + i``), whose solves keep their last solution's integer in the
-    problem's memo as the next solve's anchor; ``None`` for the scan.
+    ``lines``, one of the :class:`_Lines` of the problem's memo ``memo``,
+    holds the filtered coordinates' steps and ``base`` their angles at
+    candidate 0: coordinate ``r`` of candidate ``i`` has flow angle
+    ``base[r] - i*steps[r]`` modulo 2*pi up to rounding, which the
+    pre-filter absorbs into its slack.  (The lattice backend does not filter
+    its nailed coordinate; the exact recheck covers it.)  ``time_of(i)``
+    maps indices to times, for a Python int or an array of them, with the
+    same IEEE operations either way.  ``q0`` is the lattice integer of
+    candidate 0 for the lattice backend (candidate ``i`` is ``q0 + i``),
+    whose solves keep their last solution's integer in the memo as the next
+    solve's anchor; ``None`` for the scan.
     """
 
-    def __init__(self, problem, base, step, time_of, filter_coords, method,
-                 q0=None):
+    __slots__ = ("problem", "memo", "lines", "base", "time_of", "q0")
+
+    def __init__(self, problem, memo, lines, base, time_of, q0=None):
         self.problem = problem
+        self.memo = memo
+        self.lines = lines
         self.base = base
-        self.step = step
         self.time_of = time_of
-        self.filter_coords = filter_coords
-        self.method = method
         self.q0 = q0
 
     def _prefilter(self, budget: int):
@@ -489,19 +534,17 @@ class _LinearSearch:
         """
         eps = self.problem.eps
         tests = []
-        for r in self.filter_coords:
-            base, step = self.base[r], self.step[r]
+        for base, step, turns in zip(self.base, self.lines.steps, self.lines.turns):
             slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
             tests.append((
                 (base + (eps + slack)) / TWO_PI,
-                step / TWO_PI,
+                turns,
                 2.0 * (eps + slack) / TWO_PI,
             ))
         return tests
 
     def run(self, budget: int) -> KroneckerSolution:
-        problem = self.problem
-        memo = _memo_of(problem)
+        problem, memo = self.problem, self.memo
         tests = self._prefilter(budget)
         anchor = None
         if self.q0 is not None and memo.anchor is not None:
@@ -527,7 +570,7 @@ class _LinearSearch:
                         residuals=tuple(res),
                         q=_implied_integers(memo.logs, problem.targets, t_cand),
                         steps=i + 1,
-                        method=self.method,
+                        method=self.lines.method,
                     )
         raise BudgetExhaustedError(budget, *self._best_candidate(tests, budget))
 
@@ -553,25 +596,23 @@ class _LinearSearch:
 
 
 # The set-ups below run in Python floats, per coordinate, with the IEEE
-# operations of the vectorized expressions they replaced, in the same order.
+# operations of the vectorized expressions they replaced, in the same order;
+# what ignores t_min comes from the problem's memo.
 
 def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
-    logs = _memo_of(problem).logs
-    t_min = problem.t_min
-    delta = problem.eps / (2.0 * logs[-1])
+    memo = _memo_of(problem)
+    t_min, delta = problem.t_min, memo.delta
 
     def time_of(i):
         return t_min + (i + 1.0) * delta
 
-    base = [-(t_min + delta) * log - g for log, g in zip(logs, problem.targets)]
-    step = [delta * log for log in logs]
-    return _LinearSearch(problem, base, step, time_of,
-                         list(range(problem.k)), "scan")
+    base = [-(t_min + delta) * log - g for log, g in zip(memo.logs, problem.targets)]
+    return _LinearSearch(problem, memo, memo.scan, base, time_of)
 
 
 def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
-    logs = _memo_of(problem).logs
-    log_last = logs[-1]
+    memo = _memo_of(problem)
+    log_last = memo.logs[-1]
     theta_last = problem.targets[-1]
     q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
     while (TWO_PI * q0 - theta_last) / log_last <= problem.t_min:
@@ -581,12 +622,9 @@ def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
     def time_of(i):
         return (TWO_PI * (q0_float + i) - theta_last) / log_last
 
-    beta = [log / log_last for log in logs]
     offset = TWO_PI * q0
-    base = [theta_last * b - g - offset * b for b, g in zip(beta, problem.targets)]
-    step = [TWO_PI * b for b in beta]
-    return _LinearSearch(problem, base, step, time_of,
-                         list(range(problem.k - 1)), "lattice", q0)
+    base = [theta_last * b - g - offset * b for b, g in zip(memo.beta, problem.targets)]
+    return _LinearSearch(problem, memo, memo.lattice, base, time_of, q0)
 
 
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:

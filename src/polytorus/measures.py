@@ -15,6 +15,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,10 @@ from .polynomials import TorusPoint, bohr_unlift, eval_dirichlet
 from .primes import PrimeBasis
 
 WEIGHT_SUM_TOL = 1e-12
+# Relative tolerance of a file's level masses against its atoms' weights:
+# point-mass weights may sum to 1 within WEIGHT_SUM_TOL, which scales every
+# level's weight by as much, and the sums round.
+MASS_TOL = 2 * WEIGHT_SUM_TOL
 DEFAULT_ATOM_CAP = 2_000_000
 
 
@@ -54,8 +59,9 @@ class GrowthSchedule:
     @staticmethod
     def constant(factor: int) -> "GrowthSchedule":
         factor = int(factor)
-        if factor < 1:
-            raise DomainError(f"growth factor must be >= 1, got {factor}")
+        # The level plan counts repetitions in float64, exact up to 2^53.
+        if not 1 <= factor <= 2**53:
+            raise DomainError(f"growth factor must lie in [1, 2^53], got {factor}")
         return GrowthSchedule(f"const:{factor}", (factor,))
 
     @staticmethod
@@ -64,7 +70,11 @@ class GrowthSchedule:
         if text in ("default", "2^k"):
             return GrowthSchedule.default()
         if text.startswith("const:"):
-            return GrowthSchedule.constant(int(text.split(":", 1)[1]))
+            factor = text.split(":", 1)[1]
+            if not (factor.isascii() and factor.isdigit()):
+                raise DomainError(
+                    f"growth factor must be a decimal integer, got {factor!r}")
+            return GrowthSchedule.constant(int(factor))
         raise DomainError(f"unknown growth schedule {text!r}")
 
 
@@ -277,12 +287,13 @@ def build_point_mass_lambda(
     rep_out = np.empty(total_atoms, dtype=np.int64)
 
     boundaries = []
+    sources = list(enumerate(mu.atoms, start=1))
     t_cursor = 0.0
     pos = 0
     for k in range(1, levels + 1):
         step = scan_step(basis, k)
         for m in range(1, reps_per_level[k - 1] + 1):
-            for j, (omega, c_j) in enumerate(mu.atoms, start=1):
+            for j, (omega, c_j) in sources:
                 t_cursor = place_atom(basis, k, omega, t_cursor, solver_budget,
                                       level=k, source=j, repetition=m)
                 t_out[pos] = t_cursor
@@ -422,8 +433,29 @@ def atoms_to_bytes(lam: AtomicLineMeasure) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
+# The encoder's atom line, with JSON number and JSON integer groups; any other
+# line is parsed by the strict JSON reader.  An integer group takes at most 19
+# digits, as many as an int64 has, so int() never meets its digit limit.
+_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
+_INTEGER = r"(-?(?:0|[1-9][0-9]{0,18}))"
+_ATOM_LINE = re.compile(
+    rf'\{{"t": {_NUMBER}, "w": {_NUMBER}, "k": {_INTEGER}, "j": {_INTEGER}, '
+    rf'"m": {_INTEGER}\}}')
+
+
 def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
-    from .formats import _integer  # formats imports this module
+    """Parse an atom stream, strictly.
+
+    An atom line of the encoder's exact shape is read by one regular
+    expression; any other line goes through :func:`formats.loads_strict`,
+    which refuses repeated keys and non-finite numbers, and ``t``/``w``
+    must then be JSON numbers and ``k``/``j``/``m`` JSON integers.  Both
+    paths give a line the values ``json.loads`` would.  The stream must
+    then have the structure both builders give: one boundary and one
+    cumulative mass per level, each level-k atom above ``T_{k-1}`` and
+    below ``T_k``, and the weights through level k summing to its mass.
+    """
+    from .formats import _integer, _number, loads_strict  # formats imports us
 
     lines = data.decode("utf-8").splitlines()
     if not lines:
@@ -441,37 +473,45 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     boundaries: list[float] = []
     masses: list[float] = []
     saw_trailer = False
+    previous = -math.inf
     for number, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        if saw_trailer:
-            raise ParseError("content after the boundaries line", number)
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed line: {exc}", number) from exc
-        if not isinstance(record, dict):
-            raise ParseError("expected a JSON object", number)
-        try:
-            if "boundaries" in record:
-                boundaries = [float(b) for b in record["boundaries"]]
-                masses = [float(m) for m in record.get("masses", [])]
-                saw_trailer = True
+        match = _ATOM_LINE.fullmatch(raw)
+        if match is not None and not saw_trailer:
+            t_s, w_s, k_s, j_s, m_s = match.groups()
+            t_i, w_i = float(t_s), float(w_s)
+            k_i, j_i, m_i = int(k_s), int(j_s), int(m_s)
+        else:
+            if not raw.strip():
                 continue
-            t_i = float(record["t"])
-            w_i = float(record["w"])
-            k_i = _integer(record["k"], "level k")
-            j_i = _integer(record["j"], "source j")
-            m_i = _integer(record["m"], "repetition m")
-        except KeyError as exc:
-            raise ParseError(f"atom line missing key {exc}", number) from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"malformed line: {exc}", number) from exc
-        if t and t_i <= t[-1]:
+            if saw_trailer:
+                raise ParseError("content after the boundaries line", number)
+            try:
+                record = loads_strict(raw)
+            except ParseError as exc:
+                raise ParseError(f"malformed line: {exc}", number) from exc
+            if not isinstance(record, dict):
+                raise ParseError("expected a JSON object", number)
+            try:
+                if "boundaries" in record:
+                    boundaries = [_number(b, "boundary") for b in record["boundaries"]]
+                    masses = [_number(m, "mass") for m in record.get("masses", [])]
+                    saw_trailer = True
+                    continue
+                t_i = _number(record["t"], "position t")
+                w_i = _number(record["w"], "weight w")
+                k_i = _integer(record["k"], "level k")
+                j_i = _integer(record["j"], "source j")
+                m_i = _integer(record["m"], "repetition m")
+            except KeyError as exc:
+                raise ParseError(f"atom line missing key {exc}", number) from exc
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"malformed line: {exc}", number) from exc
+        if t_i <= previous:
             raise ParseError(
-                f"atom positions must strictly increase ({t_i} after {t[-1]})",
+                f"atom positions must strictly increase ({t_i} after {previous})",
                 number,
             )
+        previous = t_i
         t.append(t_i)
         w.append(w_i)
         level.append(k_i)
@@ -484,7 +524,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             total_mass_by_level=masses,
             growth_name=header.get("growth", "2^k"),
         )
-    except DomainError as exc:
+    except (DomainError, OverflowError) as exc:  # an integer beyond int64
         raise ParseError(str(exc)) from exc
     # The structure both builders give: one boundary and one cumulative mass
     # per level, and each level-k atom above T_{k-1} and below T_k.
@@ -509,6 +549,13 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
         i = cuts[-1]
         raise ParseError(f"atom {i + 1} (t={t[i]!r}) has level k={level[i]}, "
                          f"but its position lies past level {levels}")
+    # Both builders give level k the mass masses[k-1] exactly, up to the
+    # point-mass weights' own tolerance and rounding.
+    for k, mass in enumerate(masses, start=1):
+        total = math.fsum(w[:cuts[k]])
+        if not abs(total - mass) <= MASS_TOL * total:
+            raise ParseError(f"the atoms through level {k} weigh {total!r}, "
+                             f"but the trailer gives mass {mass!r}")
     return lam
 
 

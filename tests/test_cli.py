@@ -248,6 +248,25 @@ class TestVerifyCommands:
         assert code == 2 and out == []
         assert "header says 3 levels" in json.loads(err)["error"]
 
+    def test_verify_boundary_refuses_mismatched_masses(self, workdir, capsys):
+        # a trailer whose level masses the atoms' weights do not add up to
+        atoms = workdir / "atoms.jsonl"
+        run_cli(["build-measure", "--mu", workdir / "mu.json",
+                 "--levels", "2", "--out", atoms], capsys)
+        *rest, trailer = atoms.read_text().splitlines()
+        data = json.loads(trailer)
+        assert data["masses"] == [2.0, 10.0]
+        data["masses"] = [2.0, 11.0]
+        atoms.write_text("\n".join([*rest, json.dumps(data)]) + "\n")
+        code, out, err = run_cli(
+            ["verify-boundary", "--poly", workdir / "f.json",
+             "--atoms", atoms, "--mu", workdir / "mu.json",
+             "--out", workdir / "boundary.csv"],
+            capsys,
+        )
+        assert code == 2 and out == []
+        assert "through level 2 weigh 10.0" in json.loads(err)["error"]
+
     def test_moments(self, workdir, capsys):
         atoms = workdir / "atoms.jsonl"
         run_cli(["build-measure", "--mu", workdir / "mu.json",
@@ -268,20 +287,8 @@ class TestVerifyCommands:
         assert code == 2
 
     def test_nested_build(self, workdir, capsys):
-        seq = workdir / "seq.json"
-        seq.write_text(json.dumps({
-            "measures": [json.loads(MU_JSON), json.loads(MU_JSON)]
-        }))
-        polys = workdir / "polys.json"
-        polys.write_text(json.dumps({
-            "polynomials": [
-                {"terms": [{"alpha": [], "re": 1.0}]},
-                {"terms": [{"alpha": [1], "re": 1.0},
-                           {"alpha": [0, 1], "re": 0.5}]},
-            ]
-        }))
         code, out, _ = run_cli(
-            ["nested-build", "--mu-seq", seq, "--polys", polys,
+            ["nested-build", *nested_inputs(workdir),
              "--levels", "2", "--growth", "const:2",
              "--out", workdir / "nested.jsonl"],
             capsys,
@@ -290,6 +297,49 @@ class TestVerifyCommands:
         summary = json.loads(out[-1])
         worst = summary["key_metrics"]["worst_window_estimate_by_level"]
         assert worst[0] < 0.5 and worst[1] < 0.25
+
+
+def nested_inputs(workdir):
+    """Write a two-measure sequence and a test family; returns their flags."""
+    seq = workdir / "seq.json"
+    seq.write_text(json.dumps({
+        "measures": [json.loads(MU_JSON), json.loads(MU_JSON)]
+    }))
+    polys = workdir / "polys.json"
+    polys.write_text(json.dumps({
+        "polynomials": [
+            {"terms": [{"alpha": [], "re": 1.0}]},
+            {"terms": [{"alpha": [1], "re": 1.0},
+                       {"alpha": [0, 1], "re": 0.5}]},
+        ]
+    }))
+    return ["--mu-seq", seq, "--polys", polys]
+
+
+@pytest.mark.parametrize("kind", ["build-measure", "nested-build"])
+@pytest.mark.parametrize("growth, match", [
+    ("const:abc", "decimal integer"),
+    ("const:2.5", "decimal integer"),
+    ("const:", "decimal integer"),
+    ("const:1e3", "decimal integer"),
+    ("const:-1", "decimal integer"),
+    ("const:0", "[1, 2^53]"),
+    ("const:" + "9" * 400, "[1, 2^53]"),
+    ("linear", "unknown growth schedule"),
+])
+def test_bad_growth_exit_2(kind, growth, match, workdir, capsys):
+    # a growth factor int() refused, or one too large for the level plan's
+    # float64 counts, used to end in a traceback with exit 1
+    inputs = (["--mu", workdir / "mu.json"] if kind == "build-measure"
+              else nested_inputs(workdir))
+    out_path = workdir / "x.jsonl"
+    code, out, err = run_cli(
+        [kind, *inputs, "--levels", "2", "--growth", growth, "--out", out_path],
+        capsys,
+    )
+    assert code == 2 and out == []
+    assert match in json.loads(err)["error"]
+    assert not out_path.exists()
 
 
 class TestConfigFile:
@@ -352,6 +402,16 @@ class TestConfigFile:
         code, _, err = run_cli(["kronecker", "--config", config], capsys)
         assert code == 2
         assert "NaN" in json.loads(err)["error"]
+
+    def test_integer_past_the_digit_limit_exit_2(self, workdir, capsys):
+        # a plain ValueError from json.loads used to end in a traceback
+        config = workdir / "config.json"
+        config.write_text('{"levels": ' + "1" * 5000 + "}")
+        code, _, err = run_cli(["build-measure", "--config", config,
+                                "--mu", workdir / "mu.json", "--out", workdir / "x"],
+                               capsys)
+        assert code == 2
+        assert "invalid JSON" in json.loads(err)["error"]
 
     @pytest.mark.parametrize("budget", ["nan", "inf"])
     def test_non_finite_budget_flag_exit_2(self, budget, capsys):

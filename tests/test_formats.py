@@ -32,6 +32,11 @@ class TestStrictJson:
         with pytest.raises(ParseError):
             loads_strict(f'{{"c": {token}}}')
 
+    def test_integer_past_the_digit_limit_rejected(self):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        with pytest.raises(ParseError, match="invalid JSON"):
+            loads_strict('{"levels": ' + "1" * 5000 + "}")
+
 
 class TestMalformedStructure:
     """A missing key or a wrongly shaped entry is a ParseError, never a

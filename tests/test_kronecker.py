@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from polytorus import (
     scan_solve,
     solve,
 )
-from polytorus import kronecker
+from polytorus import kronecker, measures
 from polytorus.kronecker import (
+    _GRID,
     _GRID_MASK,
     _circle_residuals,
+    _first_jumps,
     _grid_advance,
     _implied_integers,
     _joint_gaps,
@@ -32,6 +35,7 @@ from polytorus.kronecker import (
     _on_grid,
     _problem_memo,
     _return_times,
+    _rotation_hits,
     _round_up,
     _scan_search,
     _window_hits,
@@ -466,6 +470,8 @@ class TestScalarAcceptPath:
         for problem, backend in cases:
             _problem_memo.cache_clear()
             _grid_advance.cache_clear()
+            _first_jumps.cache_clear()
+            _joint_gaps.cache_clear()
             alone.append(outcome(problem, backend))
         order = rng.permutation(len(cases)).tolist() * 2
         for i in order:
@@ -650,25 +656,37 @@ class TestJointGaps:
             tests = _lattice_search(later)._prefilter(budget)
             hits = first_window_then_filter(tests, budget)
             assert list(_window_hits(tests, budget, -1)) == hits
-            rotations = [_on_grid(*test, budget) for test in tests]
+            rotations = grid_rotations(tests, budget)
             span, _ = _joint_gaps(tuple(a for _, a, _ in rotations),
                                   tuple(_round_up(w) for _, _, w in rotations))
             # some consecutive joint hits lie further apart than the span
             assert max(b - a for a, b in zip(hits, hits[1:])) > span
 
-    @pytest.mark.parametrize("d, depth", [(3, 5), (4, 3)])
-    def test_chained_solves_warm_memo_equal_cold(self, d, depth, cold_memos):
+    @pytest.mark.parametrize("d, depth", [(2, 4), (2, 7), (3, 5), (4, 3)])
+    def test_chained_solves_warm_memo_equal_cold(self, d, depth, cold_memos,
+                                                 monkeypatch):
         # Three targets in turn, each solve starting one scan step after the
         # previous solution, as the builders do: the same reprs whether the
         # memo holds each target's last solution or is cleared every time.
+        # With one filtered window (d = 2) a warm solve starts its walk at
+        # the anchor, so only each target's first solve searches from 0.
         rng = np.random.default_rng(74 + d)
         basis, k, eps = PrimeBasis(d), min(d, depth), 2.0 ** -depth
         targets = [tuple(float(g) for g in rng.uniform(0, TWO_PI, size=k))
                    for _ in range(3)]
         step = scan_step(basis, depth)
+        rescans = []
+        rescan = kronecker._rescan
+
+        def counted(*args):
+            rescans.append(args)
+            return rescan(*args)
+
+        monkeypatch.setattr(kronecker, "_rescan", counted)
 
         def chain(clear):
             out, t = [], 0.0
+            rescans.clear()
             for _ in range(12):
                 for omega in targets:
                     if clear:
@@ -676,10 +694,105 @@ class TestJointGaps:
                     sol = solve(KroneckerProblem(basis, k, omega, eps, t))
                     out.append(repr(sol))
                     t = sol.t + step
-            return out
+            return out, len(rescans)
 
-        warm = chain(False)
+        warm, warm_rescans = chain(False)
         assert _problem_memo.cache_info().currsize == 3
         assert all(anchor_of(KroneckerProblem(basis, k, omega, eps)) is not None
                    for omega in targets)
-        assert warm == chain(True)
+        cold, cold_rescans = chain(True)
+        assert warm == cold
+        if d == 2:
+            assert warm_rescans == 3 and cold_rescans >= 36
+
+    def test_build_warm_memo_equals_cold(self, cold_memos, monkeypatch):
+        # A d = 2, K = 5 build, every solve of which but the first of each
+        # level and source starts from an anchor, against the same build
+        # with every memo cleared before each solve.
+        mu = TorusPointMassMeasure([((0.9, 2.2), 0.4), ((3.3, 0.4), 0.6)])
+        growth = GrowthSchedule.constant(3)
+        first = build_point_mass_lambda(mu, 5, growth)
+        warm = build_point_mass_lambda(mu, 5, growth)
+
+        def cold_solve(problem, budget):
+            _problem_memo.cache_clear()
+            _first_jumps.cache_clear()
+            return solve(problem, budget)
+
+        monkeypatch.setattr(measures, "solve", cold_solve)
+        cold = build_point_mass_lambda(mu, 5, growth)
+        assert len(cold) == 2 * 768
+        assert first == warm == cold
+
+
+def grid_hits(origin, advance, wide, start, stop):
+    """Brute force on the grid: every ``i`` in ``[start, stop)`` with
+    ``(origin + i*advance) mod 2^64 < wide``, by numpy's wrapping uint64."""
+    base = (origin + start * advance) & _GRID_MASK
+    pos = np.arange(stop - start, dtype=np.uint64) * np.uint64(advance)
+    pos += np.uint64(base)
+    return (start + np.flatnonzero(pos < np.uint64(wide))).tolist()
+
+
+class TestSingleWindowWalk:
+    BUDGET = 1 << 20
+
+    @pytest.mark.parametrize("search", [_lattice_search, _scan_search])
+    def test_anchored_walk_matches_first_window_then_filter(self, search, cold_memos):
+        # k = 2: the lattice backend's one filtered window, and the scan
+        # backend's first.  An anchor below 0 inside the widened window
+        # starts the walk there; one outside it, or at or above 0, leaves
+        # the walk to start at 0.  The hits are the same whatever the anchor.
+        # Each problem is also solved again from just below its first hit,
+        # which makes index 0 a hit.
+        rng = np.random.default_rng(80)
+        problems = []
+        for depth in (4, 6, 8):
+            problem = seeded_problem(rng, 2, 2.0 ** -depth)
+            early = search(problem)
+            first = first_window_then_filter(early._prefilter(self.BUDGET)[:1],
+                                             self.BUDGET)[0]
+            problems += [problem, KroneckerProblem(problem.basis, 2, problem.targets,
+                                                   problem.eps,
+                                                   early.time_of(max(first - 1, 0)))]
+        used, starts = 0, set()
+        for problem in problems:
+            tests = search(problem)._prefilter(self.BUDGET)[:1]
+            (origin, advance, wide), = grid_rotations(tests, self.BUDGET)
+            expected = first_window_then_filter(tests, self.BUDGET)
+            assert expected == grid_hits(origin, advance, wide, 0, self.BUDGET)
+            starts.add(expected[0])
+            below = grid_hits(origin, advance, wide, -20000, 0)
+            outside = sorted(set(range(-20000, 0)) - set(below))
+            assert len(below) >= 3 and outside
+            anchors = [below[0], below[len(below) // 2], below[-1], *outside[-3:],
+                       outside[0], 0, expected[0], expected[-1], expected[-1] + 1]
+            for anchor in anchors:
+                walk = _window_hits(tests, self.BUDGET, anchor)
+                assert list(walk) == expected, anchor
+            used += len(below)
+        assert used >= 40 and 0 in starts
+
+    def test_rounded_walk_yields_the_exact_window(self):
+        # The walk jumps between hits of the window rounded up to its leading
+        # 6 bits and yields the hits of the exact window, from 0 or from a
+        # negative start inside it, whatever the step: irrational-looking,
+        # within a few grid units of p/q, or exactly p/q.
+        rng = random.Random(81)
+        budget = 1 << 14
+        for trial in range(240):
+            q = rng.randint(1, 12)
+            p = rng.randrange(q)
+            advance = [rng.getrandbits(64),
+                       (p * _GRID // q + rng.randint(-1 << 20, 1 << 20)) % _GRID,
+                       p * _GRID // q][trial % 3]
+            wide = int(_GRID * 10.0 ** rng.uniform(-3.5, -0.3)) | 1
+            assert _round_up(wide) > wide
+            origin = rng.getrandbits(64)
+            expected = grid_hits(origin, advance, wide, 0, budget)
+            rotations = [(origin, advance, wide)]
+            assert list(_rotation_hits(rotations, 0, budget)) == expected
+            below = grid_hits(origin, advance, wide, -2000, 0)
+            if below:
+                start = below[rng.randrange(len(below))]
+                assert list(_rotation_hits(rotations, start, budget)) == expected

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from polytorus import (
     CapacityError,
     DomainError,
     GrowthSchedule,
+    NestedConstructionPlan,
     ParseError,
     PrimeBasis,
     DirichletPolynomial,
@@ -20,6 +22,7 @@ from polytorus import (
     WindowRepresentationError,
     atoms_from_bytes,
     atoms_to_bytes,
+    build_nested_lambda,
     build_point_mass_lambda,
     empty_measure,
     load_atoms,
@@ -55,6 +58,11 @@ class TestGrowthSchedule:
             GrowthSchedule.parse("fibonacci")
         with pytest.raises(DomainError):
             GrowthSchedule.constant(0)
+        for text in ("const:abc", "const:2.5", "const:", "const:1e3", "const:٣"):
+            with pytest.raises(DomainError, match="decimal integer"):
+                GrowthSchedule.parse(text)
+        with pytest.raises(DomainError, match=r"\[1, 2\^53\]"):
+            GrowthSchedule.parse("const:" + "9" * 400)
 
 
 class TestPointMassMeasure:
@@ -360,7 +368,7 @@ class TestAtomFiles:
 
     @staticmethod
     def _two_level_stream(levels=2, ks=(1, 1, 2), boundaries=(3.0, 5.0),
-                          masses=(1.0, 2.0)):
+                          masses=(1.0, 1.5)):
         header = {"format": "lambda-atoms", "version": 1, "growth": "2^k",
                   "levels": levels}
         if levels is None:
@@ -402,6 +410,100 @@ class TestAtomFiles:
     def test_inconsistent_structure_rejected(self, change, message):
         with pytest.raises(ParseError, match=message):
             atoms_from_bytes(self._two_level_stream(**change))
+
+    @pytest.mark.parametrize("masses, message", [
+        ((7.0, 1.5), "through level 1 weigh 1.0, but the trailer gives mass 7.0"),
+        ((1.0, 2.0), "through level 2 weigh 1.5, but the trailer gives mass 2.0"),
+        ((1.0 + 3e-12, 1.5), "through level 1 weigh 1.0"),
+        ((1.0, 1.5 * (1.0 - 3e-12)), "through level 2 weigh 1.5"),
+    ])
+    def test_level_masses_must_match_the_weights(self, masses, message):
+        # a trailer of masses [7.0] over atoms weighing 1.0 used to load
+        with pytest.raises(ParseError, match=message):
+            atoms_from_bytes(self._two_level_stream(masses=masses))
+
+    def test_level_masses_within_tolerance_load(self):
+        for masses in ((1.0 + 1e-12, 1.5), (1.0, 1.5 * (1.0 - 1e-12))):
+            lam = atoms_from_bytes(self._two_level_stream(masses=masses))
+            assert lam.total_mass_by_level == masses
+
+    @pytest.mark.parametrize("line, message", [
+        # a repeated key used to keep its last value: this loaded as level 1
+        ('{"t": 1.0, "w": 0.5, "k": 5, "k": 1, "j": 1, "m": 1}', "duplicate key 'k'"),
+        ('{"t": 1.0, "w": true, "k": 1, "j": 1, "m": 1}', "weight w must be a number"),
+        ('{"t": "1.5", "w": 0.5, "k": 1, "j": 1, "m": 1}', "position t must be a number"),
+        ('{"t": 1.0, "w": 0.5, "k": 1, "j": 1, "m": 1, "x": 1}', None),
+        ('{"t": 1.0, "w": 0.5, "k": 1, "j": 1, "m": 1} x', "invalid JSON"),
+        ('{"boundaries": [true], "masses": [0.5]}', "boundary must be a number"),
+        ('{"boundaries": [2.0], "masses": ["0.5"]}', "mass must be a number"),
+        # past int()'s digit limit: a ValueError traceback before
+        ('{"t": 1.0, "w": 0.5, "k": 1, "j": ' + "1" * 5000 + ', "m": 1}',
+         "invalid JSON"),
+    ])
+    def test_strict_lines(self, line, message):
+        header = json.dumps({"format": "lambda-atoms", "version": 1,
+                             "growth": "2^k", "levels": 1})
+        blob = f"{header}\n{line}\n".encode()
+        if message is None:  # an extra key is allowed, as json.loads allows it
+            assert atoms_from_bytes(blob + b'{"boundaries": [2.0], "masses": [0.5]}\n')
+            return
+        with pytest.raises(ParseError, match=f"line 2: .*{re.escape(message)}"):
+            atoms_from_bytes(blob)
+
+    @pytest.mark.parametrize("j", [2**63, -(2**63) - 1, 10**30])
+    def test_integer_beyond_int64_refused(self, j):
+        # an OverflowError traceback before
+        with pytest.raises(ParseError, match="too large|out of bounds"):
+            atoms_from_bytes(self._two_level_stream().replace(
+                b'"j": 1', f'"j": {j}'.encode(), 1))
+
+    @given(
+        st.lists(st.floats(0.0, 1e300), unique=True, min_size=1, max_size=12).map(sorted),
+        st.lists(st.floats(5e-324, 1e300), min_size=12, max_size=12),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=24, max_size=24),
+    )
+    @example([0.0, 1e-300, 12.5], [5e-324, 1e300, 1.0], [2**63 - 1] * 24)
+    @example([1e22, 1e23], [1e-7, 123456789.0], [-(2**63)] * 24)
+    @settings(max_examples=200, deadline=None)
+    def test_encoder_lines_and_strict_lines_agree(self, t, w, ints):
+        # the encoder's lines take the regular-expression path; the same atoms
+        # written compactly and with reordered keys take the strict JSON
+        # path; both give the measure that was written
+        n = len(t)
+        lam = AtomicLineMeasure(t, w[:n], [1] * n, ints[:n], ints[12:12 + n],
+                                level_boundaries=[t[-1] * 2.0 + 1.0],
+                                total_mass_by_level=[math.fsum(w[:n])])
+        blob = atoms_to_bytes(lam)
+        head, *atoms, trailer = blob.decode().splitlines()
+        strict = [json.dumps(dict(reversed(json.loads(a).items())),
+                             separators=(",", ":")) for a in atoms]
+        mixed = [a if i % 2 else b for i, (a, b) in enumerate(zip(atoms, strict))]
+        for lines in (atoms, strict, mixed):
+            text = "\n".join([head, *lines, trailer]) + "\n"
+            assert atoms_from_bytes(text.encode()) == lam
+
+
+class TestBuiltFilesLoad:
+    """Both builders' files pass the load-time checks, the level masses too."""
+
+    @pytest.mark.parametrize("atoms, levels", [
+        ([((0.7, 2.9, 5.1), 1.0)], 4),
+        ([((0.9, 2.2, 4.1), 0.2), ((3.3, 0.4, 5.7), 0.5), ((1.1, 6.0, 2.4), 0.3)], 4),
+        # weights summing to 1 - 1e-12, the edge of what a point mass allows
+        ([((0.9, 2.2), 0.5), ((3.3, 0.4), 0.5 - 0.999e-12)], 5),
+    ])
+    def test_point_mass_builds(self, atoms, levels):
+        lam = build_point_mass_lambda(TorusPointMassMeasure(atoms), levels)
+        assert atoms_from_bytes(atoms_to_bytes(lam)) == lam
+
+    def test_nested_build(self):
+        mu = TorusPointMassMeasure([((0.8, 2.1), 0.3), ((3.6, 0.4), 0.7)])
+        basis = PrimeBasis(2)
+        polys = [TorusPolynomial({(): 1.0, (1,): 1.0}, basis),
+                 TorusPolynomial({(1,): 0.5, (0, 1): 1.0}, basis)]
+        lam, _ = build_nested_lambda(NestedConstructionPlan([mu] * 2, polys), 3,
+                                     GrowthSchedule.constant(2))
+        assert atoms_from_bytes(atoms_to_bytes(lam)) == lam
 
 
 class TestAtomicLineMeasureValidation:
