@@ -13,8 +13,9 @@ Point-mass measures:
 Parsing rejects duplicate JSON keys, non-finite numbers, duplicate term
 entries, explicit zero coefficients, and missing or mistyped fields; integer
 fields (``n``, ``alpha`` entries, ``dim``, ``basis_dim``) must be JSON
-integers, so ``2.7``, ``"3"`` and ``true`` are errors, not truncated; writers
-emit floats exactly (shortest round-trip repr).
+integers, so ``2.7``, ``"3"`` and ``true`` are errors, not truncated; number
+fields (``re``, ``im``, ``theta`` entries, ``c``) must be JSON numbers, and
+lists JSON arrays; writers emit floats exactly (shortest round-trip repr).
 """
 
 from __future__ import annotations
@@ -93,8 +94,16 @@ def _number(value, label: str) -> float:
     return float(value)
 
 
+def _array(value, label: str) -> list:
+    """``value`` when it is a JSON array; an object or a string is refused."""
+    if type(value) is not list:
+        raise ParseError(f"{label} must be an array, got {value!r}")
+    return value
+
+
 def _term_coefficient(entry, label) -> complex:
-    coeff = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+    coeff = complex(_number(entry.get("re", 0.0), f"re of {label}"),
+                    _number(entry.get("im", 0.0), f"im of {label}"))
     if coeff == 0:
         raise ParseError(f"zero coefficient for {label} is not stored")
     return coeff
@@ -115,7 +124,7 @@ def dirichlet_from_json(text) -> tuple[DirichletPolynomial, PrimeBasis]:
         raise ParseError("expected an object with a 'terms' list")
     basis = PrimeBasis(_integer(data.get("basis_dim", 1), "basis_dim"))
     terms: dict[int, complex] = {}
-    for entry in data["terms"]:
+    for entry in _array(data["terms"], "terms"):
         n = _integer(entry["n"], "frequency n")
         if n in terms:
             raise ParseError(f"duplicate frequency {n}")
@@ -149,13 +158,13 @@ def _point_mass_from_data(data) -> TorusPointMassMeasure:
         raise ParseError("expected an object with 'dim' and 'atoms'")
     dim = _integer(data["dim"], "dim")
     atoms = []
-    for entry in data["atoms"]:
-        theta = [float(x) for x in entry["theta"]]
+    for entry in _array(data["atoms"], "atoms"):
+        theta = [_number(x, "angle theta") for x in _array(entry["theta"], "theta")]
         if len(theta) != dim:
             raise ParseError(
                 f"atom has {len(theta)} angles but dim is {dim}"
             )
-        atoms.append((theta, float(entry["c"])))
+        atoms.append((theta, _number(entry["c"], "weight c")))
     return TorusPointMassMeasure(atoms, dimension=dim)
 
 
@@ -170,15 +179,17 @@ def measure_sequence_from_json(text) -> list[TorusPointMassMeasure]:
     data = loads_strict(text)
     if not isinstance(data, dict) or "measures" not in data:
         raise ParseError("expected an object with a 'measures' list")
-    return [_point_mass_from_data(entry) for entry in data["measures"]]
+    return [_point_mass_from_data(entry)
+            for entry in _array(data["measures"], "measures")]
 
 
 def _torus_from_data(data) -> TorusPolynomial:
     if not isinstance(data, dict) or "terms" not in data:
         raise ParseError("expected an object with a 'terms' list")
     terms: dict[MultiIndex, complex] = {}
-    for entry in data["terms"]:
-        alpha = MultiIndex([_integer(e, "alpha entry") for e in entry["alpha"]])
+    for entry in _array(data["terms"], "terms"):
+        alpha = MultiIndex([_integer(e, "alpha entry")
+                            for e in _array(entry["alpha"], "alpha")])
         if alpha in terms:
             raise ParseError(f"duplicate index {alpha.exponents}")
         terms[alpha] = _term_coefficient(entry, f"index {alpha.exponents}")
@@ -193,4 +204,5 @@ def polynomial_family_from_json(text) -> list[TorusPolynomial]:
     data = loads_strict(text)
     if not isinstance(data, dict) or "polynomials" not in data:
         raise ParseError("expected an object with a 'polynomials' list")
-    return [_torus_from_data(entry) for entry in data["polynomials"]]
+    return [_torus_from_data(entry)
+            for entry in _array(data["polynomials"], "polynomials")]

@@ -48,20 +48,27 @@ meets about one joint hit, its answer, so it uses the first walk alone, and
 so does the scan backend.
 
 Each problem ``(basis, k, targets, eps)`` has one bounded memo entry, its
-resumable search: what its solves share whatever ``t_min`` (its logs and
-reduced targets, the lattice ratios and each backend's steps) and the
-lattice integer of its last lattice solution, the anchor.  The grid
-advances are memoized by step, and the walks' jumps and joint gaps by grid
-advance and by window width rounded up to its leading bits, so the solves of
-a problem share them too; a solve computes only its first candidate, its
-pre-filter constants and its grid origins.  A later lattice solve of the problem starts its walk at
-the anchor when that lies below the solve's first candidate and inside every
-widened window of the solve's own grid: with one filtered window it walks
-the first window's jumps from there, with more it steps by joint gaps, and
-either way it steps over the hits below its first candidate instead of
-searching forward for its first hit.  The anchor only decides where the
-walk starts; the indices walked, and so every solution, are the same
-whatever the memo holds.
+resumable search, which the :class:`KroneckerProblem` keeps from its
+construction.  Building the entry checks everything about the problem that
+ignores ``t_min``, once; a problem then checks only ``t_min``, and an
+invalid one is checked in full, in order, and never cached.  The entry holds
+what the solves share whatever ``t_min``: the logs and reduced targets;
+per backend and filtered coordinate, where candidate 0's angle sits as a
+function of the solve's shift, the angle step and its grid advance; the
+walks' tables (jumps, span, joint gaps) per set of window widths rounded up
+to their leading bits; and the lattice integer of the last lattice
+solution, the anchor.  A solve computes its first candidate, and then, in
+one pass over the coordinates, its pre-filter constants and grid windows.
+A later lattice solve of the problem starts its walk at the anchor when
+that lies below the solve's first candidate, at most the span (``8`` mean
+return times to the box of every window) below it, and inside every widened
+window of the solve's own grid: with one filtered window it walks the first
+window's jumps from there, with more it steps by joint gaps, and either way
+it steps over the hits below its first candidate instead of searching
+forward for its first hit.  A farther anchor would make the walk visit
+every hit in between, so the walk starts at the first candidate.  The
+anchor only decides where the walk starts; the indices walked, and so every
+solution, are the same whatever the memo holds.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the pre-filter's by a bound on the
@@ -77,11 +84,12 @@ solutions.
 
 A build makes one solve per atom, mostly shallow ones, so the fixed work of a
 solve is kept small.  The set-up and the accept path (candidate time,
-residual recheck, implied integers) run in Python floats, one coordinate at
-a time, with the IEEE operations of the numpy forms in the same order; the
-numpy :func:`residuals` stays the public form, and the budget error's
-vectorized search still uses it.  When a fresh walk's first hit lies within
-a short span it is found by a Python integer loop instead of a numpy pass.
+residual recheck, implied integers in the same loop) run in Python floats,
+one coordinate at a time, with the IEEE operations of the numpy forms in the
+same order; the numpy :func:`residuals` stays the public form, and the
+budget error's vectorized search still uses it.  When a fresh walk's first
+hit lies within a short span it is found by a Python integer loop instead of
+a numpy pass.
 """
 
 from __future__ import annotations
@@ -142,7 +150,11 @@ def residuals(basis: PrimeBasis, k: int, t, targets) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KroneckerProblem:
-    """Targets, tolerance, and lower bound for one approximation instance."""
+    """Targets, tolerance, and lower bound for one approximation instance.
+
+    A problem keeps, as ``_memo``, the :class:`_ProblemMemo` of its basis,
+    ``k``, targets and ``eps``, which its solves use.
+    """
 
     basis: PrimeBasis
     k: int
@@ -151,31 +163,58 @@ class KroneckerProblem:
     t_min: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.k <= self.basis.dimension:
-            raise DimensionError(
-                f"active dimension {self.k} not in [1, {self.basis.dimension}]"
-            )
-        if not 0.0 < self.eps < math.pi:
-            raise DomainError(f"eps must lie in (0, pi), got {self.eps}")
-        if not 0.0 <= self.t_min < math.inf:
-            raise DomainError(f"t_min must be finite and >= 0, got {self.t_min}")
-        # Float64 times near t_min are ulp(t_min) apart, so their angles on the
-        # k-th prime step by ulp(t_min) * log p_k, and each computed angle is
-        # off by about as much.  Once that reaches eps, a residual below eps is
-        # rounding, not approximation: no candidate could be certified.
-        resolution = math.ulp(self.t_min) * float(self.basis.logs[self.k - 1])
-        if not resolution < self.eps:
-            raise DomainError(f"float64 cannot resolve eps={self.eps} at t_min="
-                              f"{self.t_min} (angle step {resolution:.3g})")
-        raw = tuple(float(g) for g in self.targets)
-        if not all(map(math.isfinite, raw)):
-            raise DomainError(f"targets must be finite, got {raw}")
-        canonical = tuple(g % TWO_PI for g in raw)
-        if len(canonical) != self.k:
-            raise DomainError(f"expected {self.k} targets, got {len(canonical)}")
-        object.__setattr__(self, "targets", canonical)
-        object.__setattr__(self, "eps", float(self.eps))
+        # What ignores t_min is checked once per (dimension, k, targets as
+        # floats, eps), when the problem's memo is built; a problem then
+        # checks only t_min.  An invalid problem, a k that is not an int, or
+        # an eps that does not hash is checked again in full, in order, so
+        # that every input raises what it raised before the memo; failures
+        # are never cached.
+        targets = self.targets
+        try:
+            targets = tuple(targets)
+            if type(self.k) is not int:
+                raise TypeError("k is not an int")
+            memo = _problem_memo(self.basis.dimension, self.k,
+                                 tuple(map(float, targets)), self.eps)
+        except Exception:
+            raw = _checked_targets(self.basis, self.k, targets, self.eps, self.t_min)
+            memo = _problem_memo(self.basis.dimension, self.k, raw, float(self.eps))
+        else:
+            _check_t_min(self.t_min, self.eps, memo.logs, self.k)
+        object.__setattr__(self, "targets", memo.targets)
+        object.__setattr__(self, "eps", memo.eps)
         object.__setattr__(self, "t_min", float(self.t_min))
+        object.__setattr__(self, "_memo", memo)
+
+
+def _check_t_min(t_min, eps, logs, k) -> None:
+    if not 0.0 <= t_min < math.inf:
+        raise DomainError(f"t_min must be finite and >= 0, got {t_min}")
+    # Float64 times near t_min are ulp(t_min) apart, so their angles on the
+    # k-th prime step by ulp(t_min) * log p_k, and each computed angle is
+    # off by about as much.  Once that reaches eps, a residual below eps is
+    # rounding, not approximation: no candidate could be certified.
+    resolution = math.ulp(t_min) * float(logs[k - 1])
+    if not resolution < eps:
+        raise DomainError(f"float64 cannot resolve eps={eps} at t_min="
+                          f"{t_min} (angle step {resolution:.3g})")
+
+
+def _checked_targets(basis, k, targets, eps, t_min=None) -> tuple[float, ...]:
+    """The targets as floats, after every check on a problem in order;
+    ``t_min=None`` leaves out the checks on ``t_min``."""
+    if not 1 <= k <= basis.dimension:
+        raise DimensionError(f"active dimension {k} not in [1, {basis.dimension}]")
+    if not 0.0 < eps < math.pi:
+        raise DomainError(f"eps must lie in (0, pi), got {eps}")
+    if t_min is not None:
+        _check_t_min(t_min, eps, basis.logs, k)
+    raw = tuple(float(g) for g in targets)
+    if not all(map(math.isfinite, raw)):
+        raise DomainError(f"targets must be finite, got {raw}")
+    if len(raw) != k:
+        raise DomainError(f"expected {k} targets, got {len(raw)}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -191,74 +230,100 @@ class KroneckerSolution:
 
 class _Lines:
     """One backend's candidate lines over one problem, apart from where they
-    start: per filtered coordinate, ``steps``, the angle step per candidate
-    in radians, and ``turns``, the same in turns."""
+    start.
 
-    __slots__ = ("method", "steps", "turns")
+    ``coordinates`` holds, per filtered coordinate, ``(origin, slope, step,
+    turns, advance)``: the angle of candidate ``i`` in radians is ``origin +
+    shift*slope - i*step`` modulo 2*pi up to rounding, ``shift`` being the
+    solve's (see :class:`_LinearSearch`); ``turns`` is ``step`` in turns and
+    ``advance`` its negation on the 2^-64 grid; ``advances`` lists the
+    advances.  ``tables`` maps the walked widths of a solve's windows (see
+    :func:`_round_up`) to their :class:`_Tables`, so that a solve finds them
+    by one lookup.
+    """
 
-    def __init__(self, method, steps):
+    __slots__ = ("method", "coordinates", "advances", "tables")
+
+    def __init__(self, method, origins, slopes, steps):
         self.method = method
-        self.steps = steps
-        self.turns = [step / TWO_PI for step in steps]
+        self.coordinates = []
+        for origin, slope, step in zip(origins, slopes, steps):
+            turns = step / TWO_PI
+            self.coordinates.append((origin, slope, step, turns, _grid_advance(turns)))
+        self.advances = tuple(c[-1] for c in self.coordinates)
+        self.tables = {}
 
 
 class _ProblemMemo:
     """One problem's resumable search: what its solves share, whatever
     ``t_min``.
 
-    ``logs`` and ``reduced`` are ``log p_r`` and ``theta_r mod 2*pi`` for
-    ``r < k`` as Python floats; the targets are reduced again, as
-    :func:`residuals` reduces its argument.  ``beta`` holds the lattice
-    ratios ``log p_r / log p_k`` for ``r < k - 1``, ``delta`` the scan step
-    in ``t``, and ``lattice`` and ``scan`` the backends' :class:`_Lines`.
-    ``anchor`` is the lattice integer of the problem's last lattice
-    solution, or ``None``.  A solve adds only what depends on ``t_min``:
-    the first candidate, the pre-filter constants and the grid origins.
+    Building it checks everything about the problem that ignores ``t_min``.
+    ``targets`` and ``eps`` are the problem's canonical fields; ``logs`` and
+    ``reduced`` are ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as
+    Python floats, the targets reduced again as :func:`residuals` reduces its
+    argument.  ``delta`` is the scan step in ``t``, and ``lattice`` and
+    ``scan`` the backends' :class:`_Lines`.  ``anchor`` is the lattice
+    integer of the problem's last lattice solution, or ``None``.
     """
 
-    __slots__ = ("logs", "reduced", "beta", "delta", "lattice", "scan", "anchor")
+    __slots__ = ("targets", "eps", "logs", "reduced", "delta", "lattice", "scan",
+                 "anchor")
 
-    def __init__(self, dimension: int, k: int, targets, eps: float):
-        logs = tuple(PrimeBasis(dimension).logs[:k].tolist())
+    def __init__(self, dimension: int, k: int, targets, eps):
+        basis = PrimeBasis(dimension)
+        raw = _checked_targets(basis, k, targets, eps)
+        self.targets = tuple(g % TWO_PI for g in raw)
+        self.eps = float(eps)
+        logs = tuple(basis.logs[:k].tolist())
         self.logs = logs
-        self.reduced = tuple(g % TWO_PI for g in targets)
-        self.beta = [log / logs[-1] for log in logs[:-1]]
-        self.delta = eps / (2.0 * logs[-1])
-        self.lattice = _Lines("lattice", [TWO_PI * b for b in self.beta])
-        self.scan = _Lines("scan", [self.delta * log for log in logs])
+        self.reduced = tuple(g % TWO_PI for g in self.targets)
+        self.delta = self.eps / (2.0 * logs[-1])
+        # Lattice ratios log p_r / log p_k against the lattice shift
+        # -2*pi*q0; the scan's logs against its shift -(t_min + delta).
+        beta = [log / logs[-1] for log in logs[:-1]]
+        theta = self.targets[-1]
+        self.lattice = _Lines("lattice",
+                              [theta * b - g for b, g in zip(beta, self.targets)],
+                              beta, [TWO_PI * b for b in beta])
+        self.scan = _Lines("scan", [-g for g in self.targets], logs,
+                           [self.delta * log for log in logs])
         self.anchor = None
 
 
 @functools.lru_cache(maxsize=256)
-def _problem_memo(dimension: int, k: int, targets, eps: float) -> _ProblemMemo:
+def _problem_memo(dimension: int, k: int, targets, eps) -> _ProblemMemo:
     """The :class:`_ProblemMemo` of a problem, keyed by what ignores
     ``t_min``, so the solves of one level share it.  The key holds the
-    basis by its dimension, an int, which hashes without a Python call."""
+    basis by its dimension, an int, which hashes without a Python call, and
+    the targets as floats before they are reduced; an invalid key raises and
+    is not cached."""
     return _ProblemMemo(dimension, k, targets, eps)
 
 
-def _memo_of(problem: KroneckerProblem) -> _ProblemMemo:
-    return _problem_memo(problem.basis.dimension, problem.k, problem.targets,
-                         problem.eps)
+def _recheck(memo: _ProblemMemo, t: float, eps: float):
+    """``(residuals, q)`` of the time ``t``, or ``None`` when a residual is
+    not below ``eps``.
 
-
-def _circle_residuals(logs, reduced, t: float) -> list[float]:
-    """:func:`residuals` of one float ``t``, in Python floats.
-
-    Python's float ``%`` and ``np.mod`` both take ``fmod`` and then add the
-    modulus to a remainder of the wrong sign, so every entry has the bits of
-    the numpy form.
+    The residuals have the bits of :func:`residuals`: Python's float ``%``
+    and ``np.mod`` both take ``fmod`` and then add the modulus to a remainder
+    of the wrong sign.  ``q`` holds ``rint((-t log p_r - theta_r) / 2*pi)``
+    with the canonical targets (``round`` rounds half to even); where a
+    canonical target equals its reduction, which is everywhere but at
+    exactly 2*pi, the two share ``-t log p_r - theta_r``.
     """
-    out = []
-    for log, g in zip(logs, reduced):
-        d = (-t * log - g) % TWO_PI
-        out.append(min(d, TWO_PI - d))
-    return out
-
-
-def _implied_integers(logs, targets, t: float) -> tuple[int, ...]:
-    """``rint((-t log p_r - theta_r) / 2*pi)``; ``round`` rounds half to even."""
-    return tuple(round((-t * log - g) / TWO_PI) for log, g in zip(logs, targets))
+    res, q = [], []
+    for log, g, theta in zip(memo.logs, memo.reduced, memo.targets):
+        v = -t * log - g
+        d = v % TWO_PI
+        e = TWO_PI - d
+        if e < d:  # min(d, e), without the call
+            d = e
+        if not d < eps:
+            return None
+        res.append(d)
+        q.append(round((v if g == theta else -t * log - theta) / TWO_PI))
+    return tuple(res), tuple(q)
 
 
 def _return_times(step: int, modulus: int, width: int):
@@ -295,99 +360,135 @@ def _return_times(step: int, modulus: int, width: int):
 
 
 def _to_grid(x: float) -> int:
-    """``floor(x * 2^64) mod 2^64``, exactly: ``x`` in units of 2^-64 turns."""
-    num, den = x.as_integer_ratio()
-    return num * _GRID // den % _GRID
+    """``floor(x * 2^64) mod 2^64``, exactly: ``x`` in units of 2^-64 turns.
+    Scaling by a power of two is exact, and ``math.floor`` of a float is an
+    exact integer."""
+    return math.floor(math.ldexp(x, 64)) % _GRID
 
 
-@functools.lru_cache(maxsize=1024)
 def _grid_advance(step: float) -> int:
-    """``-step`` on the 2^-64 grid; it ignores ``t_min``, so solves share it."""
+    """``-step`` on the 2^-64 grid."""
     return -_to_grid(step) % _GRID
 
 
-def _on_grid(base: float, step: float, width: float, budget: int):
-    """One pre-filter ``frac(base - i*step) < width`` on the 2^-64 grid.
+def _on_grid(base: float, step: float, width: float, advance: int, budget: int):
+    """One pre-filter ``frac(base - i*step) < width`` on the 2^-64 grid, where
+    ``advance`` is ``-step`` on the grid.
 
     Returns ``(origin, advance, wide)``: candidate ``i`` sits at ``(origin +
     i*advance) mod 2^64`` and is inside the widened window when that is below
-    ``wide``; ``None`` when the widened window covers the whole circle.  Index
-    0's position and the step are rounded down onto the grid, which moves
-    candidate ``i`` by less than ``(i + 1) * 2^-64`` turns.  The window is
-    ``[-mu, width + mu)`` modulo 1, where ``mu`` covers that drift and the
-    float64 rounding of ``frac(base - i*step)`` for every ``i < budget``, so
-    every index whose float value lies in ``[0, width)`` is inside it.
+    ``wide``.  Index 0's position and the step are rounded down onto the
+    grid, which moves candidate ``i`` by less than ``(i + 1) * 2^-64`` turns.
+    The window is ``[-mu, width + mu)`` modulo 1, where ``mu`` covers that
+    drift and the float64 rounding of ``frac(base - i*step)`` for every
+    ``i < budget``, so every index whose float value lies in ``[0, width)``
+    is inside it.  A widened window wider than the circle is the circle:
+    every index is inside it.
     """
     mu = 4.0 * _EPS64 * (abs(base) + budget * abs(step) + 1.0)
     margin = math.ceil(math.ldexp(mu, 64)) + budget + 1
     wide = math.ceil(math.ldexp(width, 64)) + 2 * margin
-    if wide >= _GRID:
-        return None
-    return (_to_grid(base) + margin) % _GRID, _grid_advance(step), wide
+    return (_to_grid(base) + margin) % _GRID, advance, wide if wide < _GRID else _GRID
 
 
 def _round_up(width: int) -> int:
     """``width`` rounded up to its leading 6 bits, so that the slightly
-    different windows of one problem's solves share their memoized jumps
-    and joint gaps."""
-    shift = max(width.bit_length() - 6, 0)
+    different windows of one problem's solves share their tables."""
+    shift = width.bit_length() - 6
+    if shift <= 0:
+        return width
     return -(-width >> shift) << shift
 
 
-@functools.lru_cache(maxsize=64)
-def _joint_gaps(advances, wides):
-    """``(span, table)``: the joint gaps of rotations with these grid advances
-    and windows no wider than ``wides``.
+class _Tables:
+    """The walks' tables for windows with these grid advances, rounded up by
+    :func:`_round_up` to ``walked``: the first window's three-distance
+    ``jumps`` (see :func:`_first_jumps`); ``span``, ``_JOINT_SPAN`` mean
+    return times to the box (a hit of every window at once), at most
+    ``_JOINT_MAX`` indices; and the joint gaps of :func:`_joint_gaps` up to
+    the span, found when an anchored walk first needs them."""
 
-    ``table`` lists, ascending, every ``n <= span`` with ``n*advance_r``
+    __slots__ = ("advances", "walked", "jumps", "span", "gaps")
+
+    def __init__(self, advances, walked):
+        self.advances = advances
+        self.walked = walked
+        self.jumps = _first_jumps(advances[0], walked[0])
+        measure = math.prod(w / _GRID for w in walked)
+        if measure * _JOINT_MAX <= _JOINT_SPAN:
+            self.span = _JOINT_MAX
+        else:
+            self.span = int(_JOINT_SPAN / measure)
+        self.gaps = None
+
+    def joint_gaps(self):
+        if self.gaps is None:
+            self.gaps = _joint_gaps(self.advances, self.walked, self.span)
+        return self.gaps
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(advances, walked) -> _Tables:
+    """The shared :class:`_Tables` of these advances and walked widths: the
+    lattice steps depend only on ``k`` and the widths on ``eps``, so every
+    target of a build level walks with the same tables."""
+    return _Tables(advances, walked)
+
+
+def _joint_gaps(advances, wides, span: int):
+    """The joint gaps of rotations with these grid advances and windows no
+    wider than ``wides``, up to ``span``.
+
+    The table lists, ascending, every ``n <= span`` with ``n*advance_r``
     within ``wide_r`` of 0 modulo 2^64 for every ``r``, each with its shifts
     ``n*advance_r mod 2^64``.  Two hits of the box (every window at once)
     ``n`` indices apart satisfy this, so from one hit the first ``n`` of the
     table that lands is the next hit, if that lies within ``span``.  The
     table is found by the window walk itself, over the doubled windows
-    ``[-wide_r, wide_r)``.  ``span`` is ``_JOINT_SPAN`` mean return times to
-    the box, at most ``_JOINT_MAX``.
+    ``[-wide_r, wide_r)``.
     """
-    measure = math.prod(w / _GRID for w in wides)
-    if measure * _JOINT_MAX <= _JOINT_SPAN:
-        span = _JOINT_MAX
-    else:
-        span = int(_JOINT_SPAN / measure)
     doubled = [(w, a, 2 * w) for a, w in zip(advances, wides) if 2 * w < _GRID]
-    gaps = _rotation_hits(doubled, 1, span + 1) if doubled else range(1, span + 1)
-    return span, tuple((n, tuple(n * a % _GRID for a in advances)) for n in gaps)
+    if doubled:
+        tables = _Tables(tuple(a for _, a, _ in doubled),
+                         tuple(_round_up(w) for _, _, w in doubled))
+        gaps = _rotation_hits(doubled, 1, span + 1, tables)
+    else:
+        gaps = range(1, span + 1)
+    return tuple((n, tuple(n * a % _GRID for a in advances)) for n in gaps)
 
 
-def _window_hits(tests, budget: int, anchor: int | None = None):
-    """Ascending ``i < budget`` inside every pre-filter's widened window.
+def _window_hits(rotations, budget: int, anchor: int | None, tables: _Tables | None):
+    """Ascending ``i < budget`` inside every widened window of ``rotations``
+    (see :func:`_on_grid`), whose tables are ``tables``.
 
-    ``tests`` holds ``(base, step, width)`` per pre-filter (see
-    :func:`_on_grid`); every index whose float values all pass is yielded.
     ``anchor``, a negative index, only decides where the walk starts: when it
-    lies inside every widened window, the walk starts there and steps over
-    the hits below 0, by the first window's jumps (:func:`_rotation_hits`)
-    when there is one window and by joint gaps (:func:`_joint_hits`) when
-    there are more, instead of searching forward from index 0.  The indices
-    yielded are the same either way.
+    lies inside every widened window, and at most ``tables.span`` below 0
+    (``_JOINT_SPAN`` mean return times to the box, the joint gaps' span),
+    the walk starts there and steps over the hits below 0, by the first
+    window's jumps (:func:`_rotation_hits`) when there is one window and by
+    joint gaps (:func:`_joint_hits`) when there are more, instead of
+    searching forward from index 0.  From farther below it would visit every
+    hit between the anchor and 0, so it starts at 0.  The indices yielded
+    are the same either way.
     """
-    rotations = [g for g in (_on_grid(*test, budget) for test in tests) if g]
     if not rotations:
         return iter(range(budget))
-    if (anchor is not None and anchor < 0
-            and all((o + anchor * a) & _GRID_MASK < w for o, a, w in rotations)):
-        if len(rotations) == 1:
-            return _rotation_hits(rotations, anchor, budget)
-        return _joint_hits(rotations, anchor, budget)
-    return _rotation_hits(rotations, 0, budget)
+    if anchor is not None and -tables.span <= anchor < 0:
+        for o, a, w in rotations:
+            if (o + anchor * a) & _GRID_MASK >= w:
+                break
+        else:
+            if len(rotations) == 1:
+                return _rotation_hits(rotations, anchor, budget, tables)
+            return _joint_hits(rotations, anchor, budget, tables)
+    return _rotation_hits(rotations, 0, budget, tables)
 
 
-@functools.lru_cache(maxsize=1024)
 def _first_jumps(advance: int, wide: int):
     """``[(n, n*advance mod 2^64)]`` for the three-distance jumps ``n1``,
     ``n2`` and ``n1 + n2`` of one window (see :func:`_return_times`),
     ascending; with both return times the last jump reaches the window from
-    anywhere.  Memoized: the walks give it their windows rounded up by
-    :func:`_round_up`, so the solves of a problem share one entry."""
+    anywhere."""
     n1, n2 = _return_times(advance, _GRID, wide)
     jumps = sorted(n for n in (n1, n2) if n is not None)
     if len(jumps) == 2:
@@ -421,25 +522,24 @@ def _rescan(origin: int, advance: int, wide: int, start: int, stop: int, reach: 
     return stop, 0
 
 
-def _rotation_hits(rotations, start: int, stop: int):
+def _rotation_hits(rotations, start: int, stop: int, tables: _Tables):
     """Indices ``i`` in ``[max(start, 0), stop)`` with ``(origin + i*advance)
     mod 2^64 < wide`` for every rotation, ascending.  A negative ``start``
     must lie inside the first window; the walk then starts there and steps
     over the hits below 0.
 
-    The walk follows the hits of the first window rounded up by
-    :func:`_round_up`, a superset of its own hits, and yields those inside
-    the exact window.  On the grid the rotation is exact integer arithmetic
-    modulo 2^64, so the three-distance theorem applies verbatim: from one
-    hit the next is ``n1``, ``n2`` or ``n1 + n2`` indices later (see
-    :func:`_first_jumps`), and the first of those that lands is it.  The
-    first hit, and the rare case where no jump lands (a rational grid step
-    that never reaches one side), come from a forward rescan in the same
-    integer arithmetic.  The other windows are checked exactly at each hit.
+    The walk follows the hits of the first window rounded up to
+    ``tables.walked[0]``, a superset of its own hits, and yields those
+    inside the exact window.  On the grid the rotation is exact integer
+    arithmetic modulo 2^64, so the three-distance theorem applies verbatim:
+    from one hit the next is ``n1``, ``n2`` or ``n1 + n2`` indices later
+    (``tables.jumps``), and the first of those that lands is it.  The first
+    hit, and the rare case where no jump lands (a rational grid step that
+    never reaches one side), come from a forward rescan in the same integer
+    arithmetic.  The other windows are checked exactly at each hit.
     """
     (origin, advance, wide), others = rotations[0], rotations[1:]
-    walked = _round_up(wide)
-    moves = _first_jumps(advance, walked)
+    walked, moves = tables.walked[0], tables.jumps
     reach = moves[-1][0]
     i, pos = start, (origin + start * advance) & _GRID_MASK
     if pos >= walked:
@@ -464,7 +564,7 @@ def _rotation_hits(rotations, start: int, stop: int):
             i, pos = _rescan(origin, advance, walked, i + 1, stop, reach)
 
 
-def _joint_hits(rotations, anchor: int, stop: int):
+def _joint_hits(rotations, anchor: int, stop: int, tables: _Tables):
     """The indices of :func:`_rotation_hits` from 0, walked from ``anchor``,
     a negative index inside every window.
 
@@ -474,11 +574,13 @@ def _joint_hits(rotations, anchor: int, stop: int):
     next joint hit lies past the table's span, and the walk goes on as
     :func:`_rotation_hits` from there.
     """
-    wides = [w for _, _, w in rotations]
-    span, gaps = _joint_gaps(tuple(a for _, a, _ in rotations),
-                             tuple(map(_round_up, wides)))
+    span, gaps = tables.span, tables.joint_gaps()
     i = anchor
-    at = [(o + i * a) & _GRID_MASK for o, a, _ in rotations]
+    # Loops, not comprehensions: a comprehension is a function call per solve.
+    at, wides = [], []
+    for o, a, w in rotations:
+        at.append((o + i * a) & _GRID_MASK)
+        wides.append(w)
     while True:
         for n, shifts in gaps:
             for p, s, w in zip(at, shifts, wides):
@@ -487,12 +589,13 @@ def _joint_hits(rotations, anchor: int, stop: int):
             else:
                 break
         else:
-            yield from _rotation_hits(rotations, max(i + span + 1, 0), stop)
+            yield from _rotation_hits(rotations, max(i + span + 1, 0), stop, tables)
             return
         i += n
         if i >= stop:
             return
-        at = [(p + s) & _GRID_MASK for p, s in zip(at, shifts)]
+        for r, s in enumerate(shifts):
+            at[r] = (at[r] + s) & _GRID_MASK
         if i >= 0:
             yield i
 
@@ -501,84 +604,89 @@ class _LinearSearch:
     """One solve's candidates, indexed by ``i = 0, 1, ...`` with angles
     linear in ``i``.
 
-    ``lines``, one of the :class:`_Lines` of the problem's memo ``memo``,
-    holds the filtered coordinates' steps and ``base`` their angles at
-    candidate 0: coordinate ``r`` of candidate ``i`` has flow angle
-    ``base[r] - i*steps[r]`` modulo 2*pi up to rounding, which the
-    pre-filter absorbs into its slack.  (The lattice backend does not filter
-    its nailed coordinate; the exact recheck covers it.)  ``time_of(i)``
-    maps indices to times, for a Python int or an array of them, with the
-    same IEEE operations either way.  ``q0`` is the lattice integer of
-    candidate 0 for the lattice backend (candidate ``i`` is ``q0 + i``),
-    whose solves keep their last solution's integer in the memo as the next
-    solve's anchor; ``None`` for the scan.
+    ``lines`` is one of the :class:`_Lines` of the problem's memo, and
+    ``shift`` places candidate 0 on them: coordinate ``r`` of candidate ``i``
+    has flow angle ``origin[r] + shift*slope[r] - i*step[r]`` modulo 2*pi up
+    to rounding, which the pre-filter absorbs into its slack.  (The lattice
+    backend does not filter its nailed coordinate; the exact recheck covers
+    it.)  ``time_of(i)`` maps indices to times, for a Python int or an array
+    of them, with the same IEEE operations either way.  ``q0`` is the
+    lattice integer of candidate 0 for the lattice backend (candidate ``i``
+    is ``q0 + i``), whose solves keep their last solution's integer in the
+    memo as the next solve's anchor; ``None`` for the scan.
     """
 
-    __slots__ = ("problem", "memo", "lines", "base", "time_of", "q0")
+    __slots__ = ("problem", "memo", "lines", "shift", "time_of", "q0")
 
-    def __init__(self, problem, memo, lines, base, time_of, q0=None):
+    def __init__(self, problem, lines, shift, time_of, q0=None):
         self.problem = problem
-        self.memo = memo
+        self.memo = problem._memo
         self.lines = lines
-        self.base = base
+        self.shift = shift
         self.time_of = time_of
         self.q0 = q0
 
-    def _prefilter(self, budget: int):
-        """Per filtered coordinate, ``(c, s, w)`` in turns: candidate ``i`` passes
-        when ``frac(c - i*s) < w``.
+    def windows(self, budget: int):
+        """``(tests, rotations, tables)``, in one pass over the filtered
+        coordinates.
 
-        The shifted window covers eps plus slack for the float error of the
-        linear parametrization over the whole budget range, so it is a strict
-        superset of the true acceptance set.
+        ``tests`` holds each coordinate's pre-filter ``(c, s, w)`` in turns:
+        candidate ``i`` passes when ``frac(c - i*s) < w``.  The shifted
+        window covers eps plus slack for the float error of the linear
+        parametrization over the whole budget range, so it is a strict
+        superset of the true acceptance set.  ``rotations`` holds the same
+        windows widened on the grid (:func:`_on_grid`), and ``tables`` their
+        walks' tables, shared by the solves of the problem whose windows
+        round up alike; ``None`` without a filtered coordinate.
         """
-        eps = self.problem.eps
-        tests = []
-        for base, step, turns in zip(self.base, self.lines.steps, self.lines.turns):
+        eps, shift, lines = self.problem.eps, self.shift, self.lines
+        tests, rotations, walked = [], [], []
+        for origin, slope, step, turns, advance in lines.coordinates:
+            base = origin + shift * slope
             slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
-            tests.append((
-                (base + (eps + slack)) / TWO_PI,
-                turns,
-                2.0 * (eps + slack) / TWO_PI,
-            ))
-        return tests
+            c = (base + (eps + slack)) / TWO_PI
+            w = 2.0 * (eps + slack) / TWO_PI
+            tests.append((c, turns, w))
+            rotation = _on_grid(c, turns, w, advance, budget)
+            rotations.append(rotation)
+            walked.append(_round_up(rotation[2]))
+        if not rotations:
+            return tests, rotations, None
+        key = tuple(walked)
+        tables = lines.tables.get(key)
+        if tables is None:
+            tables = lines.tables[key] = _tables(lines.advances, key)
+        return tests, rotations, tables
 
     def run(self, budget: int) -> KroneckerSolution:
         problem, memo = self.problem, self.memo
-        tests = self._prefilter(budget)
+        tests, rotations, tables = self.windows(budget)
         anchor = None
         if self.q0 is not None and memo.anchor is not None:
             anchor = memo.anchor - self.q0
-        for i in _window_hits(tests, budget, anchor):
+        t_min, eps, time_of = problem.t_min, problem.eps, self.time_of
+        for i in _window_hits(rotations, budget, anchor, tables):
             # The pre-filter in Python floats: the same IEEE operations, in
-            # the same order, as a vectorized pass would perform.
-            x = float(i)
+            # the same order, as a vectorized pass would perform (i * s
+            # converts i to a float first).
             for c, s, w in tests:
-                u = c - x * s
+                u = c - i * s
                 if not u - math.floor(u) < w:
                     break
             else:
-                t_cand = self.time_of(i)
-                if not t_cand > problem.t_min:
-                    continue
-                res = _circle_residuals(memo.logs, memo.reduced, t_cand)
-                if max(res) < problem.eps:
+                t = time_of(i)
+                if t > t_min and (found := _recheck(memo, t, eps)) is not None:
                     if self.q0 is not None:
                         memo.anchor = self.q0 + i
-                    return KroneckerSolution(
-                        t=t_cand,
-                        residuals=tuple(res),
-                        q=_implied_integers(memo.logs, problem.targets, t_cand),
-                        steps=i + 1,
-                        method=self.lines.method,
-                    )
-        raise BudgetExhaustedError(budget, *self._best_candidate(tests, budget))
+                    return KroneckerSolution(t, *found, i + 1, self.lines.method)
+        raise BudgetExhaustedError(budget, *self._best_candidate(rotations, tables,
+                                                                 budget))
 
-    def _best_candidate(self, tests, budget: int):
+    def _best_candidate(self, rotations, tables, budget: int):
         """The smallest worst residual among the first window's hits, found by
         walking again; among all candidates when there was no hit."""
         problem = self.problem
-        hits = _window_hits(tests[:1], budget)
+        hits = _rotation_hits(rotations[:1], 0, budget, tables) if rotations else iter(())
         first = next(hits, None)
         if first is None:
             candidates = iter(range(budget))
@@ -595,25 +703,25 @@ class _LinearSearch:
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
 
 
-# The set-ups below run in Python floats, per coordinate, with the IEEE
-# operations of the vectorized expressions they replaced, in the same order;
-# what ignores t_min comes from the problem's memo.
+# The set-ups below run in Python floats with the IEEE operations of the
+# vectorized expressions they replaced, in the same order; what ignores t_min
+# comes from the problem's memo.
 
 def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
-    memo = _memo_of(problem)
+    memo = problem._memo
     t_min, delta = problem.t_min, memo.delta
 
     def time_of(i):
         return t_min + (i + 1.0) * delta
 
-    base = [-(t_min + delta) * log - g for log, g in zip(memo.logs, problem.targets)]
-    return _LinearSearch(problem, memo, memo.scan, base, time_of)
+    # Coordinate r of candidate 0 sits at -(t_min + delta) * log_r - theta_r.
+    return _LinearSearch(problem, memo.scan, -(t_min + delta), time_of)
 
 
 def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
-    memo = _memo_of(problem)
+    memo = problem._memo
     log_last = memo.logs[-1]
-    theta_last = problem.targets[-1]
+    theta_last = memo.targets[-1]
     q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
     while (TWO_PI * q0 - theta_last) / log_last <= problem.t_min:
         q0 += 1
@@ -622,9 +730,9 @@ def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
     def time_of(i):
         return (TWO_PI * (q0_float + i) - theta_last) / log_last
 
-    offset = TWO_PI * q0
-    base = [theta_last * b - g - offset * b for b, g in zip(memo.beta, problem.targets)]
-    return _LinearSearch(problem, memo, memo.lattice, base, time_of, q0)
+    # Coordinate r of candidate 0 sits at theta_k*beta_r - theta_r -
+    # 2*pi*q0*beta_r, with beta_r = log p_r / log p_k.
+    return _LinearSearch(problem, memo.lattice, -(TWO_PI * q0), time_of, q0)
 
 
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:

@@ -507,7 +507,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"malformed line: {exc}", number) from exc
         if t_i <= previous:
-            raise ParseError(
+            raise _overflow(lines, number) or ParseError(
                 f"atom positions must strictly increase ({t_i} after {previous})",
                 number,
             )
@@ -525,7 +525,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             growth_name=header.get("growth", "2^k"),
         )
     except (DomainError, OverflowError) as exc:  # an integer beyond int64
-        raise ParseError(str(exc)) from exc
+        raise _overflow(lines, len(lines)) or ParseError(str(exc)) from exc
     # The structure both builders give: one boundary and one cumulative mass
     # per level, and each level-k atom above T_{k-1} and below T_k.
     levels = _integer(header.get("levels"), "header levels")
@@ -557,6 +557,21 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             raise ParseError(f"the atoms through level {k} weigh {total!r}, "
                              f"but the trailer gives mass {mass!r}")
     return lam
+
+
+def _overflow(lines, stop: int) -> ParseError | None:
+    """The error for the first atom line up to line ``stop`` whose ``t`` or
+    ``w`` the regular expression read as a number beyond float64, or
+    ``None``.  The strict path refuses such numbers itself; this one is
+    looked for only once decoding has failed, so that decoding costs no
+    more."""
+    for number, raw in enumerate(lines[1:stop], start=2):
+        match = _ATOM_LINE.fullmatch(raw)
+        if match is not None:
+            for name, text in zip(("position t", "weight w"), match.groups()):
+                if not math.isfinite(float(text)):
+                    return ParseError(f"{name} {text} overflows float64", number)
+    return None
 
 
 def save_atoms(lam: AtomicLineMeasure, path) -> None:

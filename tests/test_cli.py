@@ -248,6 +248,25 @@ class TestVerifyCommands:
         assert code == 2 and out == []
         assert "header says 3 levels" in json.loads(err)["error"]
 
+    def test_verify_boundary_names_an_overflowing_line(self, workdir, capsys):
+        # a position past float64 on an atom line of the encoder's shape
+        atoms = workdir / "atoms.jsonl"
+        run_cli(["build-measure", "--mu", workdir / "mu.json",
+                 "--levels", "2", "--out", atoms], capsys)
+        lines = atoms.read_text().splitlines()
+        last = json.loads(lines[-2])
+        lines[-2] = lines[-2].replace(f'"t": {last["t"]!r}', '"t": 1e999')
+        atoms.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            ["verify-boundary", "--poly", workdir / "f.json",
+             "--atoms", atoms, "--mu", workdir / "mu.json",
+             "--out", workdir / "boundary.csv"],
+            capsys,
+        )
+        assert code == 2 and out == []
+        assert (f"line {len(lines) - 1}: position t 1e999 overflows float64"
+                in json.loads(err)["error"])
+
     def test_verify_boundary_refuses_mismatched_masses(self, workdir, capsys):
         # a trailer whose level masses the atoms' weights do not add up to
         atoms = workdir / "atoms.jsonl"

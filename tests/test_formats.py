@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polytorus import DirichletPolynomial, MultiIndex, ParseError, PrimeBasis
+from polytorus import DirichletPolynomial, DomainError, MultiIndex, ParseError, PrimeBasis
 from polytorus.formats import (
     dirichlet_from_json,
     dirichlet_to_json,
@@ -46,7 +48,7 @@ class TestMalformedStructure:
         (dirichlet_from_json,
          '{"basis_dim": 2, "terms": [{"re": 1.0, "im": 0.0}]}', "'n'"),
         (dirichlet_from_json, '{"basis_dim": 2, "terms": [7]}', "malformed"),
-        (dirichlet_from_json, '{"basis_dim": 2, "terms": 7}', "malformed"),
+        (dirichlet_from_json, '{"basis_dim": 2, "terms": 7}', "terms must be an array"),
         (dirichlet_from_json,
          '{"basis_dim": 1, "terms": [{"n": 2, "re": NaN}]}', "NaN"),
         (point_mass_from_json, '{"dim": 1, "atoms": [{"c": 1.0}]}', "'theta'"),
@@ -169,3 +171,120 @@ class TestPointMassFormat:
             ]
         }))
         assert len(family) == 2
+
+
+# Mutation tests: each parser, given a valid document with one field changed
+# to a value of another JSON type, one key repeated, or one required field
+# dropped, raises ParseError or DomainError and nothing else.
+
+VALID_DOCUMENTS = {
+    dirichlet_from_json: {"basis_dim": 2, "terms": [
+        {"n": 1, "re": 1.0, "im": 0.0}, {"n": 12, "re": 0.0, "im": 1.0},
+        {"n": 8, "re": -0.5, "im": 0.25}]},
+    point_mass_from_json: {"dim": 2, "atoms": [
+        {"theta": [0.5, 1.5], "c": 0.25}, {"theta": [3.0, 0.1], "c": 0.75}]},
+    measure_sequence_from_json: {"measures": [
+        {"dim": 1, "atoms": [{"theta": [0.0], "c": 1.0}]},
+        {"dim": 2, "atoms": [{"theta": [1.0, 2.0], "c": 0.5},
+                             {"theta": [2.0, 1.0], "c": 0.5}]}]},
+    polynomial_family_from_json: {"polynomials": [
+        {"terms": [{"alpha": [], "re": 1.0, "im": 0.0}]},
+        {"basis_dim": 3, "terms": [{"alpha": [1, 0, 2], "re": 0.5, "im": -1.0},
+                                   {"alpha": [1], "re": 0.0, "im": 2.0}]}]},
+}
+# Keys whose absence the format does not allow; re, im and basis_dim have
+# defaults.
+REQUIRED_KEYS = {"terms", "n", "alpha", "dim", "atoms", "theta", "c",
+                 "measures", "polynomials"}
+PARSERS = list(VALID_DOCUMENTS)
+
+
+def json_paths(doc, prefix=()):
+    """``(path, value)`` of every value in a JSON document, the root first."""
+    yield prefix, doc
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from json_paths(value, prefix + (key,))
+
+
+def replaced(doc, path, value):
+    if not path:
+        return value
+    copy = json.loads(json.dumps(doc))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return copy
+
+
+DROP = object()
+
+
+def other_types(value):
+    """JSON values of a type the field at ``value`` does not take: an
+    integer field refuses a float too, a number field a bool."""
+    if type(value) is int:
+        return [2.5, "3", True, None, [], {}]
+    if type(value) is float:
+        return ["0.5", True, None, [0.5], {"re": 0.5}]
+    if isinstance(value, list):
+        return ["[]", 1.0, None, {}, {"0": value[0]} if value else {"x": 1}]
+    return [[], ["x"], "x", 1, None]
+
+
+def dumps_with_repeated_key(doc, path):
+    """``doc`` as JSON text, with the first key of the object at ``path``
+    written twice."""
+    def dump(value, at):
+        if isinstance(value, dict):
+            items = [f"{json.dumps(k)}: {dump(v, at + (k,))}" for k, v in value.items()]
+            if at == path:
+                items.append(items[0])
+            return "{" + ", ".join(items) + "}"
+        if isinstance(value, list):
+            return "[" + ", ".join(dump(v, at + (i,)) for i, v in enumerate(value)) + "]"
+        return json.dumps(value)
+    return dump(doc, ())
+
+
+class TestParserMutations:
+    @pytest.mark.parametrize("parse", PARSERS, ids=lambda p: p.__name__)
+    def test_valid_documents_parse(self, parse):
+        parse(json.dumps(VALID_DOCUMENTS[parse]))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_field_of_another_type(self, data):
+        parse = data.draw(st.sampled_from(PARSERS))
+        doc = VALID_DOCUMENTS[parse]
+        path, value = data.draw(st.sampled_from(list(json_paths(doc))))
+        bad = data.draw(st.sampled_from(other_types(value)))
+        with pytest.raises((ParseError, DomainError)):
+            parse(json.dumps(replaced(doc, path, bad)))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_key(self, data):
+        parse = data.draw(st.sampled_from(PARSERS))
+        doc = VALID_DOCUMENTS[parse]
+        objects = [path for path, value in json_paths(doc)
+                   if isinstance(value, dict) and value]
+        path = data.draw(st.sampled_from(objects))
+        with pytest.raises(ParseError, match="duplicate key"):
+            parse(dumps_with_repeated_key(doc, path))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_required_field_dropped(self, data):
+        parse = data.draw(st.sampled_from(PARSERS))
+        doc = VALID_DOCUMENTS[parse]
+        required = [path for path, _ in json_paths(doc)
+                    if path and path[-1] in REQUIRED_KEYS]
+        path = data.draw(st.sampled_from(required))
+        with pytest.raises((ParseError, DomainError)):
+            parse(json.dumps(replaced(doc, path, DROP)))

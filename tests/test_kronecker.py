@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polytorus import (
     BudgetExhaustedError,
+    DimensionError,
     DomainError,
     GrowthSchedule,
     KroneckerProblem,
@@ -25,19 +26,17 @@ from polytorus import kronecker, measures
 from polytorus.kronecker import (
     _GRID,
     _GRID_MASK,
-    _circle_residuals,
-    _first_jumps,
     _grid_advance,
-    _implied_integers,
-    _joint_gaps,
     _joint_hits,
     _lattice_search,
     _on_grid,
     _problem_memo,
+    _recheck,
     _return_times,
     _rotation_hits,
     _round_up,
     _scan_search,
+    _Tables,
     _window_hits,
 )
 from polytorus.measures import build_point_mass_lambda, scan_step
@@ -250,13 +249,144 @@ class TestProblemValidation:
         assert np.all(residuals(problem.basis, 2, sol.t, problem.targets) < 2.0**-12)
 
 
+def reference_problem(basis, k, targets, eps, t_min):
+    """Every check of a problem, in order, without a memo: ``(targets, eps,
+    t_min)`` as the problem stores them."""
+    if not 1 <= k <= basis.dimension:
+        raise DimensionError(f"active dimension {k} not in [1, {basis.dimension}]")
+    if not 0.0 < eps < math.pi:
+        raise DomainError(f"eps must lie in (0, pi), got {eps}")
+    if not 0.0 <= t_min < math.inf:
+        raise DomainError(f"t_min must be finite and >= 0, got {t_min}")
+    resolution = math.ulp(t_min) * float(basis.logs[k - 1])
+    if not resolution < eps:
+        raise DomainError(f"float64 cannot resolve eps={eps} at t_min="
+                          f"{t_min} (angle step {resolution:.3g})")
+    raw = tuple(float(g) for g in targets)
+    if not all(map(math.isfinite, raw)):
+        raise DomainError(f"targets must be finite, got {raw}")
+    canonical = tuple(g % TWO_PI for g in raw)
+    if len(canonical) != k:
+        raise DomainError(f"expected {k} targets, got {len(canonical)}")
+    return canonical, float(eps), float(t_min)
+
+
+def construction(make):
+    """What building a problem gives: its fields, floats by their bits, or
+    the type and text of what it raised."""
+    try:
+        result = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, KroneckerProblem):
+        result = result.targets, result.eps, result.t_min
+    targets, eps, t_min = result
+    return tuple(g.hex() for g in targets), eps.hex(), t_min.hex(), \
+        tuple(map(type, (eps, t_min, *targets)))
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1e-300, TWO_PI, -TWO_PI, 7.5, 1e300, -1e300,
+                  math.nan, math.inf, -math.inf]
+
+
+class TestValidationMemo:
+    @given(
+        st.integers(1, 4),
+        st.integers(-1, 5),
+        st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(-50, 50)
+                 | st.sampled_from(["x", None, "2.5"]), max_size=5),
+        st.sampled_from(["tuple", "list", "numpy"]),
+        st.sampled_from([0.1, 2.0 ** -7, 1, 3, 0, -0.0, math.pi, 4.0, math.nan,
+                         np.float64(0.25), 3.0]),
+        st.sampled_from([0.0, -0.0, 0, 5, 1e7, 1e15, 1e16, 1e300, -1.0, math.nan,
+                         math.inf]) | st.floats(0, 1e6),
+    )
+    @example(2, 2, [0.0, -0.0], "tuple", 1, 0.0)
+    @example(2, 2, [-0.0, 0.0], "numpy", 1.0, 5)
+    @example(1, 1, [math.nan], "list", 0.1, math.inf)
+    @settings(max_examples=500, deadline=None)
+    def test_memoized_problem_matches_reference(self, dimension, k, targets, kind,
+                                                eps, t_min):
+        # Built cold, built again, built after a valid problem of the same
+        # (dimension, k, targets, eps) has filled the memo, and built once
+        # more: every time the same fields, or the same exception and text,
+        # as the reference.  -0.0 and 0.0 share a key, as 1 and 1.0 do; a
+        # target that is no number fails where the reference fails.
+        basis = PrimeBasis(dimension)
+        box = {"tuple": tuple, "list": list, "numpy": np.array}[kind]
+        expected = construction(lambda: reference_problem(basis, k, box(targets), eps,
+                                                          t_min))
+
+        def build(t):
+            return construction(lambda: KroneckerProblem(basis, k, box(targets), eps, t))
+
+        clear_kronecker_caches()
+        assert build(t_min) == expected
+        assert build(t_min) == expected
+        for other in (targets[::-1], targets):
+            warm = construction(lambda: KroneckerProblem(basis, k, box(other), eps, 1.0))
+            assert warm == construction(
+                lambda: reference_problem(basis, k, box(other), eps, 1.0))
+            assert build(t_min) == expected
+
+    def test_failures_are_not_cached(self):
+        clear_kronecker_caches()
+        basis = PrimeBasis(2)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="targets must be finite"):
+                KroneckerProblem(basis, 2, (1.0, math.nan), 0.1, 5.0)
+            with pytest.raises(DomainError, match="t_min must be finite"):
+                KroneckerProblem(basis, 2, (1.0, math.nan), 0.1, -1.0)
+        assert _problem_memo.cache_info().currsize == 0
+        good = KroneckerProblem(basis, 2, (1.0, 2.0), 0.1, 5.0)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="cannot resolve"):
+                KroneckerProblem(basis, 2, (1.0, 2.0), 0.1, 1e16)
+        assert _problem_memo.cache_info().currsize == 1
+        assert KroneckerProblem(basis, 2, [1.0, 2.0], 0.1, 5.0) == good
+
+    def test_k_that_is_not_an_int(self):
+        # a float k fails where the reference fails, after the t_min checks,
+        # even when the memo holds the problem with the int k
+        basis = PrimeBasis(2)
+        KroneckerProblem(basis, 2, (1.0, 2.0), 0.1)
+        for t_min in (1.0, -1.0):
+            assert construction(lambda: KroneckerProblem(basis, 2.0, (1.0, 2.0), 0.1,
+                                                         t_min)) == \
+                construction(lambda: reference_problem(basis, 2.0, (1.0, 2.0), 0.1,
+                                                       t_min))
+
+
+def implied_integers(problem, t):
+    """``rint((-t log p_r - theta_r) / 2*pi)`` in numpy."""
+    raw = (-t * problem.basis.logs[:problem.k] - np.asarray(problem.targets)) / TWO_PI
+    return tuple(int(q) for q in np.rint(raw))
+
+
+def grid_rotations(tests, budget):
+    return [_on_grid(c, s, w, _grid_advance(s), budget) for c, s, w in tests]
+
+
+def tables_of(rotations):
+    return _Tables(tuple(a for _, a, _ in rotations),
+                   tuple(_round_up(w) for _, _, w in rotations))
+
+
+def walk(tests, budget, anchor=None):
+    """The window walk over the pre-filters ``tests`` ``(c, s, w)``."""
+    rotations = grid_rotations(tests, budget)
+    tables = tables_of(rotations) if rotations else None
+    return _window_hits(rotations, budget, anchor, tables)
+
+
 def brute_force_first(search, budget):
     """Oracle for the window walk: one plain numpy pass over every index with
     the same pre-filter, then the exact ``residuals`` recheck, in order."""
     problem = search.problem
     idx = np.arange(budget, dtype=np.float64)
     alive = np.ones(budget, dtype=bool)
-    for c, s, w in search._prefilter(budget):
+    tests, _, _ = search.windows(budget)
+    for c, s, w in tests:
         u = c - idx * s
         u -= np.floor(u)
         alive &= u < w
@@ -266,8 +396,7 @@ def brute_force_first(search, budget):
             continue
         res = residuals(problem.basis, problem.k, t, problem.targets)
         if np.all(res < problem.eps):
-            logs = problem.basis.logs[: problem.k].tolist()
-            q = _implied_integers(logs, problem.targets, t)
+            q = implied_integers(problem, t)
             return float(t), tuple(float(r) for r in res), q, i + 1
     return None
 
@@ -342,7 +471,7 @@ class TestWindowWalk:
             if near_edge:
                 continue
             expected = np.flatnonzero(inside).tolist()
-            assert list(_window_hits(tests, budget)) == expected
+            assert list(walk(tests, budget)) == expected
             checked += 1
         assert checked >= 120
 
@@ -384,7 +513,7 @@ class TestWindowWalk:
                 u -= np.floor(u)
                 inside &= u < width
                 loose &= (u < width + 1e-9) | (u > 1.0 - 1e-9)
-            walked = list(_window_hits(tests, budget))
+            walked = list(walk(tests, budget))
             assert set(np.flatnonzero(inside).tolist()) <= set(walked)
             assert walked == sorted(set(walked))
             assert all(loose[walked])
@@ -436,19 +565,22 @@ class TestScalarAcceptPath:
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_forms(self, t, targets):
         basis, k = PrimeBasis(4), len(targets)
-        memo = _problem_memo(basis.dimension, k, tuple(targets), 0.1)
-        scalar = _circle_residuals(memo.logs, memo.reduced, t)
-        vector = residuals(basis, k, t, targets).tolist()
-        assert [r.hex() for r in scalar] == [r.hex() for r in vector]
         problem = KroneckerProblem(basis, k, targets, 0.1)
-        raw = (-t * basis.logs[:k] - np.asarray(problem.targets)) / TWO_PI
-        assert _implied_integers(memo.logs, problem.targets, t) == \
-            tuple(int(q) for q in np.rint(raw))
+        scalar, q = _recheck(problem._memo, t, math.inf)
+        vector = residuals(basis, k, t, problem.targets).tolist()
+        assert [r.hex() for r in scalar] == [r.hex() for r in vector]
+        assert q == implied_integers(problem, t)
+        # below eps only when every residual is
+        found = _recheck(problem._memo, t, 0.1)
+        assert (found is not None) == all(r < 0.1 for r in vector)
+        if found is not None:
+            assert found == (scalar, q)
 
     def test_interleaved_solves_match_solves_alone(self):
-        # The memo caches are keyed on what ignores t_min; solving problems
-        # that differ in basis, k, targets, eps and t_min in turn must give
-        # what each gives on cold caches.
+        # The memo is keyed on what ignores t_min; solving problems that
+        # differ in basis, k, targets, eps and t_min in turn must give what
+        # each gives on a cold memo.  A problem keeps the memo it was built
+        # with, so each cold solve builds its problem anew.
         rng = np.random.default_rng(8)
         problems = []
         for d in (1, 2, 3, 4):
@@ -456,37 +588,29 @@ class TestScalarAcceptPath:
                 targets = tuple(rng.uniform(0, TWO_PI, size=k))
                 for eps in (2.0 ** -2, 2.0 ** -4):
                     for t_min in (0.0, float(rng.uniform(1, 1e4))):
-                        problems.append(KroneckerProblem(
-                            PrimeBasis(d), k, targets, eps, t_min))
+                        problems.append((PrimeBasis(d), k, targets, eps, t_min))
         cases = [(p, b) for p in problems for b in (lattice_solve, scan_solve)]
 
         def outcome(problem, backend):
             try:
-                return backend(problem, 1 << 14)
+                return backend(KroneckerProblem(*problem), 1 << 14)
             except BudgetExhaustedError as exc:
                 return str(exc)
 
         alone = []
         for problem, backend in cases:
-            _problem_memo.cache_clear()
-            _grid_advance.cache_clear()
-            _first_jumps.cache_clear()
-            _joint_gaps.cache_clear()
+            clear_kronecker_caches()
             alone.append(outcome(problem, backend))
         order = rng.permutation(len(cases)).tolist() * 2
         for i in order:
             assert outcome(*cases[i]) == alone[i]
 
 
-def grid_rotations(tests, budget):
-    return [g for g in (_on_grid(*test, budget) for test in tests) if g]
-
-
 def first_window_then_filter(tests, budget):
     """Reference for the joint-gap walk: the first window's hits alone, then
     the other widened windows checked exactly on the same 2^-64 grid."""
     rotations = grid_rotations(tests, budget)
-    return [i for i in _window_hits(tests[:1], budget)
+    return [i for i in walk(tests[:1], budget)
             if all((o + i * a) & _GRID_MASK < w for o, a, w in rotations[1:])]
 
 
@@ -495,14 +619,21 @@ def inside_every_window(tests, budget, index):
                for o, a, w in grid_rotations(tests, budget))
 
 
+def clear_kronecker_caches():
+    """Empty every cache of the kronecker module: the problem memo, which
+    also validates, and any other ``lru_cache``."""
+    caches = [f for f in vars(kronecker).values() if hasattr(f, "cache_clear")]
+    assert _problem_memo in caches
+    for cache in caches:
+        cache.cache_clear()
+
+
 @pytest.fixture
 def cold_memos():
-    """Empty problem memo and joint-gap cache, before and after the test."""
-    _problem_memo.cache_clear()
-    _joint_gaps.cache_clear()
+    """Every kronecker cache empty, before and after the test."""
+    clear_kronecker_caches()
     yield
-    _problem_memo.cache_clear()
-    _joint_gaps.cache_clear()
+    clear_kronecker_caches()
 
 
 def seeded_problem(rng, k, eps):
@@ -513,8 +644,7 @@ def seeded_problem(rng, k, eps):
 
 def anchor_of(problem):
     """The lattice anchor the problem's memo holds, or ``None``."""
-    return _problem_memo(problem.basis.dimension, problem.k, problem.targets,
-                         problem.eps).anchor
+    return problem._memo.anchor
 
 
 class TestJointGaps:
@@ -533,7 +663,7 @@ class TestJointGaps:
             problem = seeded_problem(rng, k, 2.0 ** -depth)
             for search in (_lattice_search, _scan_search):
                 early = search(problem)
-                hits = first_window_then_filter(early._prefilter(self.BUDGET),
+                hits = first_window_then_filter(early.windows(self.BUDGET)[0],
                                                 self.BUDGET)
                 if not hits:
                     continue
@@ -541,12 +671,12 @@ class TestJointGaps:
                 last = hits[:4][-1]
                 later = KroneckerProblem(problem.basis, k, problem.targets,
                                          problem.eps, early.time_of(last))
-                tests = search(later)._prefilter(self.BUDGET)
+                tests, rotations, tables = search(later).windows(self.BUDGET)
                 expected = first_window_then_filter(tests, self.BUDGET)
                 anchor = hits[0] - last - 1
                 assert inside_every_window(tests, self.BUDGET, anchor)
-                rotations = grid_rotations(tests, self.BUDGET)
-                assert list(_joint_hits(rotations, anchor, self.BUDGET)) == expected
+                assert list(_joint_hits(rotations, anchor, self.BUDGET, tables)) == \
+                    expected
                 total += len(expected)
         assert len(anchored) >= 4 and set(anchored) == {_lattice_search, _scan_search}
         assert total >= {3: 1000, 4: 50}[k]
@@ -562,17 +692,17 @@ class TestJointGaps:
             early = seeded_problem(rng, 3, 2.0 ** -depth)
             search = _lattice_search(early)
             q0 = search.q0
-            hits = list(_window_hits(search._prefilter(budget), budget))
+            hits = list(walk(search.windows(budget)[0], budget))
             assert len(hits) >= 4
             for h in hits[: len(hits) // 2: max(1, len(hits) // 8)]:
                 later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
                                          search.time_of(h + 3))
-                tests = _lattice_search(later)._prefilter(budget)
+                tests = _lattice_search(later).windows(budget)[0]
                 anchor = q0 + h - _lattice_search(later).q0
                 assert anchor < 0
                 if inside_every_window(tests, budget, anchor):
                     used += 1
-                assert list(_window_hits(tests, budget, anchor)) == \
+                assert list(walk(tests, budget, anchor)) == \
                     first_window_then_filter(tests, budget)
         assert used >= 6
 
@@ -581,7 +711,7 @@ class TestJointGaps:
         budget = 1 << 16
         for depth in (3, 4):
             problem = seeded_problem(rng, 3, 2.0 ** -depth)
-            tests = _lattice_search(problem)._prefilter(budget)
+            tests = _lattice_search(problem).windows(budget)[0]
             expected = first_window_then_filter(tests, budget)
             assert len(expected) >= 2
             outside = [a for a in range(-50, 0)
@@ -591,7 +721,7 @@ class TestJointGaps:
             # itself (the first, the last) or not
             positive = [0, expected[0], expected[-1], expected[-1] + 1]
             for anchor in outside[:10] + positive:
-                assert list(_window_hits(tests, budget, anchor)) == expected
+                assert list(walk(tests, budget, anchor)) == expected
 
     def test_positive_anchor_left_in_the_memo(self, cold_memos):
         # A later solution of the same problem is ignored by an earlier solve.
@@ -601,7 +731,9 @@ class TestJointGaps:
         assert anchor_of(early) > _lattice_search(early).q0
         warm = solve(early)
         _problem_memo.cache_clear()
-        assert repr(warm) == repr(solve(early))
+        cold = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 10.0)
+        assert anchor_of(cold) is None
+        assert repr(warm) == repr(solve(cold))
 
     def test_positive_anchor_left_by_an_earlier_build(self, cold_memos):
         mu = TorusPointMassMeasure([((0.9, 2.2, 4.1), 0.5), ((3.3, 0.4, 5.7), 0.5)])
@@ -613,6 +745,45 @@ class TestJointGaps:
         _problem_memo.cache_clear()
         cold = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
         assert first == again == cold
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_far_anchor_walks_as_a_cold_solve(self, k, monkeypatch, cold_memos):
+        # A solve near t_min = 1 leaves its solution as the anchor of a solve
+        # at t_min = 1e7, millions of candidates above it.  The walk starts
+        # at 0, as on a cold memo, instead of stepping over every hit in
+        # between: counted by the passes over the jump and joint-gap tables,
+        # one per hit walked.
+        walked = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                walked.append(None)
+                return super().__iter__()
+
+        first_jumps, joint_gaps = kronecker._first_jumps, kronecker._joint_gaps
+        monkeypatch.setattr(kronecker, "_first_jumps",
+                            lambda *args: Counted(first_jumps(*args)))
+        monkeypatch.setattr(kronecker, "_joint_gaps",
+                            lambda *args: Counted(joint_gaps(*args)))
+        basis, targets, eps = PrimeBasis(k), (1.0, 2.0, 3.0)[:k], 2.0 ** -4
+
+        def far_solve():
+            walked.clear()
+            return repr(solve(KroneckerProblem(basis, k, targets, eps, 1e7))), len(walked)
+
+        solve(KroneckerProblem(basis, k, targets, eps, 1.0))
+        search = _lattice_search(KroneckerProblem(basis, k, targets, eps, 1e7))
+        anchor = search.memo.anchor - search.q0
+        _, rotations, tables = search.windows(10**8)
+        # inside every widened window, so only its distance below 0 keeps it
+        # from starting the walk
+        assert anchor < -100 * tables.span
+        assert all((o + anchor * a) & _GRID_MASK < w for o, a, w in rotations)
+        warm, warm_walked = far_solve()
+        clear_kronecker_caches()
+        cold, cold_walked = far_solve()
+        assert warm == cold
+        assert warm_walked == cold_walked <= 64
 
     def test_scan_solve_never_reaches_joint_gaps(self, monkeypatch, cold_memos):
         # The scan backend walks fresh, even when the problem's memo holds a
@@ -646,21 +817,20 @@ class TestJointGaps:
         budget = 1 << 18
         for k, depth in ((3, 3), (3, 4), (4, 3)):
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            tests = _lattice_search(problem)._prefilter(budget)
+            tests = _lattice_search(problem).windows(budget)[0]
             expected = first_window_then_filter(tests, budget)
             assert len(expected) >= 2
-            assert list(_window_hits(tests, budget)) == expected
+            assert list(walk(tests, budget)) == expected
             # from the first hit, as an anchor below 0 of a shifted problem
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
                                      _lattice_search(problem).time_of(expected[0]))
-            tests = _lattice_search(later)._prefilter(budget)
+            tests, rotations, tables = _lattice_search(later).windows(budget)
             hits = first_window_then_filter(tests, budget)
-            assert list(_window_hits(tests, budget, -1)) == hits
-            rotations = grid_rotations(tests, budget)
-            span, _ = _joint_gaps(tuple(a for _, a, _ in rotations),
-                                  tuple(_round_up(w) for _, _, w in rotations))
+            assert inside_every_window(tests, budget, -1)
+            assert list(walk(tests, budget, -1)) == hits
+            assert list(_joint_hits(rotations, -1, budget, tables)) == hits
             # some consecutive joint hits lie further apart than the span
-            assert max(b - a for a, b in zip(hits, hits[1:])) > span
+            assert max(b - a for a, b in zip(hits, hits[1:])) > tables.span
 
     @pytest.mark.parametrize("d, depth", [(2, 4), (2, 7), (3, 5), (4, 3)])
     def test_chained_solves_warm_memo_equal_cold(self, d, depth, cold_memos,
@@ -715,9 +885,9 @@ class TestJointGaps:
         warm = build_point_mass_lambda(mu, 5, growth)
 
         def cold_solve(problem, budget):
-            _problem_memo.cache_clear()
-            _first_jumps.cache_clear()
-            return solve(problem, budget)
+            clear_kronecker_caches()
+            return solve(KroneckerProblem(problem.basis, problem.k, problem.targets,
+                                          problem.eps, problem.t_min), budget)
 
         monkeypatch.setattr(measures, "solve", cold_solve)
         cold = build_point_mass_lambda(mu, 5, growth)
@@ -750,14 +920,14 @@ class TestSingleWindowWalk:
         for depth in (4, 6, 8):
             problem = seeded_problem(rng, 2, 2.0 ** -depth)
             early = search(problem)
-            first = first_window_then_filter(early._prefilter(self.BUDGET)[:1],
+            first = first_window_then_filter(early.windows(self.BUDGET)[0][:1],
                                              self.BUDGET)[0]
             problems += [problem, KroneckerProblem(problem.basis, 2, problem.targets,
                                                    problem.eps,
                                                    early.time_of(max(first - 1, 0)))]
         used, starts = 0, set()
         for problem in problems:
-            tests = search(problem)._prefilter(self.BUDGET)[:1]
+            tests = search(problem).windows(self.BUDGET)[0][:1]
             (origin, advance, wide), = grid_rotations(tests, self.BUDGET)
             expected = first_window_then_filter(tests, self.BUDGET)
             assert expected == grid_hits(origin, advance, wide, 0, self.BUDGET)
@@ -768,8 +938,7 @@ class TestSingleWindowWalk:
             anchors = [below[0], below[len(below) // 2], below[-1], *outside[-3:],
                        outside[0], 0, expected[0], expected[-1], expected[-1] + 1]
             for anchor in anchors:
-                walk = _window_hits(tests, self.BUDGET, anchor)
-                assert list(walk) == expected, anchor
+                assert list(walk(tests, self.BUDGET, anchor)) == expected, anchor
             used += len(below)
         assert used >= 40 and 0 in starts
 
@@ -791,8 +960,9 @@ class TestSingleWindowWalk:
             origin = rng.getrandbits(64)
             expected = grid_hits(origin, advance, wide, 0, budget)
             rotations = [(origin, advance, wide)]
-            assert list(_rotation_hits(rotations, 0, budget)) == expected
+            tables = tables_of(rotations)
+            assert list(_rotation_hits(rotations, 0, budget, tables)) == expected
             below = grid_hits(origin, advance, wide, -2000, 0)
             if below:
                 start = below[rng.randrange(len(below))]
-                assert list(_rotation_hits(rotations, start, budget)) == expected
+                assert list(_rotation_hits(rotations, start, budget, tables)) == expected

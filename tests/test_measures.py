@@ -450,6 +450,20 @@ class TestAtomFiles:
         with pytest.raises(ParseError, match=f"line 2: .*{re.escape(message)}"):
             atoms_from_bytes(blob)
 
+    @pytest.mark.parametrize("atom", [0, 1, 2])
+    @pytest.mark.parametrize("field, value", [
+        ("t", "1e999"), ("t", "-1e999"), ("w", "1e999"), ("w", "-2e400")])
+    def test_overflow_on_the_regex_path_names_its_line(self, atom, field, value):
+        # the measure's finiteness check refused these without a line number,
+        # or the next line was blamed for not increasing
+        lines = self._two_level_stream().decode().splitlines()
+        old = {"t": f'"t": {(1.5, 2.5, 4.0)[atom]}', "w": '"w": 0.5'}[field]
+        lines[1 + atom] = lines[1 + atom].replace(old, f'"{field}": {value}')
+        name = {"t": "position t", "w": "weight w"}[field]
+        with pytest.raises(ParseError, match=f"^line {2 + atom}: {name} {value} "
+                                             "overflows float64$"):
+            atoms_from_bytes("\n".join(lines).encode())
+
     @pytest.mark.parametrize("j", [2**63, -(2**63) - 1, 10**30])
     def test_integer_beyond_int64_refused(self, j):
         # an OverflowError traceback before
