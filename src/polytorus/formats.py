@@ -16,6 +16,9 @@ fields (``n``, ``alpha`` entries, ``dim``, ``basis_dim``) must be JSON
 integers, so ``2.7``, ``"3"`` and ``true`` are errors, not truncated; number
 fields (``re``, ``im``, ``theta`` entries, ``c``) must be JSON numbers, and
 lists JSON arrays; writers emit floats exactly (shortest round-trip repr).
+A polynomial's basis dimension, declared or inferred, is at most
+``MAX_BASIS_DIM``: the first primes come from trial division, whose cost
+grows faster than linearly (8,000 primes take most of a second).
 """
 
 from __future__ import annotations
@@ -33,6 +36,10 @@ from .polynomials import (
 )
 from .measures import TorusPointMassMeasure
 from .primes import PrimeBasis
+
+# Far above any dimension the library's constructions use (at most 4 in the
+# tests, demos and benchmark inputs); PrimeBasis(1024) takes about 15 ms.
+MAX_BASIS_DIM = 1024
 
 
 def _reject_duplicate_keys(pairs):
@@ -101,6 +108,14 @@ def _array(value, label: str) -> list:
     return value
 
 
+def _basis(dimension: int) -> PrimeBasis:
+    """``PrimeBasis(dimension)``, refused before any prime is found when the
+    dimension exceeds ``MAX_BASIS_DIM``."""
+    if dimension > MAX_BASIS_DIM:
+        raise ParseError(f"basis_dim {dimension} exceeds the maximum {MAX_BASIS_DIM}")
+    return PrimeBasis(dimension)
+
+
 def _term_coefficient(entry, label) -> complex:
     coeff = complex(_number(entry.get("re", 0.0), f"re of {label}"),
                     _number(entry.get("im", 0.0), f"im of {label}"))
@@ -122,7 +137,7 @@ def dirichlet_from_json(text) -> tuple[DirichletPolynomial, PrimeBasis]:
     data = loads_strict(text)
     if not isinstance(data, dict) or "terms" not in data:
         raise ParseError("expected an object with a 'terms' list")
-    basis = PrimeBasis(_integer(data.get("basis_dim", 1), "basis_dim"))
+    basis = _basis(_integer(data.get("basis_dim", 1), "basis_dim"))
     terms: dict[int, complex] = {}
     for entry in _array(data["terms"], "terms"):
         n = _integer(entry["n"], "frequency n")
@@ -195,7 +210,7 @@ def _torus_from_data(data) -> TorusPolynomial:
         terms[alpha] = _term_coefficient(entry, f"index {alpha.exponents}")
     inferred = max((alpha.length for alpha in terms), default=1)
     dim = max(_integer(data.get("basis_dim", inferred), "basis_dim"), inferred, 1)
-    return TorusPolynomial(terms, PrimeBasis(dim))
+    return TorusPolynomial(terms, _basis(dim))
 
 
 @_parser

@@ -36,60 +36,42 @@ hits, ``W ~ eps/pi``, instead of every candidate.  (The lattice backend at
 ``k = 1`` has no filtered coordinate and visits its candidates in order.)
 
 From a known joint hit, a hit of every filtered window at once, a second
-walk steps between joint hits instead.  Two joint hits ``n`` indices apart
-move each filtered coordinate by less than its window's width, so the
-ascending list of such ``n`` up to a span of a few mean return times to the
-box (the higher-dimensional form of Slater's gap theorem; Haynes & Marklof,
-Ann. Sci. ENS 2020, bound how many gaps there are) holds every gap.  It is
-found once per level by the first walk over doubled windows, and from a
-joint hit the first ``n`` in it that lands is the next joint hit; when none
-lands within the span, the first walk takes over past it.  A fresh solve
-meets about one joint hit, its answer, so it uses the first walk alone, and
-so does the scan backend.
+walk steps between joint hits.  Two joint hits ``n`` indices apart move each
+filtered coordinate by less than its window's width, so the ascending list
+of such ``n`` up to a span of a few mean return times to the box (Slater's
+gap theorem in higher dimension; Haynes & Marklof, Ann. Sci. ENS 2020, bound
+how many gaps there are) holds every gap.  The first walk finds it once per
+level over doubled windows; from a joint hit the first ``n`` in it that
+lands is the next one, and past the span the first walk takes over.  A walk
+from the first candidate meets about one joint hit, its answer, so it walks
+the first window alone.
 
 Each problem ``(basis, k, targets, eps)`` has one bounded memo entry, its
-resumable search, which the :class:`KroneckerProblem` keeps from its
-construction.  Building the entry checks everything about the problem that
-ignores ``t_min``, once; a problem then checks only ``t_min``, and an
-invalid one is checked in full, in order, and never cached.  The entry holds
-what the solves share whatever ``t_min``: the logs and reduced targets;
-per backend and filtered coordinate, where candidate 0's angle sits as a
-function of the solve's shift, the angle step and its grid advance; the
-walks' tables (jumps, span, joint gaps) per set of window widths rounded up
-to their leading bits; and the lattice integer of the last lattice
-solution, the anchor.  A solve computes its first candidate, and then, in
-one pass over the coordinates, its pre-filter constants and grid windows.
-A later lattice solve of the problem starts its walk at the anchor when
-that lies below the solve's first candidate, at most the span (``8`` mean
-return times to the box of every window) below it, and inside every widened
-window of the solve's own grid: with one filtered window it walks the first
-window's jumps from there, with more it steps by joint gaps, and either way
-it steps over the hits below its first candidate instead of searching
-forward for its first hit.  A farther anchor would make the walk visit
-every hit in between, so the walk starts at the first candidate.  The
-anchor only decides where the walk starts; the indices walked, and so every
-solution, are the same whatever the memo holds.
+resumable search, which the :class:`KroneckerProblem` keeps.  Building it
+checks everything that ignores ``t_min``, once; an invalid problem is
+checked in full, in order, and never cached.  It holds what the solves share
+whatever ``t_min`` (logs, reduced targets, each backend's candidate lines,
+the walks' tables per set of window widths rounded up to their leading
+bits) and a lattice walk cursor, left at the last lattice solution.  A
+build's solves of one problem are successive returns of one rotation to one
+box, so a lattice solve whose first candidate lies above the cursor, within
+the span and within one budget of where the cursor's windows start,
+computes only its first candidate and pre-filter and walks on from the
+cursor: by the first window's jumps with one filtered window, by joint gaps
+with more.  The cursor's windows were widened once to contain the own
+widened window of every such solve.  Any other lattice solve sets up its
+windows, walks from its first candidate and leaves a new cursor; a scan
+solve walks its own windows from 0.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the pre-filter's by a bound on the
-float64 rounding and the grid's drift.  At each hit the other filtered
-coordinates are checked on the same grid; a candidate inside every widened
-window gets the pre-filter in Python floats, with the same IEEE operations a
-vectorized pass performs, and then the :func:`residuals` recheck.  Every
-candidate that such a pass would keep is thus visited, in order.  The
-returned solution is exactly the first candidate of the backend's scan order
-that passes the pre-filter and whose true residuals all pass, bit for bit;
-``steps`` is its index plus one, and identical inputs always yield identical
-solutions.
-
-A build makes one solve per atom, mostly shallow ones, so the fixed work of a
-solve is kept small.  The set-up and the accept path (candidate time,
-residual recheck, implied integers in the same loop) run in Python floats,
-one coordinate at a time, with the IEEE operations of the numpy forms in the
-same order; the numpy :func:`residuals` stays the public form, and the
-budget error's vectorized search still uses it.  When a fresh walk's first
-hit lies within a short span it is found by a Python integer loop instead of
-a numpy pass.
+float64 rounding and the grid's drift.  A candidate inside every widened
+window gets the pre-filter in Python floats, with the IEEE operations of a
+vectorized pass, and then the :func:`residuals` recheck; the set-up and this
+accept path run in Python floats, one coordinate at a time.  The returned
+solution is exactly the first candidate of the backend's scan order that
+passes the pre-filter and whose true residuals all pass, bit for bit,
+whatever the memo holds; ``steps`` is its index plus one.
 """
 
 from __future__ import annotations
@@ -263,12 +245,12 @@ class _ProblemMemo:
     ``reduced`` are ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as
     Python floats, the targets reduced again as :func:`residuals` reduces its
     argument.  ``delta`` is the scan step in ``t``, and ``lattice`` and
-    ``scan`` the backends' :class:`_Lines`.  ``anchor`` is the lattice
-    integer of the problem's last lattice solution, or ``None``.
+    ``scan`` the backends' :class:`_Lines`.  ``cursor`` is the
+    :class:`_Cursor` of the problem's last lattice solution, or ``None``.
     """
 
     __slots__ = ("targets", "eps", "logs", "reduced", "delta", "lattice", "scan",
-                 "anchor")
+                 "cursor")
 
     def __init__(self, dimension: int, k: int, targets, eps):
         basis = PrimeBasis(dimension)
@@ -288,7 +270,7 @@ class _ProblemMemo:
                               beta, [TWO_PI * b for b in beta])
         self.scan = _Lines("scan", [-g for g in self.targets], logs,
                            [self.delta * log for log in logs])
-        self.anchor = None
+        self.cursor = None
 
 
 @functools.lru_cache(maxsize=256)
@@ -406,7 +388,7 @@ class _Tables:
     ``jumps`` (see :func:`_first_jumps`); ``span``, ``_JOINT_SPAN`` mean
     return times to the box (a hit of every window at once), at most
     ``_JOINT_MAX`` indices; and the joint gaps of :func:`_joint_gaps` up to
-    the span, found when an anchored walk first needs them."""
+    the span, found when a walk from a cursor first needs them."""
 
     __slots__ = ("advances", "walked", "jumps", "span", "gaps")
 
@@ -437,15 +419,16 @@ def _tables(advances, walked) -> _Tables:
 
 def _joint_gaps(advances, wides, span: int):
     """The joint gaps of rotations with these grid advances and windows no
-    wider than ``wides``, up to ``span``.
+    wider than ``wides``, up to ``span``; there are at least two advances.
 
     The table lists, ascending, every ``n <= span`` with ``n*advance_r``
-    within ``wide_r`` of 0 modulo 2^64 for every ``r``, each with its shifts
-    ``n*advance_r mod 2^64``.  Two hits of the box (every window at once)
-    ``n`` indices apart satisfy this, so from one hit the first ``n`` of the
-    table that lands is the next hit, if that lies within ``span``.  The
-    table is found by the window walk itself, over the doubled windows
-    ``[-wide_r, wide_r)``.
+    within ``wide_r`` of 0 modulo 2^64 for every ``r``, as ``(n, s_0, s_1,
+    rest)``: its shifts ``n*advance_r`` as signed integers in ``[-2^63,
+    2^63)``, those past the second in the tuple ``rest``.  Two hits of the
+    box (every window at once) ``n`` indices apart satisfy this, so from one
+    hit the first ``n`` of the table that lands is the next hit, if that
+    lies within ``span``.  The table is found by the window walk itself,
+    over the doubled windows ``[-wide_r, wide_r)``.
     """
     doubled = [(w, a, 2 * w) for a, w in zip(advances, wides) if 2 * w < _GRID]
     if doubled:
@@ -454,34 +437,11 @@ def _joint_gaps(advances, wides, span: int):
         gaps = _rotation_hits(doubled, 1, span + 1, tables)
     else:
         gaps = range(1, span + 1)
-    return tuple((n, tuple(n * a % _GRID for a in advances)) for n in gaps)
-
-
-def _window_hits(rotations, budget: int, anchor: int | None, tables: _Tables | None):
-    """Ascending ``i < budget`` inside every widened window of ``rotations``
-    (see :func:`_on_grid`), whose tables are ``tables``.
-
-    ``anchor``, a negative index, only decides where the walk starts: when it
-    lies inside every widened window, and at most ``tables.span`` below 0
-    (``_JOINT_SPAN`` mean return times to the box, the joint gaps' span),
-    the walk starts there and steps over the hits below 0, by the first
-    window's jumps (:func:`_rotation_hits`) when there is one window and by
-    joint gaps (:func:`_joint_hits`) when there are more, instead of
-    searching forward from index 0.  From farther below it would visit every
-    hit between the anchor and 0, so it starts at 0.  The indices yielded
-    are the same either way.
-    """
-    if not rotations:
-        return iter(range(budget))
-    if anchor is not None and -tables.span <= anchor < 0:
-        for o, a, w in rotations:
-            if (o + anchor * a) & _GRID_MASK >= w:
-                break
-        else:
-            if len(rotations) == 1:
-                return _rotation_hits(rotations, anchor, budget, tables)
-            return _joint_hits(rotations, anchor, budget, tables)
-    return _rotation_hits(rotations, 0, budget, tables)
+    half, table = _GRID >> 1, []
+    for n in gaps:
+        s0, s1, *rest = [(n * a + half) % _GRID - half for a in advances]
+        table.append((n, s0, s1, tuple(rest)))
+    return tuple(table)
 
 
 def _first_jumps(advance: int, wide: int):
@@ -522,11 +482,12 @@ def _rescan(origin: int, advance: int, wide: int, start: int, stop: int, reach: 
     return stop, 0
 
 
-def _rotation_hits(rotations, start: int, stop: int, tables: _Tables):
-    """Indices ``i`` in ``[max(start, 0), stop)`` with ``(origin + i*advance)
-    mod 2^64 < wide`` for every rotation, ascending.  A negative ``start``
-    must lie inside the first window; the walk then starts there and steps
-    over the hits below 0.
+def _rotation_hits(rotations, start: int, stop: int, tables: _Tables, low: int = 0,
+                   at=None):
+    """Indices ``i`` in ``[max(start, low), stop)`` with ``(origin +
+    i*advance) mod 2^64 < wide`` for every rotation, ascending; ``start >=
+    0``.  ``at``, when given, holds the positions of ``start`` in every
+    window, and is set to those of each index yielded.
 
     The walk follows the hits of the first window rounded up to
     ``tables.walked[0]``, a superset of its own hits, and yields those
@@ -541,15 +502,20 @@ def _rotation_hits(rotations, start: int, stop: int, tables: _Tables):
     (origin, advance, wide), others = rotations[0], rotations[1:]
     walked, moves = tables.walked[0], tables.jumps
     reach = moves[-1][0]
-    i, pos = start, (origin + start * advance) & _GRID_MASK
+    i = start
+    pos = (origin + start * advance) & _GRID_MASK if at is None else at[0]
     if pos >= walked:
         i, pos = _rescan(origin, advance, walked, i, stop, reach)
     while i < stop:
-        if pos < wide and i >= 0:
+        if pos < wide and i >= low:
             for o, a, w in others:
                 if (o + i * a) & _GRID_MASK >= w:
                     break
             else:
+                if at is not None:
+                    at[0] = pos
+                    for r, (o, a, _) in enumerate(others, 1):
+                        at[r] = (o + i * a) & _GRID_MASK
                 yield i
         for n, move in moves:
             if i + n >= stop:
@@ -564,40 +530,56 @@ def _rotation_hits(rotations, start: int, stop: int, tables: _Tables):
             i, pos = _rescan(origin, advance, walked, i + 1, stop, reach)
 
 
-def _joint_hits(rotations, anchor: int, stop: int, tables: _Tables):
-    """The indices of :func:`_rotation_hits` from 0, walked from ``anchor``,
-    a negative index inside every window.
+def _joint_hits(rotations, start: int, stop: int, tables: _Tables, low: int, at):
+    """The indices of :func:`_rotation_hits` in ``[low, stop)``, walked from
+    ``start``, an index below ``low`` inside every window of ``rotations``
+    (two or more, none wider than half the circle) whose positions are
+    ``at``; ``at`` is kept at the positions of each index yielded.
 
-    From one joint hit (an index inside every window) the next is the first
-    ``n`` of :func:`_joint_gaps` that moves every position into its window;
-    joint hits below 0 are stepped over, not yielded.  When no gap lands, the
-    next joint hit lies past the table's span, and the walk goes on as
-    :func:`_rotation_hits` from there.
+    From one joint hit the next is the first ``n`` of :func:`_joint_gaps`
+    that moves every position ``p`` into its window ``w``: as no window is
+    wider than half the circle, that is ``0 <= p + s < w`` for the signed
+    shift ``s``, with no reduction modulo 2^64.  Joint hits below ``low``
+    are stepped over.  When no gap lands, the next joint hit lies past the
+    table's span, and the walk goes on as :func:`_rotation_hits` from there.
     """
     span, gaps = tables.span, tables.joint_gaps()
-    i = anchor
-    # Loops, not comprehensions: a comprehension is a function call per solve.
-    at, wides = [], []
-    for o, a, w in rotations:
-        at.append((o + i * a) & _GRID_MASK)
-        wides.append(w)
+    (_, _, w0), (_, _, w1), *more = rotations
+    i = start
     while True:
-        for n, shifts in gaps:
-            for p, s, w in zip(at, shifts, wides):
-                if (p + s) & _GRID_MASK >= w:
-                    break
-            else:
+        lo0, lo1 = -at[0], -at[1]
+        hi0, hi1 = w0 + lo0, w1 + lo1
+        for n, s0, s1, rest in gaps:
+            if lo0 <= s0 < hi0 and lo1 <= s1 < hi1 and (not rest or all(
+                    0 <= p + s < w for p, s, (_, _, w) in zip(at[2:], rest, more))):
                 break
         else:
-            yield from _rotation_hits(rotations, max(i + span + 1, 0), stop, tables)
+            i += span + 1
+            for r, (_, a, _) in enumerate(rotations):
+                at[r] = (at[r] + (span + 1) * a) & _GRID_MASK
+            yield from _rotation_hits(rotations, i, stop, tables, low, at)
             return
         i += n
         if i >= stop:
             return
-        for r, s in enumerate(shifts):
-            at[r] = (at[r] + s) & _GRID_MASK
-        if i >= 0:
+        at[0], at[1] = s0 - lo0, s1 - lo1
+        for r, s in enumerate(rest, 2):
+            at[r] += s
+        if i >= low:
             yield i
+
+
+class _Cursor:
+    """A problem's lattice walk, left at its last solution: the windows
+    ``rotations``, none wider than half the circle, and their ``tables``,
+    indexed from the lattice integer ``q0`` and widened with ``reach =
+    budget`` (see :meth:`_LinearSearch.windows`); ``i``, the last solution's
+    index, a hit of every window, and ``at``, its positions."""
+
+    __slots__ = ("q0", "budget", "rotations", "tables", "i", "at")
+
+    def __init__(self, q0: int, budget: int, rotations, tables: _Tables):
+        self.q0, self.budget, self.rotations, self.tables = q0, budget, rotations, tables
 
 
 class _LinearSearch:
@@ -612,8 +594,8 @@ class _LinearSearch:
     it.)  ``time_of(i)`` maps indices to times, for a Python int or an array
     of them, with the same IEEE operations either way.  ``q0`` is the
     lattice integer of candidate 0 for the lattice backend (candidate ``i``
-    is ``q0 + i``), whose solves keep their last solution's integer in the
-    memo as the next solve's anchor; ``None`` for the scan.
+    is ``q0 + i``), whose solves walk the :class:`_Cursor` in the memo;
+    ``None`` for the scan.
     """
 
     __slots__ = ("problem", "memo", "lines", "shift", "time_of", "q0")
@@ -626,28 +608,43 @@ class _LinearSearch:
         self.time_of = time_of
         self.q0 = q0
 
-    def windows(self, budget: int):
-        """``(tests, rotations, tables)``, in one pass over the filtered
-        coordinates.
-
-        ``tests`` holds each coordinate's pre-filter ``(c, s, w)`` in turns:
+    def tests(self, budget: int):
+        """Each filtered coordinate's pre-filter ``(c, s, w)`` in turns:
         candidate ``i`` passes when ``frac(c - i*s) < w``.  The shifted
         window covers eps plus slack for the float error of the linear
         parametrization over the whole budget range, so it is a strict
-        superset of the true acceptance set.  ``rotations`` holds the same
-        windows widened on the grid (:func:`_on_grid`), and ``tables`` their
-        walks' tables, shared by the solves of the problem whose windows
-        round up alike; ``None`` without a filtered coordinate.
-        """
-        eps, shift, lines = self.problem.eps, self.shift, self.lines
-        tests, rotations, walked = [], [], []
-        for origin, slope, step, turns, advance in lines.coordinates:
+        superset of the true acceptance set."""
+        eps, shift = self.problem.eps, self.shift
+        tests = []
+        for origin, slope, step, turns, _ in self.lines.coordinates:
             base = origin + shift * slope
             slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
-            c = (base + (eps + slack)) / TWO_PI
-            w = 2.0 * (eps + slack) / TWO_PI
-            tests.append((c, turns, w))
-            rotation = _on_grid(c, turns, w, advance, budget)
+            tests.append(((base + (eps + slack)) / TWO_PI, turns,
+                          2.0 * (eps + slack) / TWO_PI))
+        return tests
+
+    def windows(self, budget: int, reach: int = 0):
+        """``(tests, rotations, tables)``: :meth:`tests`, the same windows
+        widened on the grid (:func:`_on_grid`) for the ``budget + reach``
+        candidates from 0, and their walks' tables, shared by the solves of
+        the problem whose windows round up alike; ``None`` without a
+        filtered coordinate.  With ``reach``, each window first grows on
+        either side by ``32 eps64 (|origin| + |shift*slope| + (reach +
+        budget)*step + 2*pi)`` radians, so that it contains the own widened
+        window of every solve of the problem with this budget whose first
+        candidate lies at most ``reach`` above this one's: that is more than
+        the growth of their slack (its ``|base|`` grows with the shift) and
+        the rounding and drift of their windows and this one, together below
+        ``(10 |base| + 7 budget*step + 50) eps64``."""
+        tests = self.tests(budget)
+        lines, shift = self.lines, self.shift
+        rotations, walked = [], []
+        for (c, s, w), (origin, slope, step, _, advance) in zip(tests, lines.coordinates):
+            if reach:
+                pad = 32.0 * _EPS64 * (abs(origin) + abs(shift * slope)
+                                       + (reach + budget) * step + TWO_PI) / TWO_PI
+                c, w = c + pad, w + 2.0 * pad
+            rotation = _on_grid(c, s, w, advance, budget + reach)
             rotations.append(rotation)
             walked.append(_round_up(rotation[2]))
         if not rotations:
@@ -659,13 +656,30 @@ class _LinearSearch:
         return tests, rotations, tables
 
     def run(self, budget: int) -> KroneckerSolution:
-        problem, memo = self.problem, self.memo
-        tests, rotations, tables = self.windows(budget)
-        anchor = None
-        if self.q0 is not None and memo.anchor is not None:
-            anchor = memo.anchor - self.q0
+        """The first candidate below ``budget`` that passes the pre-filter
+        and the recheck, walked on from the memo's cursor when the solve's
+        first candidate lies above it within the span and one budget of its
+        ``q0`` (see the module docstring), and from 0 otherwise."""
+        problem, memo, q0 = self.problem, self.memo, self.q0
+        cursor = memo.cursor if q0 is not None else None
+        low = q0 - cursor.q0 if cursor is not None else 0
+        if cursor is not None and cursor.budget == budget >= low and \
+                cursor.i < low <= cursor.i + cursor.tables.span:
+            tests, at = self.tests(budget), list(cursor.at)
+            walk = _rotation_hits if len(at) == 1 else _joint_hits
+            hits = walk(cursor.rotations, cursor.i, low + budget, cursor.tables, low, at)
+        else:
+            low = 0
+            tests, rotations, tables = self.windows(budget, 0 if q0 is None else budget)
+            at, cursor = [o for o, _, _ in rotations], None  # the positions of index 0
+            if q0 is not None and rotations and \
+                    all(w <= _GRID >> 1 for _, _, w in rotations):
+                cursor = _Cursor(q0, budget, rotations, tables)
+            hits = _rotation_hits(rotations, 0, budget, tables, 0, at) if rotations \
+                else range(budget)
         t_min, eps, time_of = problem.t_min, problem.eps, self.time_of
-        for i in _window_hits(rotations, budget, anchor, tables):
+        for j in hits:
+            i = j - low
             # The pre-filter in Python floats: the same IEEE operations, in
             # the same order, as a vectorized pass would perform (i * s
             # converts i to a float first).
@@ -676,16 +690,18 @@ class _LinearSearch:
             else:
                 t = time_of(i)
                 if t > t_min and (found := _recheck(memo, t, eps)) is not None:
-                    if self.q0 is not None:
-                        memo.anchor = self.q0 + i
+                    if cursor is not None:
+                        cursor.i, cursor.at = j, at
+                        memo.cursor = cursor
                     return KroneckerSolution(t, *found, i + 1, self.lines.method)
-        raise BudgetExhaustedError(budget, *self._best_candidate(rotations, tables,
-                                                                 budget))
+        raise BudgetExhaustedError(budget, *self._best_candidate(budget))
 
-    def _best_candidate(self, rotations, tables, budget: int):
-        """The smallest worst residual among the first window's hits, found by
-        walking again; among all candidates when there was no hit."""
+    def _best_candidate(self, budget: int):
+        """The smallest worst residual among the hits of the solve's own
+        first window, found by walking again; among all candidates when
+        there was no hit."""
         problem = self.problem
+        _, rotations, tables = self.windows(budget)
         hits = _rotation_hits(rotations[:1], 0, budget, tables) if rotations else iter(())
         first = next(hits, None)
         if first is None:

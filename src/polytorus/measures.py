@@ -453,7 +453,8 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     paths give a line the values ``json.loads`` would.  The stream must
     then have the structure both builders give: one boundary and one
     cumulative mass per level, each level-k atom above ``T_{k-1}`` and
-    below ``T_k``, and the weights through level k summing to its mass.
+    below ``T_k``, at least one atom per level, and the weights through
+    level k summing to its mass.
     """
     from .formats import _integer, _number, loads_strict  # formats imports us
 
@@ -506,6 +507,8 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
                 raise ParseError(f"atom line missing key {exc}", number) from exc
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"malformed line: {exc}", number) from exc
+            if error := _past_int64((k_i, j_i, m_i), number):
+                raise error
         if t_i <= previous:
             raise _overflow(lines, number) or ParseError(
                 f"atom positions must strictly increase ({t_i} after {previous})",
@@ -549,6 +552,10 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
         i = cuts[-1]
         raise ParseError(f"atom {i + 1} (t={t[i]!r}) has level k={level[i]}, "
                          f"but its position lies past level {levels}")
+    # Both builders place at least one repetition of every source per level.
+    for k in range(1, levels + 1):
+        if cuts[k - 1] == cuts[k]:
+            raise ParseError(f"level {k} of {levels} holds no atom")
     # Both builders give level k the mass masses[k-1] exactly, up to the
     # point-mass weights' own tolerance and rounding.
     for k, mass in enumerate(masses, start=1):
@@ -561,16 +568,28 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
 
 def _overflow(lines, stop: int) -> ParseError | None:
     """The error for the first atom line up to line ``stop`` whose ``t`` or
-    ``w`` the regular expression read as a number beyond float64, or
-    ``None``.  The strict path refuses such numbers itself; this one is
-    looked for only once decoding has failed, so that decoding costs no
-    more."""
+    ``w`` the regular expression read as a number beyond float64, or whose
+    ``k``, ``j`` or ``m`` it read as an integer beyond int64, or ``None``.
+    The strict path refuses such values itself; this one is looked for only
+    once decoding has failed, so that decoding costs no more."""
     for number, raw in enumerate(lines[1:stop], start=2):
         match = _ATOM_LINE.fullmatch(raw)
         if match is not None:
-            for name, text in zip(("position t", "weight w"), match.groups()):
+            t_s, w_s, *integers = match.groups()
+            for name, text in (("position t", t_s), ("weight w", w_s)):
                 if not math.isfinite(float(text)):
                     return ParseError(f"{name} {text} overflows float64", number)
+            if error := _past_int64(map(int, integers), number):
+                return error
+    return None
+
+
+def _past_int64(integers, number: int) -> ParseError | None:
+    """The error for the first of an atom's ``k``, ``j``, ``m`` beyond
+    int64, or ``None``."""
+    for name, value in zip(("level k", "source j", "repetition m"), integers):
+        if not -(1 << 63) <= value < 1 << 63:
+            return ParseError(f"{name} {value} exceeds int64", number)
     return None
 
 

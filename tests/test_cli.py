@@ -1,10 +1,15 @@
+import contextlib
 import gc
+import io
 import json
+import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polytorus import load_atoms
+from polytorus import ParseError, atoms_from_bytes, load_atoms
 from polytorus.cli import main, write_atomic
 
 MU_JSON = json.dumps({
@@ -173,6 +178,62 @@ class TestBuildMeasureCommand:
         assert code == 2
 
 
+def mutate_trailer(text, kind, index):
+    """An atom file with its trailer dropped, one boundary or mass dropped,
+    or every atom from level ``index`` on dropped and the masses rewritten
+    to the weights that are left (a faked file)."""
+    header, *atoms, trailer = text.splitlines()
+    data = json.loads(trailer)
+    if kind == "trailer":
+        return "\n".join([header, *atoms]) + "\n"
+    if kind == "fake":
+        atoms = [a for a in atoms if json.loads(a)["k"] < index]
+        weights = [(json.loads(a)["k"], json.loads(a)["w"]) for a in atoms]
+        data["masses"] = [math.fsum(w for k, w in weights if k <= level)
+                          for level in range(1, len(data["masses"]) + 1)]
+    else:
+        del data[kind][index]
+    return "\n".join([header, *atoms, json.dumps(data)]) + "\n"
+
+
+class TestTrailerMutations:
+    LEVELS = 3
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("trailer")
+        (directory / "mu.json").write_text(MU_JSON)
+        (directory / "f.json").write_text(POLY_JSON)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["build-measure", "--mu", str(directory / "mu.json"),
+                         "--levels", str(self.LEVELS),
+                         "--out", str(directory / "atoms.jsonl")]) == 0
+        return directory
+
+    @given(st.one_of(
+        st.tuples(st.just("trailer"), st.just(0)),
+        st.tuples(st.sampled_from(["boundaries", "masses"]),
+                  st.integers(0, LEVELS - 1)),
+        st.tuples(st.just("fake"), st.integers(2, LEVELS)),
+    ))
+    @settings(max_examples=30, deadline=None)
+    def test_mutated_trailer_refused(self, built, mutation):
+        # Each mutation fails to load, and verify-boundary exits 2 on it;
+        # the faked file, whose masses match the atoms left, used to load.
+        text = mutate_trailer((built / "atoms.jsonl").read_text(), *mutation)
+        with pytest.raises(ParseError):
+            atoms_from_bytes(text.encode())
+        (built / "mutated.jsonl").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify-boundary", "--poly", str(built / "f.json"),
+                         "--atoms", str(built / "mutated.jsonl"),
+                         "--mu", str(built / "mu.json"),
+                         "--out", str(built / "boundary.csv")])
+        assert code == 2
+        assert json.loads(err.getvalue())["pass"] is False
+
+
 class TestVerifyCommands:
     def test_malformed_poly_exit_2(self, workdir, capsys):
         bad = workdir / "bad.json"
@@ -266,6 +327,40 @@ class TestVerifyCommands:
         assert code == 2 and out == []
         assert (f"line {len(lines) - 1}: position t 1e999 overflows float64"
                 in json.loads(err)["error"])
+
+    @pytest.mark.parametrize("field", ["k", "j", "m"])
+    def test_verify_boundary_names_an_integer_past_int64(self, field, workdir, capsys):
+        # a level, source or repetition past int64 on an atom line of the
+        # encoder's shape
+        atoms = workdir / "atoms.jsonl"
+        run_cli(["build-measure", "--mu", workdir / "mu.json",
+                 "--levels", "2", "--out", atoms], capsys)
+        lines = atoms.read_text().splitlines()
+        old = f'"{field}": {json.loads(lines[3])[field]}'
+        lines[3] = lines[3].replace(old, f'"{field}": 9999999999999999999')
+        atoms.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            ["verify-boundary", "--poly", workdir / "f.json",
+             "--atoms", atoms, "--mu", workdir / "mu.json",
+             "--out", workdir / "boundary.csv"],
+            capsys,
+        )
+        assert code == 2 and out == []
+        name = {"k": "level k", "j": "source j", "m": "repetition m"}[field]
+        assert (f"line 4: {name} 9999999999999999999 exceeds int64"
+                in json.loads(err)["error"])
+
+    def test_verify_sigma_refuses_a_huge_basis(self, workdir, capsys):
+        # basis_dim 10^6 used to stall in trial division for the primes
+        bad = workdir / "huge.json"
+        bad.write_text('{"basis_dim": 1000000, "terms": [{"n": 2, "re": 1.0}]}')
+        code, out, err = run_cli(
+            ["verify-sigma", "--poly", bad, "--sigma", "1.0",
+             "--t-grid", "10,100", "--out", workdir / "sigma.csv"],
+            capsys,
+        )
+        assert code == 2 and out == []
+        assert "basis_dim 1000000 exceeds the maximum" in json.loads(err)["error"]
 
     def test_verify_boundary_refuses_mismatched_masses(self, workdir, capsys):
         # a trailer whose level masses the atoms' weights do not add up to

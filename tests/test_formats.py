@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from polytorus import DirichletPolynomial, DomainError, MultiIndex, ParseError, PrimeBasis
 from polytorus.formats import (
+    MAX_BASIS_DIM,
     dirichlet_from_json,
     dirichlet_to_json,
     loads_strict,
@@ -83,6 +85,29 @@ class TestMalformedStructure:
     def test_parse_error(self, parse, text, match):
         with pytest.raises(ParseError, match=match):
             parse(text)
+
+
+class TestBasisDimensionCap:
+    @pytest.mark.parametrize("parse, text", [
+        (dirichlet_from_json, '{{"basis_dim": {}, "terms": [{{"n": 2, "re": 1.0}}]}}'),
+        (torus_from_json, '{{"basis_dim": {}, "terms": [{{"alpha": [1], "re": 1.0}}]}}'),
+        (polynomial_family_from_json, '{{"polynomials": [{{"basis_dim": {}, '
+                                      '"terms": [{{"alpha": [1], "re": 1.0}}]}}]}}'),
+    ])
+    def test_huge_basis_refused_before_any_prime(self, parse, text):
+        # 40,000 took 19.7 s of trial division; 10^6 is refused at once
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="basis_dim 1000000 exceeds the maximum"):
+            parse(text.format(10**6))
+        assert time.perf_counter() - start < 0.1
+        with pytest.raises(ParseError, match=f"basis_dim {MAX_BASIS_DIM + 1} exceeds"):
+            parse(text.format(MAX_BASIS_DIM + 1))
+        parse(text.format(MAX_BASIS_DIM))
+
+    def test_inferred_dimension_is_capped_too(self):
+        alpha = json.dumps([0] * MAX_BASIS_DIM + [1])
+        with pytest.raises(ParseError, match=f"basis_dim {MAX_BASIS_DIM + 1} exceeds"):
+            torus_from_json(f'{{"terms": [{{"alpha": {alpha}, "re": 1.0}}]}}')
 
 
 class TestDirichletFormat:

@@ -37,7 +37,6 @@ from polytorus.kronecker import (
     _round_up,
     _scan_search,
     _Tables,
-    _window_hits,
 )
 from polytorus.measures import build_point_mass_lambda, scan_step
 
@@ -372,11 +371,26 @@ def tables_of(rotations):
                    tuple(_round_up(w) for _, _, w in rotations))
 
 
-def walk(tests, budget, anchor=None):
-    """The window walk over the pre-filters ``tests`` ``(c, s, w)``."""
+def walk(tests, budget):
+    """The window walk from 0 over the pre-filters ``tests`` ``(c, s, w)``."""
     rotations = grid_rotations(tests, budget)
-    tables = tables_of(rotations) if rotations else None
-    return _window_hits(rotations, budget, anchor, tables)
+    if not rotations:
+        return iter(range(budget))
+    return _rotation_hits(rotations, 0, budget, tables_of(rotations))
+
+
+def walk_from(tests, budget, start):
+    """The window walk over ``tests``' hits in ``[0, budget)``, continued
+    from ``start <= 0``, an index inside every widened window, as a
+    cursor's walk continues: by the first window's jumps with one window, by
+    joint gaps with more.  The walks index from the start, so the rotations
+    are moved to it."""
+    rotations = grid_rotations(tests, budget)
+    moved = [((o + start * a) & _GRID_MASK, a, w) for o, a, w in rotations]
+    at = [o for o, _, _ in moved]
+    cursor_walk = _rotation_hits if len(moved) == 1 else _joint_hits
+    return [i + start for i in cursor_walk(moved, 0, budget - start, tables_of(moved),
+                                           -start, at)]
 
 
 def brute_force_first(search, budget):
@@ -642,9 +656,52 @@ def seeded_problem(rng, k, eps):
     return KroneckerProblem(PrimeBasis(k), k, targets, eps, t_min)
 
 
-def anchor_of(problem):
-    """The lattice anchor the problem's memo holds, or ``None``."""
-    return problem._memo.anchor
+def cursor_of(problem):
+    """The lattice cursor the problem's memo holds, or ``None``."""
+    return problem._memo.cursor
+
+
+def fields(solution):
+    return solution.t, solution.residuals, solution.q, solution.steps
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls of the kronecker function ``name`` in a list that
+    the test may clear."""
+    calls, real = [], getattr(kronecker, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(kronecker, name, counted)
+    return calls
+
+
+def build_solutions(mu, levels, growth, monkeypatch):
+    """``(problems, solutions)`` of every solve of a point-mass build, each
+    problem as ``(basis, k, targets, eps, t_min, budget)``."""
+    problems, solutions = [], []
+
+    def recording(problem, budget):
+        solutions.append(solve(problem, budget))
+        problems.append((problem.basis, problem.k, problem.targets, problem.eps,
+                         problem.t_min, budget))
+        return solutions[-1]
+
+    monkeypatch.setattr(measures, "solve", recording)
+    build_point_mass_lambda(mu, levels, growth)
+    monkeypatch.undo()
+    return problems, solutions
+
+
+def cold_solve(basis, k, targets, eps, t_min, budget):
+    _problem_memo.cache_clear()
+    return solve(KroneckerProblem(basis, k, targets, eps, t_min), budget)
+
+
+THREE_POINTS = TorusPointMassMeasure([((0.9, 2.2, 4.1), 0.3), ((3.3, 0.4, 5.7), 0.3),
+                                      ((1.5, 5.0, 2.5), 0.4)])
 
 
 class TestJointGaps:
@@ -658,7 +715,7 @@ class TestJointGaps:
         # joint hits below 0 and visit exactly the first window's hits that
         # lie in every other widened window.
         rng = np.random.default_rng(60 + k)
-        total, anchored = 0, []
+        total, walked = 0, []
         for depth in range(3, 10):
             problem = seeded_problem(rng, k, 2.0 ** -depth)
             for search in (_lattice_search, _scan_search):
@@ -667,24 +724,23 @@ class TestJointGaps:
                                                 self.BUDGET)
                 if not hits:
                     continue
-                anchored.append(search)
+                walked.append(search)
                 last = hits[:4][-1]
                 later = KroneckerProblem(problem.basis, k, problem.targets,
                                          problem.eps, early.time_of(last))
-                tests, rotations, tables = search(later).windows(self.BUDGET)
+                tests = search(later).windows(self.BUDGET)[0]
                 expected = first_window_then_filter(tests, self.BUDGET)
-                anchor = hits[0] - last - 1
-                assert inside_every_window(tests, self.BUDGET, anchor)
-                assert list(_joint_hits(rotations, anchor, self.BUDGET, tables)) == \
-                    expected
+                start = hits[0] - last - 1
+                assert inside_every_window(tests, self.BUDGET, start)
+                assert walk_from(tests, self.BUDGET, start) == expected
                 total += len(expected)
-        assert len(anchored) >= 4 and set(anchored) == {_lattice_search, _scan_search}
+        assert len(walked) >= 4 and set(walked) == {_lattice_search, _scan_search}
         assert total >= {3: 1000, 4: 50}[k]
 
-    def test_anchor_below_zero_inside_the_box(self, cold_memos):
+    def test_walk_from_a_joint_hit_below_zero(self, cold_memos):
         # A joint hit of an earlier problem with the same target, below the
-        # later problem's first candidate, starts the walk; the indices
-        # yielded are those of a walk from 0.
+        # later problem's first candidate and inside its windows, starts the
+        # walk; the indices yielded are those of a walk from 0.
         rng = np.random.default_rng(71)
         budget = 1 << 18
         used = 0
@@ -698,96 +754,17 @@ class TestJointGaps:
                 later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
                                          search.time_of(h + 3))
                 tests = _lattice_search(later).windows(budget)[0]
-                anchor = q0 + h - _lattice_search(later).q0
-                assert anchor < 0
-                if inside_every_window(tests, budget, anchor):
+                start = q0 + h - _lattice_search(later).q0
+                assert start < 0
+                if inside_every_window(tests, budget, start):
                     used += 1
-                assert list(walk(tests, budget, anchor)) == \
-                    first_window_then_filter(tests, budget)
+                    assert walk_from(tests, budget, start) == \
+                        first_window_then_filter(tests, budget)
         assert used >= 6
-
-    def test_anchor_outside_the_box_or_not_below_zero(self, cold_memos):
-        rng = np.random.default_rng(72)
-        budget = 1 << 16
-        for depth in (3, 4):
-            problem = seeded_problem(rng, 3, 2.0 ** -depth)
-            tests = _lattice_search(problem).windows(budget)[0]
-            expected = first_window_then_filter(tests, budget)
-            assert len(expected) >= 2
-            outside = [a for a in range(-50, 0)
-                       if not inside_every_window(tests, budget, a)]
-            assert outside
-            # at or above 0 an anchor would skip hits, whether it is a hit
-            # itself (the first, the last) or not
-            positive = [0, expected[0], expected[-1], expected[-1] + 1]
-            for anchor in outside[:10] + positive:
-                assert list(walk(tests, budget, anchor)) == expected
-
-    def test_positive_anchor_left_in_the_memo(self, cold_memos):
-        # A later solution of the same problem is ignored by an earlier solve.
-        basis = PrimeBasis(3)
-        solve(KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 5e4))
-        early = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 10.0)
-        assert anchor_of(early) > _lattice_search(early).q0
-        warm = solve(early)
-        _problem_memo.cache_clear()
-        cold = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 2.0 ** -4, 10.0)
-        assert anchor_of(cold) is None
-        assert repr(warm) == repr(solve(cold))
-
-    def test_positive_anchor_left_by_an_earlier_build(self, cold_memos):
-        mu = TorusPointMassMeasure([((0.9, 2.2, 4.1), 0.5), ((3.3, 0.4, 5.7), 0.5)])
-        first = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
-        level4 = [KroneckerProblem(PrimeBasis(3), 3, omega.angles, 2.0 ** -4)
-                  for omega, _ in mu.atoms]
-        assert all(anchor_of(problem) is not None for problem in level4)
-        again = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
-        _problem_memo.cache_clear()
-        cold = build_point_mass_lambda(mu, 4, GrowthSchedule.constant(2))
-        assert first == again == cold
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_far_anchor_walks_as_a_cold_solve(self, k, monkeypatch, cold_memos):
-        # A solve near t_min = 1 leaves its solution as the anchor of a solve
-        # at t_min = 1e7, millions of candidates above it.  The walk starts
-        # at 0, as on a cold memo, instead of stepping over every hit in
-        # between: counted by the passes over the jump and joint-gap tables,
-        # one per hit walked.
-        walked = []
-
-        class Counted(tuple):
-            def __iter__(self):
-                walked.append(None)
-                return super().__iter__()
-
-        first_jumps, joint_gaps = kronecker._first_jumps, kronecker._joint_gaps
-        monkeypatch.setattr(kronecker, "_first_jumps",
-                            lambda *args: Counted(first_jumps(*args)))
-        monkeypatch.setattr(kronecker, "_joint_gaps",
-                            lambda *args: Counted(joint_gaps(*args)))
-        basis, targets, eps = PrimeBasis(k), (1.0, 2.0, 3.0)[:k], 2.0 ** -4
-
-        def far_solve():
-            walked.clear()
-            return repr(solve(KroneckerProblem(basis, k, targets, eps, 1e7))), len(walked)
-
-        solve(KroneckerProblem(basis, k, targets, eps, 1.0))
-        search = _lattice_search(KroneckerProblem(basis, k, targets, eps, 1e7))
-        anchor = search.memo.anchor - search.q0
-        _, rotations, tables = search.windows(10**8)
-        # inside every widened window, so only its distance below 0 keeps it
-        # from starting the walk
-        assert anchor < -100 * tables.span
-        assert all((o + anchor * a) & _GRID_MASK < w for o, a, w in rotations)
-        warm, warm_walked = far_solve()
-        clear_kronecker_caches()
-        cold, cold_walked = far_solve()
-        assert warm == cold
-        assert warm_walked == cold_walked <= 64
 
     def test_scan_solve_never_reaches_joint_gaps(self, monkeypatch, cold_memos):
         # The scan backend walks fresh, even when the problem's memo holds a
-        # lattice anchor.
+        # lattice cursor.
         rng = np.random.default_rng(76)
         problems = [seeded_problem(rng, k, 2.0 ** -depth)
                     for k, depth in ((2, 3), (3, 3), (3, 5), (4, 3))]
@@ -806,7 +783,7 @@ class TestJointGaps:
                 assert np.all(residuals(problem.basis, problem.k, sol.t,
                                         problem.targets) < problem.eps)
                 t = sol.t
-            assert anchor_of(problem) is not None
+            assert cursor_of(problem) is not None
 
     @pytest.mark.parametrize("joint_span", [1e-9, 0.5])
     def test_fallback_when_no_gap_lands(self, joint_span, monkeypatch, cold_memos):
@@ -821,38 +798,59 @@ class TestJointGaps:
             expected = first_window_then_filter(tests, budget)
             assert len(expected) >= 2
             assert list(walk(tests, budget)) == expected
-            # from the first hit, as an anchor below 0 of a shifted problem
+            # from the first hit, at -1 of a shifted problem
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
                                      _lattice_search(problem).time_of(expected[0]))
-            tests, rotations, tables = _lattice_search(later).windows(budget)
+            tests, _, tables = _lattice_search(later).windows(budget)
             hits = first_window_then_filter(tests, budget)
             assert inside_every_window(tests, budget, -1)
-            assert list(walk(tests, budget, -1)) == hits
-            assert list(_joint_hits(rotations, -1, budget, tables)) == hits
+            assert walk_from(tests, budget, -1) == hits
             # some consecutive joint hits lie further apart than the span
             assert max(b - a for a, b in zip(hits, hits[1:])) > tables.span
+
+    def test_joint_walk_on_window_edges(self):
+        # Advances and windows in whole multiples of 2^64 / 2^m put
+        # positions exactly on window edges, 0 inside and the width outside;
+        # from a joint hit below low the walk yields exactly the joint hits
+        # in [low, stop) that a brute force over the grid finds.
+        rng = random.Random(77)
+        stop, checked = 4000, 0
+        for trial in range(300):
+            m = rng.randint(3, 10)
+            unit = _GRID >> m
+            rotations = []
+            for r in range(rng.choice([2, 3])):
+                advance = rng.randrange(1, 1 << m) * unit
+                if r == 0 and trial % 2:
+                    advance = rng.getrandbits(64) | 1
+                rotations.append((rng.randrange(1 << m) * unit, advance,
+                                  rng.randint(1, 1 << (m - 1)) * unit))
+            hits = sorted(set.intersection(*(set(grid_hits(o, a, w, 0, stop))
+                                              for o, a, w in rotations)))
+            if len(hits) < 2:
+                continue
+            start, low = hits[0], rng.randint(hits[0] + 1, hits[-1])
+            at = [(o + start * a) & _GRID_MASK for o, a, _ in rotations]
+            assert list(_joint_hits(rotations, start, stop, tables_of(rotations), low,
+                                    at)) == [h for h in hits if h >= low]
+            checked += 1
+        assert checked > 100
 
     @pytest.mark.parametrize("d, depth", [(2, 4), (2, 7), (3, 5), (4, 3)])
     def test_chained_solves_warm_memo_equal_cold(self, d, depth, cold_memos,
                                                  monkeypatch):
         # Three targets in turn, each solve starting one scan step after the
-        # previous solution, as the builders do: the same reprs whether the
-        # memo holds each target's last solution or is cleared every time.
-        # With one filtered window (d = 2) a warm solve starts its walk at
-        # the anchor, so only each target's first solve searches from 0.
+        # previous solution, as the builders do: the same reprs, and so the
+        # same t, residuals, q and steps, whether the memo holds each
+        # target's cursor or is cleared before every solve.  Only each
+        # target's first solve searches from 0: with one filtered window
+        # (d = 2) the others make no rescan.
         rng = np.random.default_rng(74 + d)
         basis, k, eps = PrimeBasis(d), min(d, depth), 2.0 ** -depth
         targets = [tuple(float(g) for g in rng.uniform(0, TWO_PI, size=k))
                    for _ in range(3)]
         step = scan_step(basis, depth)
-        rescans = []
-        rescan = kronecker._rescan
-
-        def counted(*args):
-            rescans.append(args)
-            return rescan(*args)
-
-        monkeypatch.setattr(kronecker, "_rescan", counted)
+        rescans = count_calls(monkeypatch, "_rescan")
 
         def chain(clear):
             out, t = [], 0.0
@@ -868,31 +866,159 @@ class TestJointGaps:
 
         warm, warm_rescans = chain(False)
         assert _problem_memo.cache_info().currsize == 3
-        assert all(anchor_of(KroneckerProblem(basis, k, omega, eps)) is not None
+        assert all(cursor_of(KroneckerProblem(basis, k, omega, eps)) is not None
                    for omega in targets)
         cold, cold_rescans = chain(True)
         assert warm == cold
         if d == 2:
             assert warm_rescans == 3 and cold_rescans >= 36
 
-    def test_build_warm_memo_equals_cold(self, cold_memos, monkeypatch):
-        # A d = 2, K = 5 build, every solve of which but the first of each
-        # level and source starts from an anchor, against the same build
-        # with every memo cleared before each solve.
-        mu = TorusPointMassMeasure([((0.9, 2.2), 0.4), ((3.3, 0.4), 0.6)])
-        growth = GrowthSchedule.constant(3)
-        first = build_point_mass_lambda(mu, 5, growth)
-        warm = build_point_mass_lambda(mu, 5, growth)
 
-        def cold_solve(problem, budget):
-            clear_kronecker_caches()
-            return solve(KroneckerProblem(problem.basis, problem.k, problem.targets,
-                                          problem.eps, problem.t_min), budget)
+class TestCursor:
+    @pytest.mark.parametrize("mu, levels, growth", [
+        pytest.param(THREE_POINTS, 4, GrowthSchedule.default(), id="d3-K4"),
+        pytest.param(TorusPointMassMeasure([((0.9, 2.2), 0.4), ((3.3, 0.4), 0.6)]), 5,
+                     GrowthSchedule.constant(3), id="d2-K5"),
+    ])
+    def test_build_solutions_equal_cold_solutions(self, mu, levels, growth, monkeypatch,
+                                                  cold_memos):
+        # Every solve of a build but the first of each level and source
+        # continues its problem's cursor; each solution equals that of the
+        # same problem solved on a cold memo.
+        grids = count_calls(monkeypatch, "_on_grid")
+        problems, warm = build_solutions(mu, levels, growth, monkeypatch)
+        seeded = len(grids)
+        cold = [cold_solve(*problem) for problem in problems]
+        assert [fields(s) for s in warm] == [fields(s) for s in cold]
+        pairs = {(k, eps, targets) for _, k, targets, eps, _, _ in problems if k > 1}
+        assert seeded == sum(k - 1 for k, _, _ in pairs)
+        assert len(problems) > 40 * len(pairs)
 
-        monkeypatch.setattr(measures, "solve", cold_solve)
-        cold = build_point_mass_lambda(mu, 5, growth)
-        assert len(cold) == 2 * 768
-        assert first == warm == cold
+    def test_build_leaves_cursors_for_the_next_build(self, cold_memos):
+        # A second build of the same measure finds each level's cursors
+        # above its first solves, so those walk fresh; it equals the first
+        # build and a build on cold memos.
+        first = build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.constant(2))
+        level4 = [KroneckerProblem(PrimeBasis(3), 3, omega.angles, 2.0 ** -4)
+                  for omega, _ in THREE_POINTS.atoms]
+        assert all(cursor_of(problem) is not None for problem in level4)
+        again = build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.constant(2))
+        clear_kronecker_caches()
+        cold = build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.constant(2))
+        assert first == again == cold
+
+    def test_continuing_solves_set_up_no_windows(self, monkeypatch, cold_memos):
+        # The level-4 solves of a K=4 build, replayed in order on cold
+        # memos: the first solve of each source sets up its windows
+        # (_on_grid per filtered coordinate) and leaves a cursor, and every
+        # later solve continues it without setting up a window.
+        problems, solutions = build_solutions(THREE_POINTS, 4, GrowthSchedule.default(),
+                                              monkeypatch)
+        level4 = [(p, s) for p, s in zip(problems, solutions) if p[3] == 2.0 ** -4]
+        assert len(level4) > 1000
+        clear_kronecker_caches()
+        grids = count_calls(monkeypatch, "_on_grid")
+        seen = set()
+        for (basis, k, targets, eps, t_min, budget), expected in level4:
+            grids.clear()
+            sol = solve(KroneckerProblem(basis, k, targets, eps, t_min), budget)
+            assert fields(sol) == fields(expected)
+            assert len(grids) == (0 if targets in seen else k - 1)
+            seen.add(targets)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("case", ["below", "at", "far", "budget", "range"])
+    def test_solve_off_the_cursor_walks_as_a_cold_solve(self, k, case, monkeypatch,
+                                                        cold_memos):
+        # A solve near t_min = 1e4 leaves the cursor at its solution.  A
+        # solve below it (t_min = 10), at it (t_min just below the solution,
+        # which is then its first candidate), millions of candidates above it
+        # (t_min = 1e7), with another budget, or starting more than the
+        # cursor's budget above where its windows start, walks from its
+        # first candidate with windows of its own, as on a cold memo, instead
+        # of stepping over every hit in between or walking windows made for
+        # other solves: counted by the windows set up and by the passes over
+        # the jump and joint-gap tables, one per hit walked.
+        walked = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                walked.append(None)
+                return super().__iter__()
+
+        first_jumps, joint_gaps = kronecker._first_jumps, kronecker._joint_gaps
+        monkeypatch.setattr(kronecker, "_first_jumps",
+                            lambda *args: Counted(first_jumps(*args)))
+        monkeypatch.setattr(kronecker, "_joint_gaps",
+                            lambda *args: Counted(joint_gaps(*args)))
+        grids = count_calls(monkeypatch, "_on_grid")
+        basis, targets, eps = PrimeBasis(k), (1.0, 2.0, 3.0)[:k], 2.0 ** -4
+        first_budget = {"range": {2: 200, 3: 15000}[k]}.get(case, 10**8)
+        first = KroneckerProblem(basis, k, targets, eps, 1e4)
+        t = solve(first, first_budget).t
+        cursor = cursor_of(first)
+        t_min, budget = {
+            "below": (10.0, 10**8), "at": (math.nextafter(t, 0.0), 10**8),
+            "far": (1e7, 10**8), "budget": (t, 10**7),
+            # the first candidate one past the cursor's budget
+            "range": (_lattice_search(first).time_of(first_budget), first_budget),
+        }[case]
+        low = _lattice_search(KroneckerProblem(basis, k, targets, eps, t_min)).q0 - \
+            cursor.q0
+        # each case fails one condition of continuing the cursor, and only one
+        assert [low <= cursor.i, low > cursor.i + cursor.tables.span,
+                budget != cursor.budget, low > cursor.budget] == \
+            [case in c for c in (("below", "at"), "far", "budget", "range")]
+        assert (low == cursor.i) == (case == "at")
+
+        def off_solve():
+            walked.clear()
+            grids.clear()
+            sol = solve(KroneckerProblem(basis, k, targets, eps, t_min), budget)
+            return fields(sol), len(walked), len(grids)
+
+        warm = off_solve()
+        clear_kronecker_caches()
+        cold = off_solve()
+        assert warm == cold
+        assert warm[1] <= 64 and warm[2] == k - 1
+
+    def test_windows_wider_than_half_the_circle_leave_no_cursor(self, cold_memos):
+        # The joint walk's signed test needs windows no wider than half the
+        # circle; at eps = 3 every solve walks fresh, and the same as cold.
+        basis, t = PrimeBasis(3), 0.0
+        for _ in range(20):
+            problem = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 3.0, t)
+            sol = solve(problem)
+            assert cursor_of(problem) is None
+            assert fields(sol) == fields(cold_solve(basis, 3, (1.0, 2.0, 3.0), 3.0, t,
+                                                    10**8))
+            t = sol.t
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_cursor_windows_contain_the_own_windows(self, k, cold_memos):
+        # The windows a fresh solve leaves for its cursor contain the own
+        # widened window of every solve with the same budget whose first
+        # candidate lies D in [1, budget] above.  Both grids step by the
+        # same advance, so candidate i of that solve sits a fixed distance
+        # from cursor index D + i, and containment is one exact test of the
+        # window edges for every i at once.
+        rng = np.random.default_rng(90 + k)
+        for trial in range(40):
+            t_min = float(10.0 ** rng.uniform(0, 11 if trial % 2 else 3))
+            budget = int(rng.choice([1 << 12, 10**6, 10**8]))
+            problem = KroneckerProblem(PrimeBasis(k), k, tuple(rng.uniform(0, TWO_PI, k)),
+                                       2.0 ** -int(rng.integers(1, 8)), t_min)
+            seed = _lattice_search(problem)
+            cursor = seed.windows(budget, budget)[1]
+            for shift in (1, int(rng.integers(2, budget)), budget):
+                later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
+                                         seed.time_of(shift - 1))
+                search = _lattice_search(later)
+                assert search.q0 == seed.q0 + shift
+                for (o, a, w), (oc, ac, wc) in zip(search.windows(budget)[1], cursor):
+                    assert a == ac
+                    assert (oc + shift * a - o) % _GRID + w <= wc, (trial, shift)
 
 
 def grid_hits(origin, advance, wide, start, stop):
@@ -908,13 +1034,13 @@ class TestSingleWindowWalk:
     BUDGET = 1 << 20
 
     @pytest.mark.parametrize("search", [_lattice_search, _scan_search])
-    def test_anchored_walk_matches_first_window_then_filter(self, search, cold_memos):
+    def test_walk_from_below_zero_matches_first_window_then_filter(self, search,
+                                                                    cold_memos):
         # k = 2: the lattice backend's one filtered window, and the scan
-        # backend's first.  An anchor below 0 inside the widened window
-        # starts the walk there; one outside it, or at or above 0, leaves
-        # the walk to start at 0.  The hits are the same whatever the anchor.
-        # Each problem is also solved again from just below its first hit,
-        # which makes index 0 a hit.
+        # backend's first.  A walk from any hit below 0 of the widened
+        # window, as a cursor's walk continues, steps over the hits below 0
+        # and yields those of a walk from 0.  Each problem is also solved
+        # again from just below its first hit, which makes index 0 a hit.
         rng = np.random.default_rng(80)
         problems = []
         for depth in (4, 6, 8):
@@ -931,14 +1057,12 @@ class TestSingleWindowWalk:
             (origin, advance, wide), = grid_rotations(tests, self.BUDGET)
             expected = first_window_then_filter(tests, self.BUDGET)
             assert expected == grid_hits(origin, advance, wide, 0, self.BUDGET)
+            assert list(walk(tests, self.BUDGET)) == expected
             starts.add(expected[0])
             below = grid_hits(origin, advance, wide, -20000, 0)
-            outside = sorted(set(range(-20000, 0)) - set(below))
-            assert len(below) >= 3 and outside
-            anchors = [below[0], below[len(below) // 2], below[-1], *outside[-3:],
-                       outside[0], 0, expected[0], expected[-1], expected[-1] + 1]
-            for anchor in anchors:
-                assert list(walk(tests, self.BUDGET, anchor)) == expected, anchor
+            assert len(below) >= 3
+            for start in (below[0], below[len(below) // 2], below[-1]):
+                assert walk_from(tests, self.BUDGET, start) == expected, start
             used += len(below)
         assert used >= 40 and 0 in starts
 
@@ -965,4 +1089,6 @@ class TestSingleWindowWalk:
             below = grid_hits(origin, advance, wide, -2000, 0)
             if below:
                 start = below[rng.randrange(len(below))]
-                assert list(_rotation_hits(rotations, start, budget, tables)) == expected
+                moved = [((origin + start * advance) & _GRID_MASK, advance, wide)]
+                walked = _rotation_hits(moved, 0, budget - start, tables, -start)
+                assert [i + start for i in walked] == expected

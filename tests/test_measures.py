@@ -464,12 +464,18 @@ class TestAtomFiles:
                                              "overflows float64$"):
             atoms_from_bytes("\n".join(lines).encode())
 
-    @pytest.mark.parametrize("j", [2**63, -(2**63) - 1, 10**30])
-    def test_integer_beyond_int64_refused(self, j):
-        # an OverflowError traceback before
-        with pytest.raises(ParseError, match="too large|out of bounds"):
-            atoms_from_bytes(self._two_level_stream().replace(
-                b'"j": 1', f'"j": {j}'.encode(), 1))
+    @pytest.mark.parametrize("field, name", [
+        ("k", "level k"), ("j", "source j"), ("m", "repetition m")])
+    @pytest.mark.parametrize("value", [
+        2**63, -(2**63) - 1, 9999999999999999999, 10**30])
+    def test_integer_beyond_int64_names_its_line(self, field, name, value):
+        # numpy's "Python int too large to convert to C long", with no line
+        # number, before; 19 digits take the regular-expression path, and 31
+        # the strict one
+        blob = self._two_level_stream().replace(
+            f'"{field}": 1'.encode(), f'"{field}": {value}'.encode(), 1)
+        with pytest.raises(ParseError, match=f"^line 2: {name} {value} exceeds int64$"):
+            atoms_from_bytes(blob)
 
     @given(
         st.lists(st.floats(0.0, 1e300), unique=True, min_size=1, max_size=12).map(sorted),
