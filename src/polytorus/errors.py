@@ -26,7 +26,10 @@ class BudgetExhaustedError(PolytorusError, RuntimeError):
 
     Existence is guaranteed for rationally independent frequencies, so this
     is a resource failure, not a mathematical one.  ``best_t`` and
-    ``best_residuals`` record the most promising candidate examined.
+    ``best_residuals`` record the candidate with the smallest worst residual:
+    over every candidate for the reference scan, and over the lattice
+    candidates in the first filtered coordinate's widened window for the
+    lattice backend (every candidate when ``k = 1`` or that window is empty).
     """
 
     def __init__(self, steps, best_t, best_residuals):

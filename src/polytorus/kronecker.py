@@ -5,25 +5,15 @@ with ``-t log p_r`` within ``eps`` of ``theta_r`` modulo 2*pi for each of the
 first ``k`` primes.  Existence is guaranteed because the prime logarithms are
 rationally independent; the solvers below differ only in how they search.
 
-There are two backends.  :func:`solve` is the lattice backend, and
-:func:`scan_solve` the reference:
+The lattice backend, :func:`solve`, restricts ``t`` to the solution lattice
+of the last active coordinate, ``t = (2*pi*q - theta_k) / log p_k``, and
+filters the remaining coordinates over increasing integers ``q``.  For ``k =
+1`` this returns the closed-form solution exactly; for ``k > 1`` it visits
+candidates spaced ``2*pi / log p_k`` apart instead of a fraction of ``eps``,
+which is what makes deep constructions affordable.
 
-* ``"scan"`` -- a forward grid scan with step ``eps / (2 max_r log p_r)``.
-  With that step no interval containing a point whose residuals are all below
-  ``eps/2`` can be skipped (each residual is Lipschitz in ``t`` with constant
-  ``log p_r``), making the scan a complete, auditable reference.  Its cost
-  grows like ``(2*pi/eps)^k`` steps, which is fine at coarse tolerances and
-  hopeless at fine ones.
-
-* ``"lattice"`` -- restrict ``t`` to the solution lattice of the last active
-  coordinate, ``t = (2*pi*q - theta_k) / log p_k``, and filter the remaining
-  coordinates over increasing integers ``q``.  For ``k = 1`` this returns the
-  closed-form solution exactly; for ``k > 1`` it visits candidates spaced
-  ``2*pi / log p_k`` apart instead of a fraction of ``eps``, which is what
-  makes deep constructions affordable.
-
-Either way, candidate angles are linear in the candidate index ``i``, so
-each coordinate's pre-filter is one comparison, ``frac(c - i*s) < w`` in
+Its candidate angles are linear in the candidate index ``i``, so each
+filtered coordinate's pre-filter is one comparison, ``frac(c - i*s) < w`` in
 units of full turns, against a slack-widened window that is a strict superset
 of the true acceptance set.  The search does not stream every candidate
 through it.  It walks only the hits of the first filtered coordinate's
@@ -32,8 +22,8 @@ three-distance theorem (Sos 1958; Slater 1967, "Gaps and steps for the
 sequence n theta mod 1") its returns to a window of width ``W`` are ``n1``,
 ``n2`` or ``n1 + n2`` indices apart, with ``n1, n2`` read off the continued
 fraction of the step.  A solve therefore touches about ``candidates * W``
-hits, ``W ~ eps/pi``, instead of every candidate.  (The lattice backend at
-``k = 1`` has no filtered coordinate and visits its candidates in order.)
+hits, ``W ~ eps/pi``, instead of every candidate.  (At ``k = 1`` there is no
+filtered coordinate, and the candidates are visited in order.)
 
 From a known joint hit, a hit of every filtered window at once, a second
 walk steps between joint hits.  Two joint hits ``n`` indices apart move each
@@ -50,18 +40,17 @@ Each problem ``(basis, k, targets, eps)`` has one bounded memo entry, its
 resumable search, which the :class:`KroneckerProblem` keeps.  Building it
 checks everything that ignores ``t_min``, once; an invalid problem is
 checked in full, in order, and never cached.  It holds what the solves share
-whatever ``t_min`` (logs, reduced targets, each backend's candidate lines,
+whatever ``t_min`` (logs, reduced targets, the filtered coordinates' lines,
 the walks' tables per set of window widths rounded up to their leading
-bits) and a lattice walk cursor, left at the last lattice solution.  A
-build's solves of one problem are successive returns of one rotation to one
-box, so a lattice solve whose first candidate lies above the cursor, within
-the span and within one budget of where the cursor's windows start,
-computes only its first candidate and pre-filter and walks on from the
-cursor: by the first window's jumps with one filtered window, by joint gaps
-with more.  The cursor's windows were widened once to contain the own
-widened window of every such solve.  Any other lattice solve sets up its
-windows, walks from its first candidate and leaves a new cursor; a scan
-solve walks its own windows from 0.
+bits) and a walk cursor, left at the last solution.  A build's solves of one
+problem are successive returns of one rotation to one box, so a solve whose
+first candidate lies above the cursor, within the span and within one
+budget of where the cursor's windows start, computes only its first
+candidate and pre-filter and walks on from the cursor: by the first window's
+jumps with one filtered window, by joint gaps with more.  The cursor's
+windows were widened once to contain the own widened window of every such
+solve.  Any other solve sets up its windows, walks from its first candidate
+and leaves a new cursor.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the pre-filter's by a bound on the
@@ -69,9 +58,18 @@ float64 rounding and the grid's drift.  A candidate inside every widened
 window gets the pre-filter in Python floats, with the IEEE operations of a
 vectorized pass, and then the :func:`residuals` recheck; the set-up and this
 accept path run in Python floats, one coordinate at a time.  The returned
-solution is exactly the first candidate of the backend's scan order that
-passes the pre-filter and whose true residuals all pass, bit for bit,
-whatever the memo holds; ``steps`` is its index plus one.
+solution is exactly the first lattice candidate that passes the pre-filter
+and whose true residuals all pass, bit for bit, whatever the memo holds;
+``steps`` is its index plus one.
+
+The reference, :func:`scan_solve`, shares none of this: it evaluates the
+candidates ``t_min + (i + 1) * eps / (2 log p_k)`` with :func:`residuals`,
+chunk by chunk in numpy, and returns the first whose residuals are all below
+``eps``.  With that step no interval containing a point whose residuals are
+all below ``eps/2`` can be skipped (each residual is Lipschitz in ``t`` with
+constant ``log p_r``), making the scan a complete, auditable reference.  Its
+cost grows like ``(2*pi/eps)^k`` candidates, which is fine at coarse
+tolerances and hopeless at fine ones.
 """
 
 from __future__ import annotations
@@ -87,10 +85,12 @@ from .errors import BudgetExhaustedError, DimensionError, DomainError
 from .polynomials import TWO_PI
 from .primes import PrimeBasis
 
-# Candidates per vectorized pass when the window walk must rescan forward.
+# Candidates per vectorized pass when the window walk must rescan forward, and
+# the reference scan's largest chunk.
 _RESCAN_CHUNK = 1 << 16
 # A first rescan over at most this many candidates runs as a Python integer
 # loop: that stops at the first hit and skips numpy's fixed cost per call.
+# The reference scan's first chunk, which keeps a scan solved early cheap.
 _SHORT_SCAN = 256
 
 # The window walk tracks positions on the circle in units of 2^-64 turns.
@@ -210,32 +210,6 @@ class KroneckerSolution:
     method: str
 
 
-class _Lines:
-    """One backend's candidate lines over one problem, apart from where they
-    start.
-
-    ``coordinates`` holds, per filtered coordinate, ``(origin, slope, step,
-    turns, advance)``: the angle of candidate ``i`` in radians is ``origin +
-    shift*slope - i*step`` modulo 2*pi up to rounding, ``shift`` being the
-    solve's (see :class:`_LinearSearch`); ``turns`` is ``step`` in turns and
-    ``advance`` its negation on the 2^-64 grid; ``advances`` lists the
-    advances.  ``tables`` maps the walked widths of a solve's windows (see
-    :func:`_round_up`) to their :class:`_Tables`, so that a solve finds them
-    by one lookup.
-    """
-
-    __slots__ = ("method", "coordinates", "advances", "tables")
-
-    def __init__(self, method, origins, slopes, steps):
-        self.method = method
-        self.coordinates = []
-        for origin, slope, step in zip(origins, slopes, steps):
-            turns = step / TWO_PI
-            self.coordinates.append((origin, slope, step, turns, _grid_advance(turns)))
-        self.advances = tuple(c[-1] for c in self.coordinates)
-        self.tables = {}
-
-
 class _ProblemMemo:
     """One problem's resumable search: what its solves share, whatever
     ``t_min``.
@@ -244,13 +218,19 @@ class _ProblemMemo:
     ``targets`` and ``eps`` are the problem's canonical fields; ``logs`` and
     ``reduced`` are ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as
     Python floats, the targets reduced again as :func:`residuals` reduces its
-    argument.  ``delta`` is the scan step in ``t``, and ``lattice`` and
-    ``scan`` the backends' :class:`_Lines`.  ``cursor`` is the
-    :class:`_Cursor` of the problem's last lattice solution, or ``None``.
+    argument.  ``coordinates`` holds, per filtered coordinate, its lattice
+    line ``(origin, slope, step, turns, advance)``: the angle of candidate
+    ``i`` in radians is ``origin + shift*slope - i*step`` modulo 2*pi up to
+    rounding, ``shift`` being the solve's (see :class:`_LinearSearch`);
+    ``turns`` is ``step`` in turns and ``advance`` its negation on the 2^-64
+    grid; ``advances`` lists the advances.  ``tables`` maps the walked
+    widths of a solve's windows (see :func:`_round_up`) to their
+    :class:`_Tables`, so that a solve finds them by one lookup.  ``cursor``
+    is the :class:`_Cursor` of the problem's last solution, or ``None``.
     """
 
-    __slots__ = ("targets", "eps", "logs", "reduced", "delta", "lattice", "scan",
-                 "cursor")
+    __slots__ = ("targets", "eps", "logs", "reduced", "coordinates", "advances",
+                 "tables", "cursor")
 
     def __init__(self, dimension: int, k: int, targets, eps):
         basis = PrimeBasis(dimension)
@@ -260,16 +240,16 @@ class _ProblemMemo:
         logs = tuple(basis.logs[:k].tolist())
         self.logs = logs
         self.reduced = tuple(g % TWO_PI for g in self.targets)
-        self.delta = self.eps / (2.0 * logs[-1])
-        # Lattice ratios log p_r / log p_k against the lattice shift
-        # -2*pi*q0; the scan's logs against its shift -(t_min + delta).
-        beta = [log / logs[-1] for log in logs[:-1]]
         theta = self.targets[-1]
-        self.lattice = _Lines("lattice",
-                              [theta * b - g for b, g in zip(beta, self.targets)],
-                              beta, [TWO_PI * b for b in beta])
-        self.scan = _Lines("scan", [-g for g in self.targets], logs,
-                           [self.delta * log for log in logs])
+        self.coordinates = []
+        for log, g in zip(logs[:-1], self.targets):
+            beta = log / logs[-1]  # -t(q)*log - g = theta*beta - g - 2*pi*q*beta
+            step = TWO_PI * beta
+            turns = step / TWO_PI
+            self.coordinates.append((theta * beta - g, beta, step, turns,
+                                     _grid_advance(turns)))
+        self.advances = tuple(c[-1] for c in self.coordinates)
+        self.tables = {}
         self.cursor = None
 
 
@@ -570,7 +550,7 @@ def _joint_hits(rotations, start: int, stop: int, tables: _Tables, low: int, at)
 
 
 class _Cursor:
-    """A problem's lattice walk, left at its last solution: the windows
+    """A problem's walk, left at its last solution: the windows
     ``rotations``, none wider than half the circle, and their ``tables``,
     indexed from the lattice integer ``q0`` and widened with ``reach =
     budget`` (see :meth:`_LinearSearch.windows`); ``i``, the last solution's
@@ -583,30 +563,33 @@ class _Cursor:
 
 
 class _LinearSearch:
-    """One solve's candidates, indexed by ``i = 0, 1, ...`` with angles
-    linear in ``i``.
+    """One solve's lattice candidates ``q0 + i``, ``i = 0, 1, ...``, where
+    ``q0`` is the first lattice integer whose time lies above ``t_min``.
 
-    ``lines`` is one of the :class:`_Lines` of the problem's memo, and
-    ``shift`` places candidate 0 on them: coordinate ``r`` of candidate ``i``
-    has flow angle ``origin[r] + shift*slope[r] - i*step[r]`` modulo 2*pi up
-    to rounding, which the pre-filter absorbs into its slack.  (The lattice
-    backend does not filter its nailed coordinate; the exact recheck covers
-    it.)  ``time_of(i)`` maps indices to times, for a Python int or an array
-    of them, with the same IEEE operations either way.  ``q0`` is the
-    lattice integer of candidate 0 for the lattice backend (candidate ``i``
-    is ``q0 + i``), whose solves walk the :class:`_Cursor` in the memo;
-    ``None`` for the scan.
+    ``shift = -2*pi*q0`` places candidate 0 on the memo's lines:
+    coordinate ``r`` of candidate ``i`` has flow angle ``origin[r] +
+    shift*slope[r] - i*step[r]`` modulo 2*pi up to rounding, which the
+    pre-filter absorbs into its slack.  The nailed coordinate ``k`` is not
+    filtered; the exact recheck covers it.  A solve walks the
+    :class:`_Cursor` in the memo when it can.
     """
 
-    __slots__ = ("problem", "memo", "lines", "shift", "time_of", "q0")
+    __slots__ = ("problem", "memo", "q0", "shift")
 
-    def __init__(self, problem, lines, shift, time_of, q0=None):
-        self.problem = problem
-        self.memo = problem._memo
-        self.lines = lines
-        self.shift = shift
-        self.time_of = time_of
-        self.q0 = q0
+    def __init__(self, problem):
+        memo = problem._memo
+        log_last, theta_last = memo.logs[-1], memo.targets[-1]
+        q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
+        while (TWO_PI * q0 - theta_last) / log_last <= problem.t_min:
+            q0 += 1
+        self.problem, self.memo, self.q0 = problem, memo, q0
+        self.shift = -(TWO_PI * q0)
+
+    def time_of(self, i):
+        """``t(q0 + i) = (2*pi*(q0 + i) - theta_k) / log p_k`` for a Python
+        int or an array of them, with the same IEEE operations either way."""
+        memo = self.memo
+        return (TWO_PI * (float(self.q0) + i) - memo.targets[-1]) / memo.logs[-1]
 
     def tests(self, budget: int):
         """Each filtered coordinate's pre-filter ``(c, s, w)`` in turns:
@@ -616,7 +599,7 @@ class _LinearSearch:
         superset of the true acceptance set."""
         eps, shift = self.problem.eps, self.shift
         tests = []
-        for origin, slope, step, turns, _ in self.lines.coordinates:
+        for origin, slope, step, turns, _ in self.memo.coordinates:
             base = origin + shift * slope
             slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
             tests.append(((base + (eps + slack)) / TWO_PI, turns,
@@ -637,9 +620,9 @@ class _LinearSearch:
         the rounding and drift of their windows and this one, together below
         ``(10 |base| + 7 budget*step + 50) eps64``."""
         tests = self.tests(budget)
-        lines, shift = self.lines, self.shift
+        memo, shift = self.memo, self.shift
         rotations, walked = [], []
-        for (c, s, w), (origin, slope, step, _, advance) in zip(tests, lines.coordinates):
+        for (c, s, w), (origin, slope, step, _, advance) in zip(tests, memo.coordinates):
             if reach:
                 pad = 32.0 * _EPS64 * (abs(origin) + abs(shift * slope)
                                        + (reach + budget) * step + TWO_PI) / TWO_PI
@@ -650,9 +633,9 @@ class _LinearSearch:
         if not rotations:
             return tests, rotations, None
         key = tuple(walked)
-        tables = lines.tables.get(key)
+        tables = memo.tables.get(key)
         if tables is None:
-            tables = lines.tables[key] = _tables(lines.advances, key)
+            tables = memo.tables[key] = _tables(memo.advances, key)
         return tests, rotations, tables
 
     def run(self, budget: int) -> KroneckerSolution:
@@ -660,8 +643,7 @@ class _LinearSearch:
         and the recheck, walked on from the memo's cursor when the solve's
         first candidate lies above it within the span and one budget of its
         ``q0`` (see the module docstring), and from 0 otherwise."""
-        problem, memo, q0 = self.problem, self.memo, self.q0
-        cursor = memo.cursor if q0 is not None else None
+        problem, memo, q0, cursor = self.problem, self.memo, self.q0, self.memo.cursor
         low = q0 - cursor.q0 if cursor is not None else 0
         if cursor is not None and cursor.budget == budget >= low and \
                 cursor.i < low <= cursor.i + cursor.tables.span:
@@ -670,10 +652,9 @@ class _LinearSearch:
             hits = walk(cursor.rotations, cursor.i, low + budget, cursor.tables, low, at)
         else:
             low = 0
-            tests, rotations, tables = self.windows(budget, 0 if q0 is None else budget)
+            tests, rotations, tables = self.windows(budget, budget)
             at, cursor = [o for o, _, _ in rotations], None  # the positions of index 0
-            if q0 is not None and rotations and \
-                    all(w <= _GRID >> 1 for _, _, w in rotations):
+            if rotations and all(w <= _GRID >> 1 for _, _, w in rotations):
                 cursor = _Cursor(q0, budget, rotations, tables)
             hits = _rotation_hits(rotations, 0, budget, tables, 0, at) if rotations \
                 else range(budget)
@@ -693,7 +674,7 @@ class _LinearSearch:
                     if cursor is not None:
                         cursor.i, cursor.at = j, at
                         memo.cursor = cursor
-                    return KroneckerSolution(t, *found, i + 1, self.lines.method)
+                    return KroneckerSolution(t, *found, i + 1, "lattice")
         raise BudgetExhaustedError(budget, *self._best_candidate(budget))
 
     def _best_candidate(self, budget: int):
@@ -719,43 +700,38 @@ class _LinearSearch:
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
 
 
-# The set-ups below run in Python floats with the IEEE operations of the
-# vectorized expressions they replaced, in the same order; what ignores t_min
-# comes from the problem's memo.
-
-def _scan_search(problem: KroneckerProblem) -> _LinearSearch:
-    memo = problem._memo
-    t_min, delta = problem.t_min, memo.delta
-
-    def time_of(i):
-        return t_min + (i + 1.0) * delta
-
-    # Coordinate r of candidate 0 sits at -(t_min + delta) * log_r - theta_r.
-    return _LinearSearch(problem, memo.scan, -(t_min + delta), time_of)
-
-
-def _lattice_search(problem: KroneckerProblem) -> _LinearSearch:
-    memo = problem._memo
-    log_last = memo.logs[-1]
-    theta_last = memo.targets[-1]
-    q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
-    while (TWO_PI * q0 - theta_last) / log_last <= problem.t_min:
-        q0 += 1
-    q0_float = float(q0)
-
-    def time_of(i):
-        return (TWO_PI * (q0_float + i) - theta_last) / log_last
-
-    # Coordinate r of candidate 0 sits at theta_k*beta_r - theta_r -
-    # 2*pi*q0*beta_r, with beta_r = log p_r / log p_k.
-    return _LinearSearch(problem, memo.lattice, -(TWO_PI * q0), time_of, q0)
-
-
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:
-    """Reference forward scan with step ``eps / (2 max_r log p_r)``."""
+    """Reference forward scan with step ``delta = eps / (2 log p_k)`` (see
+    the module docstring): the first ``t_min + (i + 1) * delta``, ``i <
+    budget``, above ``t_min`` whose :func:`residuals` are all below ``eps``;
+    ``steps`` is ``i + 1``.  Chunks of ``_SHORT_SCAN`` candidates, doubling
+    up to ``_RESCAN_CHUNK``, keep an early answer cheap."""
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")
-    return _scan_search(problem).run(int(budget))
+    budget = int(budget)
+    basis, k, targets, eps, t_min = (problem.basis, problem.k, problem.targets,
+                                     problem.eps, problem.t_min)
+    logs = basis.logs[:k]
+    delta = eps / (2.0 * float(logs[-1]))
+    best_t, best_worst = math.nan, math.inf
+    start, size = 0, _SHORT_SCAN
+    while start < budget:
+        stop = min(start + size, budget)
+        times = t_min + (np.arange(start, stop, dtype=np.float64) + 1.0) * delta
+        res = residuals(basis, k, times, targets)
+        worst = res.max(axis=-1)
+        found = np.flatnonzero((worst < eps) & (times > t_min))
+        if found.size:
+            j = int(found[0])
+            t = float(times[j])
+            q = np.rint((-t * logs - np.asarray(targets)) / TWO_PI)
+            return KroneckerSolution(t, tuple(res[j].tolist()), tuple(map(int, q)),
+                                     start + j + 1, "scan")
+        j = int(np.argmin(worst))
+        if worst[j] < best_worst:
+            best_t, best_worst = float(times[j]), worst[j]
+        start, size = stop, min(2 * size, _RESCAN_CHUNK)
+    raise BudgetExhaustedError(budget, best_t, residuals(basis, k, best_t, targets))
 
 
 def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:
@@ -768,7 +744,7 @@ def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSo
     """
     if budget <= 0:
         raise DomainError(f"budget must be positive, got {budget}")
-    return _lattice_search(problem).run(int(budget))
+    return _LinearSearch(problem).run(int(budget))
 
 
 solve = lattice_solve  # the default; scan_solve is the complete reference

@@ -28,14 +28,13 @@ from polytorus.kronecker import (
     _GRID_MASK,
     _grid_advance,
     _joint_hits,
-    _lattice_search,
+    _LinearSearch,
     _on_grid,
     _problem_memo,
     _recheck,
     _return_times,
     _rotation_hits,
     _round_up,
-    _scan_search,
     _Tables,
 )
 from polytorus.measures import build_point_mass_lambda, scan_step
@@ -393,10 +392,10 @@ def walk_from(tests, budget, start):
                                            -start, at)]
 
 
-def brute_force_first(search, budget):
+def brute_force_first(problem, budget):
     """Oracle for the window walk: one plain numpy pass over every index with
     the same pre-filter, then the exact ``residuals`` recheck, in order."""
-    problem = search.problem
+    search = _LinearSearch(problem)
     idx = np.arange(budget, dtype=np.float64)
     alive = np.ones(budget, dtype=bool)
     tests, _, _ = search.windows(budget)
@@ -418,10 +417,7 @@ def brute_force_first(search, budget):
 class TestWindowWalk:
     BUDGET = 1 << 18
 
-    @pytest.mark.parametrize(
-        "backend, search", [(lattice_solve, _lattice_search), (scan_solve, _scan_search)]
-    )
-    def test_matches_brute_force(self, backend, search):
+    def test_matches_brute_force(self):
         rng = np.random.default_rng(2024)
         outcomes = {"found": 0, "exhausted": 0}
         for _ in range(48):
@@ -431,15 +427,15 @@ class TestWindowWalk:
             t_min = 0.0 if rng.random() < 0.25 else float(10.0 ** rng.uniform(0, 7))
             targets = tuple(rng.uniform(0, TWO_PI, size=k))
             problem = KroneckerProblem(PrimeBasis(d), k, targets, eps, t_min)
-            expected = brute_force_first(search(problem), self.BUDGET)
+            expected = brute_force_first(problem, self.BUDGET)
             if expected is None:
                 outcomes["exhausted"] += 1
                 with pytest.raises(BudgetExhaustedError) as info:
-                    backend(problem, self.BUDGET)
+                    lattice_solve(problem, self.BUDGET)
                 assert info.value.steps == self.BUDGET
             else:
                 outcomes["found"] += 1
-                sol = backend(problem, self.BUDGET)
+                sol = lattice_solve(problem, self.BUDGET)
                 assert (sol.t, sol.residuals, sol.q, sol.steps) == expected
         assert outcomes["found"] >= 12 and outcomes["exhausted"] >= 1, outcomes
 
@@ -496,7 +492,7 @@ class TestWindowWalk:
         elif kind == 1:  # near a rational with a small denominator
             q = int(rng.integers(1, 8))
             step = int(rng.integers(0, q)) / q + float(rng.uniform(-1, 1)) * 1e-9
-        elif kind == 2:  # tiny step, as in the scan backend
+        elif kind == 2:  # tiny step
             step = float(10.0 ** rng.uniform(-6, -2))
         else:
             step = 1.0 - float(10.0 ** rng.uniform(-6, -2))
@@ -533,8 +529,8 @@ class TestWindowWalk:
             assert all(loose[walked])
 
 
-def pinned_outcomes():
-    """Both backends on a fixed seeded set of problems: every field of each
+def pinned_outcomes(backend):
+    """One backend on a fixed seeded set of problems: every field of each
     solution, or the text, steps, best time and residuals of its budget error.
 
     Targets range over several turns, some canonicalize to exactly 2*pi, and
@@ -550,24 +546,134 @@ def pinned_outcomes():
             targets = (-1e-300,) + targets[1:]
         budget = int(rng.choice([40, 3000, 1 << 16]))
         problem = KroneckerProblem(PrimeBasis(d), k, targets, eps, t_min)
-        for backend in (lattice_solve, scan_solve):
-            try:
-                s = backend(problem, budget)
-                yield (s.t, s.residuals, s.q, s.steps, s.method)
-            except BudgetExhaustedError as exc:
-                yield (str(exc), exc.steps, exc.best_t, exc.best_residuals)
+        try:
+            s = backend(problem, budget)
+            yield (s.t, s.residuals, s.q, s.steps, s.method)
+        except BudgetExhaustedError as exc:
+            yield (str(exc), exc.steps, exc.best_t, exc.best_residuals)
 
 
 class TestSolutionPin:
-    # SHA-256 of the reprs of pinned_outcomes(), one per line, as the numpy
-    # set-up and accept path produced them; the scalar paths must keep every bit.
-    DIGEST = "e67ba88046f7ec0662bd8b9fcc66385236e434ea678c5d36b9789abfdea8f419"
-
-    def test_solutions_bit_identical(self):
-        outcomes = list(pinned_outcomes())
-        assert sum(isinstance(o[0], str) for o in outcomes) >= 100
+    # SHA-256 of the reprs of pinned_outcomes(backend), one per line.  The
+    # lattice digest is the one the numpy set-up and accept path produced:
+    # the scalar paths must keep every bit.  The scan digest is that of the
+    # chunked reference scan, whose budget errors report the best of every
+    # candidate.
+    @pytest.mark.parametrize("backend, digest, errors", [
+        pytest.param(lattice_solve,
+                     "0c98b7c6617c3187fa425a96d5968bf2050840e165768886496d7ee5dc83375c",
+                     90, id="lattice"),
+        pytest.param(scan_solve,
+                     "423c5a5cfe3702bc5fe5c0d71539bae2b7dc2a3dfc4da9145b7f83343abed89b",
+                     100, id="scan"),
+    ])
+    def test_solutions_bit_identical(self, backend, digest, errors):
+        outcomes = list(pinned_outcomes(backend))
+        assert sum(isinstance(o[0], str) for o in outcomes) >= errors
         text = "\n".join(map(repr, outcomes))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGEST
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def one_pass_scan(problem, budget):
+    """Oracle for the reference scan: every candidate ``t_min + (i + 1) *
+    delta``, ``i < budget``, in one numpy array.  The first above ``t_min``
+    whose residuals are all below eps, as ``(t, residuals, q, steps,
+    method)``, or the ``(steps, best_t, best_residuals)`` of the budget error,
+    ``best_t`` the argmin of the worst residual over every candidate."""
+    basis, k = problem.basis, problem.k
+    delta = problem.eps / (2.0 * float(basis.logs[k - 1]))
+    times = problem.t_min + (np.arange(budget, dtype=np.float64) + 1.0) * delta
+    res = residuals(basis, k, times, problem.targets)
+    passing = np.flatnonzero(np.all(res < problem.eps, axis=-1) & (times > problem.t_min))
+    if passing.size:
+        i = int(passing[0])
+        t = float(times[i])
+        return t, tuple(float(r) for r in res[i]), implied_integers(problem, t), i + 1, "scan"
+    best_t = float(times[np.argmin(res.max(axis=-1))])
+    return budget, best_t, tuple(residuals(basis, k, best_t, problem.targets).tolist())
+
+
+def scan_outcome(problem, budget):
+    """:func:`scan_solve`'s answer in the form of :func:`one_pass_scan`."""
+    try:
+        s = scan_solve(problem, budget)
+        return s.t, s.residuals, s.q, s.steps, s.method
+    except BudgetExhaustedError as exc:
+        return exc.steps, exc.best_t, exc.best_residuals
+
+
+# Budgets around the scan's chunk sizes (256 doubling to 2^16) and the
+# indices where its chunks end (256, 768, ..., 65280, 130816).
+CHUNK_EDGES = [1, 2, 255, 256, 257, 511, 512, 513, 767, 768, 769, 1791, 1792, 1793,
+               (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 65279, 65280, 65281, 130815,
+               130816, 130817]
+
+
+def planted(d, k, eps, t_min, index):
+    """A problem whose targets are the flow angles of the scan's candidate
+    ``index``, so that the scan answers at or before it."""
+    basis = PrimeBasis(d)
+    t = t_min + (index + 1.0) * (eps / (2.0 * float(basis.logs[k - 1])))
+    return KroneckerProblem(basis, k, flow_angles(basis, t)[:k].tolist(), eps, t_min)
+
+
+@st.composite
+def scan_cases(draw):
+    """``(problem, budget, plant)``: random targets (``plant`` is ``None``),
+    or targets planted on a candidate, often one of the last."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, d))
+    eps = 2.0 ** -draw(st.integers(1, 8))
+    t_min = draw(st.just(0.0) | st.floats(0.0, 1e6))
+    budget = draw(st.sampled_from(CHUNK_EDGES) | st.integers(1, 4000))
+    plant = draw(st.none() | st.integers(0, budget - 1)
+                 | st.integers(max(budget - 4, 0), budget - 1))
+    if plant is not None:
+        return planted(d, k, eps, t_min, plant), budget, plant
+    targets = draw(st.lists(st.floats(-20.0, 20.0), min_size=k, max_size=k))
+    return KroneckerProblem(PrimeBasis(d), k, targets, eps, t_min), budget, plant
+
+
+class TestReferenceScan:
+    @given(scan_cases())
+    # exhausted in two, three and ten chunks, the last of one candidate each
+    @example((KroneckerProblem(PrimeBasis(3), 3, (1.0, 2.0, 3.0), 2.0 ** -6), 257, None))
+    @example((KroneckerProblem(PrimeBasis(4), 3, (1.0, 2.0, 3.0), 2.0 ** -7, 5e5), 769,
+              None))
+    @example((KroneckerProblem(PrimeBasis(4), 4, (1.0, 2.0, 3.0, 4.0), 2.0 ** -8, 1e6),
+              130817, None))
+    # answered at the first candidate of the second, third and tenth chunk
+    @example((planted(4, 4, 2.0 ** -8, 10.0, 257), 257, 257))
+    @example((planted(4, 4, 2.0 ** -8, 0.0, 769), 1000, 769))
+    @example((planted(4, 4, 2.0 ** -8, 1e6, 130817), 130817, 130817))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_pass_over_the_budget(self, case):
+        problem, budget, plant = case
+        expected = one_pass_scan(problem, budget)
+        assert scan_outcome(problem, budget) == expected
+        if plant is not None:
+            assert expected[3] <= plant + 1
+
+    def test_shares_no_code_with_the_walk(self, monkeypatch, cold_memos):
+        # With the walk's functions refusing to run, the scan solves and
+        # exhausts as before; a lattice solve of the same problems reaches
+        # them.
+        rng = np.random.default_rng(75)
+        cases = [(seeded_problem(rng, k, 2.0 ** -depth), budget)
+                 for k, depth in ((1, 3), (2, 3), (3, 3), (3, 5), (4, 2))
+                 for budget in (50, 10**8)]
+        before = [scan_outcome(problem, budget) for problem, budget in cases]
+        assert {len(o) for o in before} == {3, 5}
+
+        def refuse(*args):
+            raise AssertionError("the scan reached the lattice walk")
+
+        for name in ("_rotation_hits", "_joint_hits", "_rescan", "_on_grid", "_Tables",
+                     "_LinearSearch", "_recheck"):
+            monkeypatch.setattr(kronecker, name, refuse)
+        assert [scan_outcome(problem, budget) for problem, budget in cases] == before
+        with pytest.raises(AssertionError, match="lattice walk"):
+            lattice_solve(cases[2][0])
 
 
 class TestScalarAcceptPath:
@@ -709,32 +815,30 @@ class TestJointGaps:
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_joint_walk_matches_first_window_walk(self, k, cold_memos):
-        # Each problem is rebuilt with t_min at its fourth joint hit (or its
-        # last, when it has fewer), so that its first joint hit sits below 0:
-        # over 2^20 candidates the joint-gap steps from there step over the
-        # joint hits below 0 and visit exactly the first window's hits that
-        # lie in every other widened window.
+        # Each problem, three per depth, is rebuilt with t_min at its fourth
+        # joint hit (or its last, when it has fewer), so that its first joint
+        # hit sits below 0: over 2^20 candidates the joint-gap steps from
+        # there step over the joint hits below 0 and visit exactly the first
+        # window's hits that lie in every other widened window.
         rng = np.random.default_rng(60 + k)
-        total, walked = 0, []
-        for depth in range(3, 10):
+        total, walked = 0, 0
+        for depth in list(range(3, 10)) * 3:
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            for search in (_lattice_search, _scan_search):
-                early = search(problem)
-                hits = first_window_then_filter(early.windows(self.BUDGET)[0],
-                                                self.BUDGET)
-                if not hits:
-                    continue
-                walked.append(search)
-                last = hits[:4][-1]
-                later = KroneckerProblem(problem.basis, k, problem.targets,
-                                         problem.eps, early.time_of(last))
-                tests = search(later).windows(self.BUDGET)[0]
-                expected = first_window_then_filter(tests, self.BUDGET)
-                start = hits[0] - last - 1
-                assert inside_every_window(tests, self.BUDGET, start)
-                assert walk_from(tests, self.BUDGET, start) == expected
-                total += len(expected)
-        assert len(walked) >= 4 and set(walked) == {_lattice_search, _scan_search}
+            early = _LinearSearch(problem)
+            hits = first_window_then_filter(early.windows(self.BUDGET)[0], self.BUDGET)
+            if not hits:
+                continue
+            walked += 1
+            last = hits[:4][-1]
+            later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
+                                     early.time_of(last))
+            tests = _LinearSearch(later).windows(self.BUDGET)[0]
+            expected = first_window_then_filter(tests, self.BUDGET)
+            start = hits[0] - last - 1
+            assert inside_every_window(tests, self.BUDGET, start)
+            assert walk_from(tests, self.BUDGET, start) == expected
+            total += len(expected)
+        assert walked >= 4
         assert total >= {3: 1000, 4: 50}[k]
 
     def test_walk_from_a_joint_hit_below_zero(self, cold_memos):
@@ -746,44 +850,21 @@ class TestJointGaps:
         used = 0
         for depth in (3, 4, 5):
             early = seeded_problem(rng, 3, 2.0 ** -depth)
-            search = _lattice_search(early)
+            search = _LinearSearch(early)
             q0 = search.q0
             hits = list(walk(search.windows(budget)[0], budget))
             assert len(hits) >= 4
             for h in hits[: len(hits) // 2: max(1, len(hits) // 8)]:
                 later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
                                          search.time_of(h + 3))
-                tests = _lattice_search(later).windows(budget)[0]
-                start = q0 + h - _lattice_search(later).q0
+                tests = _LinearSearch(later).windows(budget)[0]
+                start = q0 + h - _LinearSearch(later).q0
                 assert start < 0
                 if inside_every_window(tests, budget, start):
                     used += 1
                     assert walk_from(tests, budget, start) == \
                         first_window_then_filter(tests, budget)
         assert used >= 6
-
-    def test_scan_solve_never_reaches_joint_gaps(self, monkeypatch, cold_memos):
-        # The scan backend walks fresh, even when the problem's memo holds a
-        # lattice cursor.
-        rng = np.random.default_rng(76)
-        problems = [seeded_problem(rng, k, 2.0 ** -depth)
-                    for k, depth in ((2, 3), (3, 3), (3, 5), (4, 3))]
-        for problem in problems:
-            lattice_solve(problem)
-
-        def refuse(*args):
-            raise AssertionError("scan_solve reached _joint_gaps")
-
-        monkeypatch.setattr(kronecker, "_joint_gaps", refuse)
-        for problem in problems:
-            t = problem.t_min
-            for _ in range(4):
-                sol = scan_solve(KroneckerProblem(problem.basis, problem.k,
-                                                  problem.targets, problem.eps, t))
-                assert np.all(residuals(problem.basis, problem.k, sol.t,
-                                        problem.targets) < problem.eps)
-                t = sol.t
-            assert cursor_of(problem) is not None
 
     @pytest.mark.parametrize("joint_span", [1e-9, 0.5])
     def test_fallback_when_no_gap_lands(self, joint_span, monkeypatch, cold_memos):
@@ -794,14 +875,14 @@ class TestJointGaps:
         budget = 1 << 18
         for k, depth in ((3, 3), (3, 4), (4, 3)):
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            tests = _lattice_search(problem).windows(budget)[0]
+            tests = _LinearSearch(problem).windows(budget)[0]
             expected = first_window_then_filter(tests, budget)
             assert len(expected) >= 2
             assert list(walk(tests, budget)) == expected
             # from the first hit, at -1 of a shifted problem
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
-                                     _lattice_search(problem).time_of(expected[0]))
-            tests, _, tables = _lattice_search(later).windows(budget)
+                                     _LinearSearch(problem).time_of(expected[0]))
+            tests, _, tables = _LinearSearch(later).windows(budget)
             hits = first_window_then_filter(tests, budget)
             assert inside_every_window(tests, budget, -1)
             assert walk_from(tests, budget, -1) == hits
@@ -961,9 +1042,9 @@ class TestCursor:
             "below": (10.0, 10**8), "at": (math.nextafter(t, 0.0), 10**8),
             "far": (1e7, 10**8), "budget": (t, 10**7),
             # the first candidate one past the cursor's budget
-            "range": (_lattice_search(first).time_of(first_budget), first_budget),
+            "range": (_LinearSearch(first).time_of(first_budget), first_budget),
         }[case]
-        low = _lattice_search(KroneckerProblem(basis, k, targets, eps, t_min)).q0 - \
+        low = _LinearSearch(KroneckerProblem(basis, k, targets, eps, t_min)).q0 - \
             cursor.q0
         # each case fails one condition of continuing the cursor, and only one
         assert [low <= cursor.i, low > cursor.i + cursor.tables.span,
@@ -1009,12 +1090,12 @@ class TestCursor:
             budget = int(rng.choice([1 << 12, 10**6, 10**8]))
             problem = KroneckerProblem(PrimeBasis(k), k, tuple(rng.uniform(0, TWO_PI, k)),
                                        2.0 ** -int(rng.integers(1, 8)), t_min)
-            seed = _lattice_search(problem)
+            seed = _LinearSearch(problem)
             cursor = seed.windows(budget, budget)[1]
             for shift in (1, int(rng.integers(2, budget)), budget):
                 later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
                                          seed.time_of(shift - 1))
-                search = _lattice_search(later)
+                search = _LinearSearch(later)
                 assert search.q0 == seed.q0 + shift
                 for (o, a, w), (oc, ac, wc) in zip(search.windows(budget)[1], cursor):
                     assert a == ac
@@ -1033,19 +1114,17 @@ def grid_hits(origin, advance, wide, start, stop):
 class TestSingleWindowWalk:
     BUDGET = 1 << 20
 
-    @pytest.mark.parametrize("search", [_lattice_search, _scan_search])
-    def test_walk_from_below_zero_matches_first_window_then_filter(self, search,
-                                                                    cold_memos):
-        # k = 2: the lattice backend's one filtered window, and the scan
-        # backend's first.  A walk from any hit below 0 of the widened
-        # window, as a cursor's walk continues, steps over the hits below 0
-        # and yields those of a walk from 0.  Each problem is also solved
-        # again from just below its first hit, which makes index 0 a hit.
+    def test_walk_from_below_zero_matches_first_window_then_filter(self, cold_memos):
+        # k = 2: one filtered window.  A walk from any hit below 0 of the
+        # widened window, as a cursor's walk continues, steps over the hits
+        # below 0 and yields those of a walk from 0.  Each problem is also
+        # solved again from just below its first hit, which makes index 0 a
+        # hit.
         rng = np.random.default_rng(80)
         problems = []
         for depth in (4, 6, 8):
             problem = seeded_problem(rng, 2, 2.0 ** -depth)
-            early = search(problem)
+            early = _LinearSearch(problem)
             first = first_window_then_filter(early.windows(self.BUDGET)[0][:1],
                                              self.BUDGET)[0]
             problems += [problem, KroneckerProblem(problem.basis, 2, problem.targets,
@@ -1053,7 +1132,7 @@ class TestSingleWindowWalk:
                                                    early.time_of(max(first - 1, 0)))]
         used, starts = 0, set()
         for problem in problems:
-            tests = search(problem).windows(self.BUDGET)[0][:1]
+            tests = _LinearSearch(problem).windows(self.BUDGET)[0][:1]
             (origin, advance, wide), = grid_rotations(tests, self.BUDGET)
             expected = first_window_then_filter(tests, self.BUDGET)
             assert expected == grid_hits(origin, advance, wide, 0, self.BUDGET)
