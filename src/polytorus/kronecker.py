@@ -42,15 +42,17 @@ checks everything that ignores ``t_min``, once; an invalid problem is
 checked in full, in order, and never cached.  It holds what the solves share
 whatever ``t_min`` (logs, reduced targets, the filtered coordinates' lines,
 the walks' tables per set of window widths rounded up to their leading
-bits) and a walk cursor, left at the last solution.  A build's solves of one
-problem are successive returns of one rotation to one box, so a solve whose
-first candidate lies above the cursor, within the span and within one
-budget of where the cursor's windows start, computes only its first
-candidate and pre-filter and walks on from the cursor: by the first window's
-jumps with one filtered window, by joint gaps with more.  The cursor's
-windows were widened once to contain the own widened window of every such
-solve.  Any other solve sets up its windows, walks from its first candidate
-and leaves a new cursor.
+bits) and a walk cursor, left at the last solution.  A build asks one
+problem for successive returns of one rotation to one box: it makes one
+:class:`LatticeSearch` per box from a problem, once, and calls it with each
+atom's lower bound, which is all a call checks; :func:`lattice_solve` is
+one call of a new search.  A call whose first candidate lies above the
+cursor, within the span and within one budget of where the cursor's
+windows start, computes only its first candidate and pre-filter and walks
+on from the cursor: by the first window's jumps with one filtered window,
+by joint gaps with more.  The cursor's windows were widened once to contain
+the own widened window of every such call.  Any other call sets up its
+windows, walks from its first candidate and leaves a new cursor.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the pre-filter's by a bound on the
@@ -574,15 +576,15 @@ class _LinearSearch:
     :class:`_Cursor` in the memo when it can.
     """
 
-    __slots__ = ("problem", "memo", "q0", "shift")
+    __slots__ = ("problem", "memo", "t_min", "q0", "shift")
 
-    def __init__(self, problem):
+    def __init__(self, problem, t_min: float):
         memo = problem._memo
         log_last, theta_last = memo.logs[-1], memo.targets[-1]
-        q0 = math.floor((problem.t_min * log_last + theta_last) / TWO_PI) + 1
-        while (TWO_PI * q0 - theta_last) / log_last <= problem.t_min:
+        q0 = math.floor((t_min * log_last + theta_last) / TWO_PI) + 1
+        while (TWO_PI * q0 - theta_last) / log_last <= t_min:
             q0 += 1
-        self.problem, self.memo, self.q0 = problem, memo, q0
+        self.problem, self.memo, self.t_min, self.q0 = problem, memo, t_min, q0
         self.shift = -(TWO_PI * q0)
 
     def time_of(self, i):
@@ -597,7 +599,7 @@ class _LinearSearch:
         window covers eps plus slack for the float error of the linear
         parametrization over the whole budget range, so it is a strict
         superset of the true acceptance set."""
-        eps, shift = self.problem.eps, self.shift
+        eps, shift = self.memo.eps, self.shift
         tests = []
         for origin, slope, step, turns, _ in self.memo.coordinates:
             base = origin + shift * slope
@@ -638,12 +640,13 @@ class _LinearSearch:
             tables = memo.tables[key] = _tables(memo.advances, key)
         return tests, rotations, tables
 
-    def run(self, budget: int) -> KroneckerSolution:
-        """The first candidate below ``budget`` that passes the pre-filter
-        and the recheck, walked on from the memo's cursor when the solve's
-        first candidate lies above it within the span and one budget of its
-        ``q0`` (see the module docstring), and from 0 otherwise."""
-        problem, memo, q0, cursor = self.problem, self.memo, self.q0, self.memo.cursor
+    def run(self, budget: int):
+        """``(t, (residuals, q), steps)`` of the first candidate below
+        ``budget`` that passes the pre-filter and the recheck, walked on from
+        the memo's cursor when the solve's first candidate lies above it
+        within the span and one budget of its ``q0`` (see the module
+        docstring), and from 0 otherwise."""
+        memo, q0, cursor = self.memo, self.q0, self.memo.cursor
         low = q0 - cursor.q0 if cursor is not None else 0
         if cursor is not None and cursor.budget == budget >= low and \
                 cursor.i < low <= cursor.i + cursor.tables.span:
@@ -658,7 +661,7 @@ class _LinearSearch:
                 cursor = _Cursor(q0, budget, rotations, tables)
             hits = _rotation_hits(rotations, 0, budget, tables, 0, at) if rotations \
                 else range(budget)
-        t_min, eps, time_of = problem.t_min, problem.eps, self.time_of
+        t_min, eps, time_of = self.t_min, memo.eps, self.time_of
         for j in hits:
             i = j - low
             # The pre-filter in Python floats: the same IEEE operations, in
@@ -674,7 +677,7 @@ class _LinearSearch:
                     if cursor is not None:
                         cursor.i, cursor.at = j, at
                         memo.cursor = cursor
-                    return KroneckerSolution(t, *found, i + 1, "lattice")
+                    return t, found, i + 1
         raise BudgetExhaustedError(budget, *self._best_candidate(budget))
 
     def _best_candidate(self, budget: int):
@@ -698,6 +701,35 @@ class _LinearSearch:
             if worst[j] < best_worst:
                 best_t, best_worst = float(times[j]), worst[j]
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
+
+
+class LatticeSearch:
+    """The lattice solves of one problem: a call with ``t_min`` returns the
+    time of the first lattice solution above it.
+
+    Made from a :class:`KroneckerProblem`, whose ``t_min`` it ignores, and a
+    positive budget, both checked once.  A call checks only its ``t_min``, as
+    the problem does, and walks on from the cursor of the problem's memo when
+    it can (see the module docstring).  ``last`` holds the last solution's
+    ``(residuals, q)``; ``calls`` and ``steps`` count the solutions returned
+    and sum their ``steps``.
+    """
+
+    __slots__ = ("problem", "budget", "last", "calls", "steps")
+
+    def __init__(self, problem: KroneckerProblem, budget: int):
+        if budget <= 0:
+            raise DomainError(f"budget must be positive, got {budget}")
+        self.problem, self.budget, self.last = problem, int(budget), None
+        self.calls = self.steps = 0
+
+    def __call__(self, t_min: float) -> float:
+        memo = self.problem._memo
+        _check_t_min(t_min, memo.eps, memo.logs, len(memo.logs))
+        t, self.last, steps = _LinearSearch(self.problem, t_min).run(self.budget)
+        self.calls += 1
+        self.steps += steps
+        return t
 
 
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:
@@ -742,9 +774,9 @@ def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSo
     irrational rotation in ``q``, and only the returns of the first one to its
     window are visited.
     """
-    if budget <= 0:
-        raise DomainError(f"budget must be positive, got {budget}")
-    return _LinearSearch(problem).run(int(budget))
+    search = LatticeSearch(problem, budget)
+    t = search(problem.t_min)
+    return KroneckerSolution(t, *search.last, search.steps, "lattice")
 
 
 solve = lattice_solve  # the default; scan_solve is the complete reference

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BudgetExhaustedError,
     CapacityError,
     ConstructionError,
     DimensionError,
@@ -28,7 +29,8 @@ from .errors import (
     ParseError,
     WindowRepresentationError,
 )
-from .kronecker import KroneckerProblem, solve
+from .kronecker import KroneckerProblem, LatticeSearch
+from .kronecker import solve  # unused here; a name bench/tracing.py rebinds
 from .polynomials import TorusPoint, bohr_unlift, eval_dirichlet
 from .primes import PrimeBasis
 
@@ -238,17 +240,16 @@ def scan_step(basis: PrimeBasis, depth: int) -> float:
     return 2.0**-depth / (2.0 * float(basis.logs[min(depth, basis.dimension) - 1]))
 
 
-def place_atom(basis: PrimeBasis, depth: int, omega: TorusPoint, t_min: float,
-               budget: int, **context) -> float:
-    """The first ``t > t_min`` within ``2^-depth`` of ``omega`` on the first
-    ``min(depth, d)`` primes.  Bad input raises :class:`DomainError`; a failed
-    solve raises :class:`ConstructionError` carrying ``context``."""
+def atom_search(basis: PrimeBasis, depth: int, omega: TorusPoint,
+                budget: int) -> LatticeSearch:
+    """The search whose call with ``t_min`` returns the first ``t > t_min``
+    within ``2^-depth`` of ``omega`` on the first ``min(depth, d)`` primes.
+    Bad input, a ``t_min`` included, raises :class:`DomainError`; a call
+    whose budget runs out raises :class:`BudgetExhaustedError`, which the
+    builders re-raise as a :class:`ConstructionError` naming the atom."""
     active = min(depth, basis.dimension)
-    problem = KroneckerProblem(basis, active, omega.angles[:active], 2.0**-depth, t_min)
-    try:
-        return solve(problem, budget).t
-    except Exception as exc:
-        raise ConstructionError(f"solver failed: {exc}", **context) from exc
+    return LatticeSearch(KroneckerProblem(basis, active, omega.angles[:active],
+                                          2.0**-depth), budget)
 
 
 def build_point_mass_lambda(
@@ -264,9 +265,11 @@ def build_point_mass_lambda(
     Level ``k`` performs ``M_k = growth(k) * ||lambda_{k-1}||`` repetitions
     (with ``||lambda_0|| = 1``); each repetition places one atom of weight
     ``c_j`` per torus point, at a time whose Kronecker residuals on the first
-    ``min(k, d)`` primes are below ``2^{-k}``.  Atoms are strictly increasing
-    in ``t``, repetitions do not interleave, and the level boundary ``T_k``
-    exceeds every level-k atom by one scan step.
+    ``min(k, d)`` primes are below ``2^{-k}``: the next return to the box
+    around the point, from one :func:`atom_search` per level and point.
+    Atoms are strictly increasing in ``t``, repetitions do not interleave,
+    and the level boundary ``T_k`` exceeds every level-k atom by one scan
+    step.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -287,15 +290,19 @@ def build_point_mass_lambda(
     rep_out = np.empty(total_atoms, dtype=np.int64)
 
     boundaries = []
-    sources = list(enumerate(mu.atoms, start=1))
     t_cursor = 0.0
     pos = 0
     for k in range(1, levels + 1):
         step = scan_step(basis, k)
+        sources = [(j, atom_search(basis, k, omega, solver_budget), c_j)
+                   for j, (omega, c_j) in enumerate(mu.atoms, start=1)]
         for m in range(1, reps_per_level[k - 1] + 1):
-            for j, (omega, c_j) in sources:
-                t_cursor = place_atom(basis, k, omega, t_cursor, solver_budget,
-                                      level=k, source=j, repetition=m)
+            for j, search, c_j in sources:
+                try:
+                    t_cursor = search(t_cursor)
+                except BudgetExhaustedError as exc:
+                    raise ConstructionError(f"solver failed: {exc}", level=k, source=j,
+                                            repetition=m) from exc
                 t_out[pos] = t_cursor
                 w_out[pos] = c_j
                 lvl_out[pos] = k

@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .averages import point_mass_space_average
-from .errors import CapacityError, ConstructionError, DomainError, PlanError
+from .errors import (
+    BudgetExhaustedError,
+    CapacityError,
+    ConstructionError,
+    DomainError,
+    PlanError,
+)
 from .kronecker import solve  # unused here; a name bench/tracing.py rebinds
 from .measures import (
     DEFAULT_ATOM_CAP,
@@ -31,7 +37,7 @@ from .measures import (
     GrowthSchedule,
     TorusPointMassMeasure,
     _level_plan,
-    place_atom,
+    atom_search,
     scan_step,
     weighted_mean_square,
 )
@@ -125,7 +131,9 @@ def build_nested_lambda(
     Every window is extended (by whole repetitions, escalating Kronecker
     depth) until each source's windowed mean sits within ``2^{-k}`` of its
     space average for every test polynomial; the realized grid and estimates
-    are recorded on the returned plan copy.
+    are recorded on the returned plan copy.  Each atom of a source measure
+    has one :func:`~polytorus.measures.atom_search` per depth, called once
+    per repetition.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -162,6 +170,7 @@ def build_nested_lambda(
 
     t_cursor = 0.0
     placed = 0  # atoms solved so far, merged or still in an open window
+    searches = {}  # (depth, source index) -> one search per atom of the source
     for k in range(1, levels + 1):
         n_sources = growth(k)
         n_windows = reps_per_level[k - 1] // n_sources
@@ -186,11 +195,19 @@ def build_nested_lambda(
                     depth += 1
                 for j in pending:
                     block = blocks[j]
-                    for omega, c in plan.mu_sequence[j].atoms:
-                        t_cursor = place_atom(
-                            basis, depth, omega, t_cursor, solver_budget,
-                            level=k, source=j + 1, repetition=rounds,
-                        )
+                    if (depth, j) not in searches:
+                        searches[depth, j] = [
+                            (atom_search(basis, depth, omega, solver_budget), c)
+                            for omega, c in plan.mu_sequence[j].atoms
+                        ]
+                    for search, c in searches[depth, j]:
+                        try:
+                            t_cursor = search(t_cursor)
+                        except BudgetExhaustedError as exc:
+                            raise ConstructionError(
+                                f"solver failed: {exc}",
+                                level=k, source=j + 1, repetition=rounds,
+                            ) from exc
                         block.times.append(t_cursor)
                         block.weights.append(c)
                         block.reps.append(rounds)

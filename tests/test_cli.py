@@ -132,6 +132,20 @@ class TestBuildMeasureCommand:
         lam = load_atoms(out_path)
         assert len(lam) == 2 * 1530
 
+    def test_budget_exhaustion_is_exit_3(self, workdir, capsys):
+        out_path = workdir / "x.jsonl"
+        code, out, err = run_cli(
+            ["build-measure", "--mu", workdir / "mu.json", "--levels", "4",
+             "--budget", "10", "--out", out_path],
+            capsys,
+        )
+        assert code == 3
+        assert out == []
+        error = json.loads(err)["error"]
+        assert "solver failed: budget of 10 steps exhausted" in error
+        assert "level=" in error and "source=" in error and "rep=" in error
+        assert not out_path.exists()
+
     def test_determinism_byte_identical(self, workdir, capsys):
         paths = [workdir / "a.jsonl", workdir / "b.jsonl"]
         for path in paths:

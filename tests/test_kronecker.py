@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from polytorus import (
     BudgetExhaustedError,
+    ConstructionError,
     DimensionError,
     DomainError,
     GrowthSchedule,
     KroneckerProblem,
+    KroneckerSolution,
+    NestedConstructionPlan,
     PrimeBasis,
     TorusPointMassMeasure,
+    TorusPolynomial,
+    build_nested_lambda,
     circle_distance,
     flow_angles,
     lattice_solve,
@@ -22,10 +27,11 @@ from polytorus import (
     scan_solve,
     solve,
 )
-from polytorus import kronecker, measures
+from polytorus import kronecker, measures, nested
 from polytorus.kronecker import (
     _GRID,
     _GRID_MASK,
+    LatticeSearch,
     _grid_advance,
     _joint_hits,
     _LinearSearch,
@@ -395,7 +401,7 @@ def walk_from(tests, budget, start):
 def brute_force_first(problem, budget):
     """Oracle for the window walk: one plain numpy pass over every index with
     the same pre-filter, then the exact ``residuals`` recheck, in order."""
-    search = _LinearSearch(problem)
+    search = _LinearSearch(problem, problem.t_min)
     idx = np.arange(budget, dtype=np.float64)
     alive = np.ones(budget, dtype=bool)
     tests, _, _ = search.windows(budget)
@@ -669,7 +675,7 @@ class TestReferenceScan:
             raise AssertionError("the scan reached the lattice walk")
 
         for name in ("_rotation_hits", "_joint_hits", "_rescan", "_on_grid", "_Tables",
-                     "_LinearSearch", "_recheck"):
+                     "_LinearSearch", "LatticeSearch", "_recheck"):
             monkeypatch.setattr(kronecker, name, refuse)
         assert [scan_outcome(problem, budget) for problem, budget in cases] == before
         with pytest.raises(AssertionError, match="lattice walk"):
@@ -784,21 +790,58 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def record_searches(monkeypatch):
+    """Make the builders' searches record themselves in ``searches``, and in
+    call order what each call asked in ``problems``, as ``(basis, k,
+    targets, eps, t_min, budget)``, and the :class:`KroneckerSolution` of
+    what it found in ``solutions``; returns the three lists."""
+    searches, problems, solutions = [], [], []
+
+    class Recording(LatticeSearch):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+        def __call__(self, t_min):
+            before = self.steps
+            t = super().__call__(t_min)
+            p = self.problem
+            problems.append((p.basis, p.k, p.targets, p.eps, t_min, self.budget))
+            solutions.append(KroneckerSolution(t, *self.last, self.steps - before,
+                                               "lattice"))
+            return t
+
+    monkeypatch.setattr(measures, "LatticeSearch", Recording)
+    return searches, problems, solutions
+
+
 def build_solutions(mu, levels, growth, monkeypatch):
-    """``(problems, solutions)`` of every solve of a point-mass build, each
-    problem as ``(basis, k, targets, eps, t_min, budget)``."""
-    problems, solutions = [], []
-
-    def recording(problem, budget):
-        solutions.append(solve(problem, budget))
-        problems.append((problem.basis, problem.k, problem.targets, problem.eps,
-                         problem.t_min, budget))
-        return solutions[-1]
-
-    monkeypatch.setattr(measures, "solve", recording)
+    """``(problems, solutions)`` of every call of a point-mass build's
+    searches (see :func:`record_searches`)."""
+    _, problems, solutions = record_searches(monkeypatch)
     build_point_mass_lambda(mu, levels, growth)
     monkeypatch.undo()
     return problems, solutions
+
+
+def per_atom_solves(solutions):
+    """A stand-in for ``measures.atom_search`` whose searches solve a new
+    public :class:`KroneckerProblem` at every call, as builds once did atom
+    by atom, and append each solution to ``solutions``."""
+    def atom_search(basis, depth, omega, budget):
+        active = min(depth, basis.dimension)
+
+        def search(t_min):
+            problem = KroneckerProblem(basis, active, omega.angles[:active],
+                                       2.0 ** -depth, t_min)
+            solutions.append(solve(problem, budget))
+            return solutions[-1].t
+
+        return search
+
+    return atom_search
 
 
 def cold_solve(basis, k, targets, eps, t_min, budget):
@@ -824,7 +867,7 @@ class TestJointGaps:
         total, walked = 0, 0
         for depth in list(range(3, 10)) * 3:
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            early = _LinearSearch(problem)
+            early = _LinearSearch(problem, problem.t_min)
             hits = first_window_then_filter(early.windows(self.BUDGET)[0], self.BUDGET)
             if not hits:
                 continue
@@ -832,7 +875,7 @@ class TestJointGaps:
             last = hits[:4][-1]
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
                                      early.time_of(last))
-            tests = _LinearSearch(later).windows(self.BUDGET)[0]
+            tests = _LinearSearch(later, later.t_min).windows(self.BUDGET)[0]
             expected = first_window_then_filter(tests, self.BUDGET)
             start = hits[0] - last - 1
             assert inside_every_window(tests, self.BUDGET, start)
@@ -850,15 +893,15 @@ class TestJointGaps:
         used = 0
         for depth in (3, 4, 5):
             early = seeded_problem(rng, 3, 2.0 ** -depth)
-            search = _LinearSearch(early)
+            search = _LinearSearch(early, early.t_min)
             q0 = search.q0
             hits = list(walk(search.windows(budget)[0], budget))
             assert len(hits) >= 4
             for h in hits[: len(hits) // 2: max(1, len(hits) // 8)]:
                 later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
                                          search.time_of(h + 3))
-                tests = _LinearSearch(later).windows(budget)[0]
-                start = q0 + h - _LinearSearch(later).q0
+                tests = _LinearSearch(later, later.t_min).windows(budget)[0]
+                start = q0 + h - _LinearSearch(later, later.t_min).q0
                 assert start < 0
                 if inside_every_window(tests, budget, start):
                     used += 1
@@ -875,14 +918,15 @@ class TestJointGaps:
         budget = 1 << 18
         for k, depth in ((3, 3), (3, 4), (4, 3)):
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            tests = _LinearSearch(problem).windows(budget)[0]
+            search = _LinearSearch(problem, problem.t_min)
+            tests = search.windows(budget)[0]
             expected = first_window_then_filter(tests, budget)
             assert len(expected) >= 2
             assert list(walk(tests, budget)) == expected
             # from the first hit, at -1 of a shifted problem
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
-                                     _LinearSearch(problem).time_of(expected[0]))
-            tests, _, tables = _LinearSearch(later).windows(budget)
+                                     search.time_of(expected[0]))
+            tests, _, tables = _LinearSearch(later, later.t_min).windows(budget)
             hits = first_window_then_filter(tests, budget)
             assert inside_every_window(tests, budget, -1)
             assert walk_from(tests, budget, -1) == hits
@@ -1038,14 +1082,14 @@ class TestCursor:
         first = KroneckerProblem(basis, k, targets, eps, 1e4)
         t = solve(first, first_budget).t
         cursor = cursor_of(first)
+        past = _LinearSearch(first, first.t_min).time_of(first_budget)
         t_min, budget = {
             "below": (10.0, 10**8), "at": (math.nextafter(t, 0.0), 10**8),
             "far": (1e7, 10**8), "budget": (t, 10**7),
             # the first candidate one past the cursor's budget
-            "range": (_LinearSearch(first).time_of(first_budget), first_budget),
+            "range": (past, first_budget),
         }[case]
-        low = _LinearSearch(KroneckerProblem(basis, k, targets, eps, t_min)).q0 - \
-            cursor.q0
+        low = _LinearSearch(first, t_min).q0 - cursor.q0
         # each case fails one condition of continuing the cursor, and only one
         assert [low <= cursor.i, low > cursor.i + cursor.tables.span,
                 budget != cursor.budget, low > cursor.budget] == \
@@ -1090,16 +1134,127 @@ class TestCursor:
             budget = int(rng.choice([1 << 12, 10**6, 10**8]))
             problem = KroneckerProblem(PrimeBasis(k), k, tuple(rng.uniform(0, TWO_PI, k)),
                                        2.0 ** -int(rng.integers(1, 8)), t_min)
-            seed = _LinearSearch(problem)
+            seed = _LinearSearch(problem, problem.t_min)
             cursor = seed.windows(budget, budget)[1]
             for shift in (1, int(rng.integers(2, budget)), budget):
                 later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
                                          seed.time_of(shift - 1))
-                search = _LinearSearch(later)
+                search = _LinearSearch(later, later.t_min)
                 assert search.q0 == seed.q0 + shift
                 for (o, a, w), (oc, ac, wc) in zip(search.windows(budget)[1], cursor):
                     assert a == ac
                     assert (oc + shift * a - o) % _GRID + w <= wc, (trial, shift)
+
+
+def run_build(name, budget=10**8):
+    """One of three builds, each placing its atoms in call order: a d=2 and
+    a d=3 point-mass build, and a nested build; with its depth margin
+    patched to 0 (:func:`no_depth_margin`) the nested build's first window
+    takes 13 rounds and so escalates its depth three times."""
+    if name == "d2":
+        mu = TorusPointMassMeasure([((0.9, 2.2), 0.4), ((3.3, 0.4), 0.6)])
+        return build_point_mass_lambda(mu, 5, GrowthSchedule.constant(3), budget), None
+    if name == "d3":
+        return build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.default(),
+                                       budget), None
+    rng = np.random.default_rng(0)
+    mus = [TorusPointMassMeasure([(tuple(rng.uniform(0, 6.28, 2)), 0.5)
+                                  for _ in range(2)]) for _ in range(2)]
+    basis = PrimeBasis(2)
+    polys = [TorusPolynomial({(): 1.0, (1,): 1.0, (0, 1): 1.0}, basis),
+             TorusPolynomial({(1, 1): 0.5, (0, 1): 1.0}, basis)]
+    return build_nested_lambda(NestedConstructionPlan(mus, polys), 3,
+                               GrowthSchedule.constant(2), budget)
+
+
+@pytest.fixture
+def no_depth_margin(monkeypatch):
+    monkeypatch.setattr(nested, "_depth_margin", lambda polys, dimension: 0)
+
+
+BUILDS = ["d2", "d3", "nested"]
+
+
+@pytest.mark.usefixtures("no_depth_margin", "cold_memos")
+class TestBuildSearches:
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_atom_times_equal_a_chain_of_solves(self, build, monkeypatch):
+        # A build holds one search per level (per depth in the nested
+        # build) and source, and calls it per atom; its atoms are, bit for
+        # bit, those of the same build solving a new public problem per
+        # atom, each from the time the last one left.
+        lam, plan = run_build(build)
+        clear_kronecker_caches()
+        solutions = []
+        monkeypatch.setattr(measures, "atom_search", per_atom_solves(solutions))
+        monkeypatch.setattr(nested, "atom_search", per_atom_solves(solutions))
+        chained, chained_plan = run_build(build)
+        assert lam.t.tobytes() == chained.t.tobytes()
+        assert lam == chained and plan == chained_plan
+        assert [s.t for s in solutions] == lam.t.tolist()
+        if build == "nested":
+            assert int(lam.rep.max()) >= 4  # round 4 of a window escalates its depth
+
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_search_counters_equal_the_chain(self, build):
+        # The searches' calls and summed steps, over a build, are the count
+        # and the summed steps of the per-atom solves.
+        with pytest.MonkeyPatch.context() as patch:
+            searches, _, solutions = record_searches(patch)
+            lam, _ = run_build(build)
+        chain = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measures, "atom_search", per_atom_solves(chain))
+            patch.setattr(nested, "atom_search", per_atom_solves(chain))
+            run_build(build)
+        assert sum(s.calls for s in searches) == len(chain) == len(lam)
+        assert sum(s.steps for s in searches) == sum(s.steps for s in chain)
+        assert [s.steps for s in solutions] == [s.steps for s in chain]
+        if build != "nested":
+            assert len(searches) == lam.levels * len(set(lam.source.tolist()))
+
+
+@pytest.mark.usefixtures("cold_memos")
+class TestBuildFailures:
+    @pytest.mark.parametrize("build", BUILDS)
+    def test_exhausted_budget_names_the_atom(self, build):
+        # With a budget that every atom before some atom of level 2 or later
+        # fits, and that atom does not, the build stops there with a
+        # ConstructionError naming its level, source and repetition and
+        # caused by the solver's BudgetExhaustedError.
+        with pytest.MonkeyPatch.context() as patch:
+            _, _, solutions = record_searches(patch)
+            lam, _ = run_build(build)
+        steps = np.array([s.steps for s in solutions])
+        first = next(i for i in range(1, len(steps))
+                     if lam.level[i] >= 2 and steps[i] > steps[:i].max())
+        budget = int(steps[:first].max())
+        with pytest.raises(ConstructionError, match="solver failed") as info:
+            run_build(build, budget)
+        error = info.value
+        assert (error.level, error.source, error.repetition) == \
+            (lam.level[first], lam.source[first], lam.rep[first])
+        assert isinstance(error.__cause__, BudgetExhaustedError)
+        assert error.__cause__.steps == budget
+
+    @pytest.mark.parametrize("build", ["d3", "nested"])
+    def test_unresolvable_t_min_is_not_wrapped(self, build, monkeypatch):
+        # A cursor where float64 cannot resolve eps raises a DomainError, as
+        # a KroneckerProblem at that t_min does, and not a ConstructionError:
+        # a scan step of 1e17 puts the cursor there at the end of the first
+        # repetition.  (A small budget keeps a walk there short.)
+        monkeypatch.setattr(measures, "scan_step", lambda basis, depth: 1e17)
+        monkeypatch.setattr(nested, "scan_step", lambda basis, depth: 1e17)
+        with pytest.raises(DomainError, match="cannot resolve") as info:
+            run_build(build, 10**4)
+        assert info.value.__cause__ is None and info.value.__context__ is None
+
+    def test_non_positive_budget_refused_up_front(self):
+        for budget in (0, -1):
+            with pytest.raises(DomainError, match="budget must be positive"):
+                run_build("d2", budget)
+            with pytest.raises(DomainError, match="budget must be positive"):
+                LatticeSearch(KroneckerProblem(PrimeBasis(2), 2, (1.0, 2.0), 0.1), budget)
 
 
 def grid_hits(origin, advance, wide, start, stop):
@@ -1124,7 +1279,7 @@ class TestSingleWindowWalk:
         problems = []
         for depth in (4, 6, 8):
             problem = seeded_problem(rng, 2, 2.0 ** -depth)
-            early = _LinearSearch(problem)
+            early = _LinearSearch(problem, problem.t_min)
             first = first_window_then_filter(early.windows(self.BUDGET)[0][:1],
                                              self.BUDGET)[0]
             problems += [problem, KroneckerProblem(problem.basis, 2, problem.targets,
@@ -1132,7 +1287,7 @@ class TestSingleWindowWalk:
                                                    early.time_of(max(first - 1, 0)))]
         used, starts = 0, set()
         for problem in problems:
-            tests = _LinearSearch(problem).windows(self.BUDGET)[0][:1]
+            tests = _LinearSearch(problem, problem.t_min).windows(self.BUDGET)[0][:1]
             (origin, advance, wide), = grid_rotations(tests, self.BUDGET)
             expected = first_window_then_filter(tests, self.BUDGET)
             assert expected == grid_hits(origin, advance, wide, 0, self.BUDGET)
