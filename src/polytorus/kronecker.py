@@ -36,23 +36,22 @@ lands is the next one, and past the span the first walk takes over.  A walk
 from the first candidate meets about one joint hit, its answer, so it walks
 the first window alone.
 
-Each problem ``(basis, k, targets, eps)`` has one bounded memo entry, its
-resumable search, which the :class:`KroneckerProblem` keeps.  Building it
-checks everything that ignores ``t_min``, once; an invalid problem is
-checked in full, in order, and never cached.  It holds what the solves share
-whatever ``t_min`` (logs, reduced targets, the filtered coordinates' lines,
-the walks' tables per set of window widths rounded up to their leading
-bits) and a walk cursor, left at the last solution.  A build asks one
-problem for successive returns of one rotation to one box: it makes one
-:class:`LatticeSearch` per box from a problem, once, and calls it with each
-atom's lower bound, which is all a call checks; :func:`lattice_solve` is
-one call of a new search.  A call whose first candidate lies above the
-cursor, within the span and within one budget of where the cursor's
-windows start, computes only its first candidate and pre-filter and walks
-on from the cursor: by the first window's jumps with one filtered window,
-by joint gaps with more.  The cursor's windows were widened once to contain
-the own widened window of every such call.  Any other call sets up its
-windows, walks from its first candidate and leaves a new cursor.
+A :class:`KroneckerProblem` is validated data and nothing more.  A build
+asks one problem for successive returns of one rotation to one box: it makes
+one :class:`LatticeSearch` per box from a problem, once, and calls it with
+each atom's lower bound, which is all a call checks; :func:`lattice_solve`
+is one call of a new search.  The search sets up, once, what its calls share
+whatever ``t_min`` (logs, reduced targets, the filtered coordinates' lines),
+and it holds a walk cursor, left at its last solution.  A call whose first
+candidate lies above the cursor, within the span and within one budget of
+where the cursor's windows start, computes only its first candidate and
+pre-filter and walks on from the cursor: by the first window's jumps with
+one filtered window, by joint gaps with more.  The cursor's windows were
+widened once to contain the own widened window of every such call.  Any
+other call sets up its windows, walks from its first candidate and leaves a
+new cursor.  The walks' tables depend only on the grid steps and on the
+window widths rounded up to their leading bits, so the searches of a build
+level share them through the module's one cache, :func:`_tables`.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the pre-filter's by a bound on the
@@ -61,7 +60,7 @@ window gets the pre-filter in Python floats, with the IEEE operations of a
 vectorized pass, and then the :func:`residuals` recheck; the set-up and this
 accept path run in Python floats, one coordinate at a time.  The returned
 solution is exactly the first lattice candidate that passes the pre-filter
-and whose true residuals all pass, bit for bit, whatever the memo holds;
+and whose true residuals all pass, bit for bit, wherever the walk starts;
 ``steps`` is its index plus one.
 
 The reference, :func:`scan_solve`, shares none of this: it evaluates the
@@ -79,6 +78,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,8 +136,8 @@ def residuals(basis: PrimeBasis, k: int, t, targets) -> np.ndarray:
 class KroneckerProblem:
     """Targets, tolerance, and lower bound for one approximation instance.
 
-    A problem keeps, as ``_memo``, the :class:`_ProblemMemo` of its basis,
-    ``k``, targets and ``eps``, which its solves use.
+    Validated data: construction checks every field in order and stores the
+    targets reduced modulo 2*pi, ``eps`` and ``t_min`` as floats.
     """
 
     basis: PrimeBasis
@@ -147,28 +147,10 @@ class KroneckerProblem:
     t_min: float = 0.0
 
     def __post_init__(self):
-        # What ignores t_min is checked once per (dimension, k, targets as
-        # floats, eps), when the problem's memo is built; a problem then
-        # checks only t_min.  An invalid problem, a k that is not an int, or
-        # an eps that does not hash is checked again in full, in order, so
-        # that every input raises what it raised before the memo; failures
-        # are never cached.
-        targets = self.targets
-        try:
-            targets = tuple(targets)
-            if type(self.k) is not int:
-                raise TypeError("k is not an int")
-            memo = _problem_memo(self.basis.dimension, self.k,
-                                 tuple(map(float, targets)), self.eps)
-        except Exception:
-            raw = _checked_targets(self.basis, self.k, targets, self.eps, self.t_min)
-            memo = _problem_memo(self.basis.dimension, self.k, raw, float(self.eps))
-        else:
-            _check_t_min(self.t_min, self.eps, memo.logs, self.k)
-        object.__setattr__(self, "targets", memo.targets)
-        object.__setattr__(self, "eps", memo.eps)
+        raw = _checked_targets(self.basis, self.k, self.targets, self.eps, self.t_min)
+        object.__setattr__(self, "targets", tuple(g % TWO_PI for g in raw))
+        object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "t_min", float(self.t_min))
-        object.__setattr__(self, "_memo", memo)
 
 
 def _check_t_min(t_min, eps, logs, k) -> None:
@@ -184,21 +166,28 @@ def _check_t_min(t_min, eps, logs, k) -> None:
                           f"{t_min} (angle step {resolution:.3g})")
 
 
-def _checked_targets(basis, k, targets, eps, t_min=None) -> tuple[float, ...]:
-    """The targets as floats, after every check on a problem in order;
-    ``t_min=None`` leaves out the checks on ``t_min``."""
+def _checked_targets(basis, k, targets, eps, t_min) -> tuple[float, ...]:
+    """The targets as floats, after every check on a problem in order."""
     if not 1 <= k <= basis.dimension:
         raise DimensionError(f"active dimension {k} not in [1, {basis.dimension}]")
     if not 0.0 < eps < math.pi:
         raise DomainError(f"eps must lie in (0, pi), got {eps}")
-    if t_min is not None:
-        _check_t_min(t_min, eps, basis.logs, k)
+    _check_t_min(t_min, eps, basis.logs, k)
     raw = tuple(float(g) for g in targets)
     if not all(map(math.isfinite, raw)):
         raise DomainError(f"targets must be finite, got {raw}")
     if len(raw) != k:
         raise DomainError(f"expected {k} targets, got {len(raw)}")
     return raw
+
+
+def _checked_budget(budget) -> int:
+    """``budget`` as an int; a :class:`DomainError` unless it is a positive
+    integer (numpy integers count, ``bool`` does not)."""
+    if isinstance(budget, bool) or not isinstance(budget, numbers.Integral) \
+            or budget <= 0:
+        raise DomainError(f"budget must be a positive integer, got {budget!r}")
+    return int(budget)
 
 
 @dataclass(frozen=True)
@@ -212,81 +201,30 @@ class KroneckerSolution:
     method: str
 
 
-class _ProblemMemo:
-    """One problem's resumable search: what its solves share, whatever
-    ``t_min``.
-
-    Building it checks everything about the problem that ignores ``t_min``.
-    ``targets`` and ``eps`` are the problem's canonical fields; ``logs`` and
-    ``reduced`` are ``log p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as
-    Python floats, the targets reduced again as :func:`residuals` reduces its
-    argument.  ``coordinates`` holds, per filtered coordinate, its lattice
-    line ``(origin, slope, step, turns, advance)``: the angle of candidate
-    ``i`` in radians is ``origin + shift*slope - i*step`` modulo 2*pi up to
-    rounding, ``shift`` being the solve's (see :class:`_LinearSearch`);
-    ``turns`` is ``step`` in turns and ``advance`` its negation on the 2^-64
-    grid; ``advances`` lists the advances.  ``tables`` maps the walked
-    widths of a solve's windows (see :func:`_round_up`) to their
-    :class:`_Tables`, so that a solve finds them by one lookup.  ``cursor``
-    is the :class:`_Cursor` of the problem's last solution, or ``None``.
-    """
-
-    __slots__ = ("targets", "eps", "logs", "reduced", "coordinates", "advances",
-                 "tables", "cursor")
-
-    def __init__(self, dimension: int, k: int, targets, eps):
-        basis = PrimeBasis(dimension)
-        raw = _checked_targets(basis, k, targets, eps)
-        self.targets = tuple(g % TWO_PI for g in raw)
-        self.eps = float(eps)
-        logs = tuple(basis.logs[:k].tolist())
-        self.logs = logs
-        self.reduced = tuple(g % TWO_PI for g in self.targets)
-        theta = self.targets[-1]
-        self.coordinates = []
-        for log, g in zip(logs[:-1], self.targets):
-            beta = log / logs[-1]  # -t(q)*log - g = theta*beta - g - 2*pi*q*beta
-            step = TWO_PI * beta
-            turns = step / TWO_PI
-            self.coordinates.append((theta * beta - g, beta, step, turns,
-                                     _grid_advance(turns)))
-        self.advances = tuple(c[-1] for c in self.coordinates)
-        self.tables = {}
-        self.cursor = None
+def _recheck(search: LatticeSearch, t: float, eps: float) -> bool:
+    """Whether every residual of the time ``t`` lies below ``eps``, with the
+    residuals of :func:`_solution_fields`."""
+    for log, g in zip(search.logs, search.reduced):
+        d = (-t * log - g) % TWO_PI
+        if not (d < eps or TWO_PI - d < eps):
+            return False
+    return True
 
 
-@functools.lru_cache(maxsize=256)
-def _problem_memo(dimension: int, k: int, targets, eps) -> _ProblemMemo:
-    """The :class:`_ProblemMemo` of a problem, keyed by what ignores
-    ``t_min``, so the solves of one level share it.  The key holds the
-    basis by its dimension, an int, which hashes without a Python call, and
-    the targets as floats before they are reduced; an invalid key raises and
-    is not cached."""
-    return _ProblemMemo(dimension, k, targets, eps)
-
-
-def _recheck(memo: _ProblemMemo, t: float, eps: float):
-    """``(residuals, q)`` of the time ``t``, or ``None`` when a residual is
-    not below ``eps``.
+def _solution_fields(search: LatticeSearch, t: float):
+    """``(residuals, q)`` of the time ``t`` for the problem of ``search``.
 
     The residuals have the bits of :func:`residuals`: Python's float ``%``
     and ``np.mod`` both take ``fmod`` and then add the modulus to a remainder
-    of the wrong sign.  ``q`` holds ``rint((-t log p_r - theta_r) / 2*pi)``
-    with the canonical targets (``round`` rounds half to even); where a
-    canonical target equals its reduction, which is everywhere but at
-    exactly 2*pi, the two share ``-t log p_r - theta_r``.
+    of the wrong sign, and the targets are reduced again as ``residuals``
+    reduces its argument.  ``q`` holds ``rint((-t log p_r - theta_r) /
+    2*pi)`` with the canonical targets; ``round`` rounds half to even.
     """
     res, q = [], []
-    for log, g, theta in zip(memo.logs, memo.reduced, memo.targets):
-        v = -t * log - g
-        d = v % TWO_PI
-        e = TWO_PI - d
-        if e < d:  # min(d, e), without the call
-            d = e
-        if not d < eps:
-            return None
-        res.append(d)
-        q.append(round((v if g == theta else -t * log - theta) / TWO_PI))
+    for log, g, theta in zip(search.logs, search.reduced, search.problem.targets):
+        d = (-t * log - g) % TWO_PI
+        res.append(min(d, TWO_PI - d))
+        q.append(round((-t * log - theta) / TWO_PI))
     return tuple(res), tuple(q)
 
 
@@ -357,7 +295,7 @@ def _on_grid(base: float, step: float, width: float, advance: int, budget: int):
 
 def _round_up(width: int) -> int:
     """``width`` rounded up to its leading 6 bits, so that the slightly
-    different windows of one problem's solves share their tables."""
+    different windows of one level's calls share their tables."""
     shift = width.bit_length() - 6
     if shift <= 0:
         return width
@@ -395,7 +333,8 @@ class _Tables:
 def _tables(advances, walked) -> _Tables:
     """The shared :class:`_Tables` of these advances and walked widths: the
     lattice steps depend only on ``k`` and the widths on ``eps``, so every
-    target of a build level walks with the same tables."""
+    target of a build level walks with the same tables.  The module's only
+    cache: its entries are values of their keys."""
     return _Tables(advances, walked)
 
 
@@ -551,117 +490,78 @@ def _joint_hits(rotations, start: int, stop: int, tables: _Tables, low: int, at)
             yield i
 
 
-class _Cursor:
-    """A problem's walk, left at its last solution: the windows
-    ``rotations``, none wider than half the circle, and their ``tables``,
-    indexed from the lattice integer ``q0`` and widened with ``reach =
-    budget`` (see :meth:`_LinearSearch.windows`); ``i``, the last solution's
-    index, a hit of every window, and ``at``, its positions."""
+class LatticeSearch:
+    """The lattice solves of one problem: a call with ``t_min`` returns the
+    time of the first lattice solution above it.
 
-    __slots__ = ("q0", "budget", "rotations", "tables", "i", "at")
+    Made from a :class:`KroneckerProblem`, whose ``t_min`` it ignores, and a
+    budget (see :func:`_checked_budget`); a call checks only its ``t_min``,
+    as the problem does.  A call's candidates are the lattice integers ``q0
+    + i``, ``i = 0, 1, ...`` below the budget, where ``q0`` is the first
+    whose time lies above ``t_min`` (:meth:`first_integer`).
 
-    def __init__(self, q0: int, budget: int, rotations, tables: _Tables):
-        self.q0, self.budget, self.rotations, self.tables = q0, budget, rotations, tables
+    What the calls share is set up once.  ``logs`` and ``reduced`` are ``log
+    p_r`` and ``theta_r mod 2*pi`` for ``r < k`` as Python floats, the
+    problem's targets reduced again as :func:`residuals` reduces its
+    argument.  ``coordinates`` holds, per filtered coordinate, its lattice
+    line ``(origin, slope, step, turns, advance)``: the flow angle of
+    candidate ``i`` is ``origin - 2*pi*q0*slope - i*step`` modulo 2*pi up to
+    rounding, which the pre-filter absorbs into its slack; ``turns`` is
+    ``step`` in turns and ``advance`` its negation on the 2^-64 grid;
+    ``advances`` lists the advances.  The nailed coordinate ``k`` is not
+    filtered; the exact recheck covers it.
 
-
-class _LinearSearch:
-    """One solve's lattice candidates ``q0 + i``, ``i = 0, 1, ...``, where
-    ``q0`` is the first lattice integer whose time lies above ``t_min``.
-
-    ``shift = -2*pi*q0`` places candidate 0 on the memo's lines:
-    coordinate ``r`` of candidate ``i`` has flow angle ``origin[r] +
-    shift*slope[r] - i*step[r]`` modulo 2*pi up to rounding, which the
-    pre-filter absorbs into its slack.  The nailed coordinate ``k`` is not
-    filtered; the exact recheck covers it.  A solve walks the
-    :class:`_Cursor` in the memo when it can.
+    The search holds its walk cursor, left at its last solution (see the
+    module docstring): the windows ``rotations``, none wider than half the
+    circle, and their ``tables``, indexed from the lattice integer ``q0``
+    (``None`` until a call leaves a cursor) and widened with ``reach =
+    budget`` (see :meth:`windows`); ``i``, the last solution's index, a hit
+    of every window, and ``at``, its positions.  ``calls`` and ``steps``
+    count the solutions returned and sum their ``steps``.
     """
 
-    __slots__ = ("problem", "memo", "t_min", "q0", "shift")
+    __slots__ = ("problem", "budget", "calls", "steps", "logs", "reduced",
+                 "coordinates", "advances", "q0", "rotations", "tables", "i", "at")
 
-    def __init__(self, problem, t_min: float):
-        memo = problem._memo
-        log_last, theta_last = memo.logs[-1], memo.targets[-1]
-        q0 = math.floor((t_min * log_last + theta_last) / TWO_PI) + 1
-        while (TWO_PI * q0 - theta_last) / log_last <= t_min:
-            q0 += 1
-        self.problem, self.memo, self.t_min, self.q0 = problem, memo, t_min, q0
-        self.shift = -(TWO_PI * q0)
+    def __init__(self, problem: KroneckerProblem, budget: int):
+        self.problem, self.budget = problem, _checked_budget(budget)
+        self.calls = self.steps = 0
+        logs = tuple(problem.basis.logs[:problem.k].tolist())
+        targets = problem.targets
+        self.logs, self.reduced = logs, tuple(g % TWO_PI for g in targets)
+        self.coordinates = []
+        for log, g in zip(logs[:-1], targets):
+            beta = log / logs[-1]  # -t(q)*log - g = theta*beta - g - 2*pi*q*beta
+            step = TWO_PI * beta
+            turns = step / TWO_PI
+            self.coordinates.append((targets[-1] * beta - g, beta, step, turns,
+                                     _grid_advance(turns)))
+        self.advances = tuple(c[-1] for c in self.coordinates)
+        self.q0 = None
 
-    def time_of(self, i):
-        """``t(q0 + i) = (2*pi*(q0 + i) - theta_k) / log p_k`` for a Python
-        int or an array of them, with the same IEEE operations either way."""
-        memo = self.memo
-        return (TWO_PI * (float(self.q0) + i) - memo.targets[-1]) / memo.logs[-1]
-
-    def tests(self, budget: int):
-        """Each filtered coordinate's pre-filter ``(c, s, w)`` in turns:
-        candidate ``i`` passes when ``frac(c - i*s) < w``.  The shifted
-        window covers eps plus slack for the float error of the linear
-        parametrization over the whole budget range, so it is a strict
-        superset of the true acceptance set."""
-        eps, shift = self.memo.eps, self.shift
-        tests = []
-        for origin, slope, step, turns, _ in self.memo.coordinates:
-            base = origin + shift * slope
-            slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
-            tests.append(((base + (eps + slack)) / TWO_PI, turns,
-                          2.0 * (eps + slack) / TWO_PI))
-        return tests
-
-    def windows(self, budget: int, reach: int = 0):
-        """``(tests, rotations, tables)``: :meth:`tests`, the same windows
-        widened on the grid (:func:`_on_grid`) for the ``budget + reach``
-        candidates from 0, and their walks' tables, shared by the solves of
-        the problem whose windows round up alike; ``None`` without a
-        filtered coordinate.  With ``reach``, each window first grows on
-        either side by ``32 eps64 (|origin| + |shift*slope| + (reach +
-        budget)*step + 2*pi)`` radians, so that it contains the own widened
-        window of every solve of the problem with this budget whose first
-        candidate lies at most ``reach`` above this one's: that is more than
-        the growth of their slack (its ``|base|`` grows with the shift) and
-        the rounding and drift of their windows and this one, together below
-        ``(10 |base| + 7 budget*step + 50) eps64``."""
-        tests = self.tests(budget)
-        memo, shift = self.memo, self.shift
-        rotations, walked = [], []
-        for (c, s, w), (origin, slope, step, _, advance) in zip(tests, memo.coordinates):
-            if reach:
-                pad = 32.0 * _EPS64 * (abs(origin) + abs(shift * slope)
-                                       + (reach + budget) * step + TWO_PI) / TWO_PI
-                c, w = c + pad, w + 2.0 * pad
-            rotation = _on_grid(c, s, w, advance, budget + reach)
-            rotations.append(rotation)
-            walked.append(_round_up(rotation[2]))
-        if not rotations:
-            return tests, rotations, None
-        key = tuple(walked)
-        tables = memo.tables.get(key)
-        if tables is None:
-            tables = memo.tables[key] = _tables(memo.advances, key)
-        return tests, rotations, tables
-
-    def run(self, budget: int):
-        """``(t, (residuals, q), steps)`` of the first candidate below
-        ``budget`` that passes the pre-filter and the recheck, walked on from
-        the memo's cursor when the solve's first candidate lies above it
-        within the span and one budget of its ``q0`` (see the module
-        docstring), and from 0 otherwise."""
-        memo, q0, cursor = self.memo, self.q0, self.memo.cursor
-        low = q0 - cursor.q0 if cursor is not None else 0
-        if cursor is not None and cursor.budget == budget >= low and \
-                cursor.i < low <= cursor.i + cursor.tables.span:
-            tests, at = self.tests(budget), list(cursor.at)
+    def __call__(self, t_min: float) -> float:
+        """The time of the first candidate that passes the pre-filter and
+        the recheck, walked on from the cursor when the call's first
+        candidate lies above it within the span and one budget of its ``q0``
+        (see the module docstring), and from 0 otherwise."""
+        eps, budget = self.problem.eps, self.budget
+        _check_t_min(t_min, eps, self.logs, len(self.logs))
+        q0 = self.first_integer(t_min)
+        low = q0 - self.q0 if self.q0 is not None else 0
+        if self.q0 is not None and budget >= low and \
+                self.i < low <= self.i + self.tables.span:
+            cursor = self.q0, self.rotations, self.tables
+            tests, at = self.tests(q0), list(self.at)
             walk = _rotation_hits if len(at) == 1 else _joint_hits
-            hits = walk(cursor.rotations, cursor.i, low + budget, cursor.tables, low, at)
+            hits = walk(self.rotations, self.i, low + budget, self.tables, low, at)
         else:
             low = 0
-            tests, rotations, tables = self.windows(budget, budget)
+            tests, rotations, tables = self.windows(q0, budget)
             at, cursor = [o for o, _, _ in rotations], None  # the positions of index 0
             if rotations and all(w <= _GRID >> 1 for _, _, w in rotations):
-                cursor = _Cursor(q0, budget, rotations, tables)
+                cursor = q0, rotations, tables
             hits = _rotation_hits(rotations, 0, budget, tables, 0, at) if rotations \
                 else range(budget)
-        t_min, eps, time_of = self.t_min, memo.eps, self.time_of
         for j in hits:
             i = j - low
             # The pre-filter in Python floats: the same IEEE operations, in
@@ -672,20 +572,77 @@ class _LinearSearch:
                 if not u - math.floor(u) < w:
                     break
             else:
-                t = time_of(i)
-                if t > t_min and (found := _recheck(memo, t, eps)) is not None:
+                t = self.time_of(q0, i)
+                if t > t_min and _recheck(self, t, eps):
                     if cursor is not None:
-                        cursor.i, cursor.at = j, at
-                        memo.cursor = cursor
-                    return t, found, i + 1
-        raise BudgetExhaustedError(budget, *self._best_candidate(budget))
+                        (self.q0, self.rotations, self.tables), self.i, self.at = \
+                            cursor, j, at
+                    self.calls += 1
+                    self.steps += i + 1
+                    return t
+        raise BudgetExhaustedError(budget, *self._best_candidate(q0))
 
-    def _best_candidate(self, budget: int):
-        """The smallest worst residual among the hits of the solve's own
+    def first_integer(self, t_min: float) -> int:
+        """``q0``, the first lattice integer whose time lies above ``t_min``."""
+        log_last, theta_last = self.logs[-1], self.problem.targets[-1]
+        q0 = math.floor((t_min * log_last + theta_last) / TWO_PI) + 1
+        while (TWO_PI * q0 - theta_last) / log_last <= t_min:
+            q0 += 1
+        return q0
+
+    def time_of(self, q0: int, i):
+        """``t(q0 + i) = (2*pi*(q0 + i) - theta_k) / log p_k`` for a Python
+        int or an array of them, with the same IEEE operations either way."""
+        return (TWO_PI * (float(q0) + i) - self.problem.targets[-1]) / self.logs[-1]
+
+    def tests(self, q0: int):
+        """Each filtered coordinate's pre-filter ``(c, s, w)`` in turns for
+        the call whose first lattice integer is ``q0``: candidate ``i``
+        passes when ``frac(c - i*s) < w``.  The shifted window covers eps
+        plus slack for the float error of the linear parametrization over
+        the whole budget range, so it is a strict superset of the true
+        acceptance set."""
+        eps, budget, shift = self.problem.eps, self.budget, -(TWO_PI * q0)
+        tests = []
+        for origin, slope, step, turns, _ in self.coordinates:
+            base = origin + shift * slope
+            slack = 32.0 * _EPS64 * (abs(base) + budget * step + TWO_PI)
+            tests.append(((base + (eps + slack)) / TWO_PI, turns,
+                          2.0 * (eps + slack) / TWO_PI))
+        return tests
+
+    def windows(self, q0: int, reach: int = 0):
+        """``(tests, rotations, tables)``: :meth:`tests`, the same windows
+        widened on the grid (:func:`_on_grid`) for the ``budget + reach``
+        candidates from 0, and their walks' tables from :func:`_tables`;
+        ``None`` without a filtered coordinate.  With ``reach``, each window
+        first grows on either side by ``32 eps64 (|origin| + |shift*slope| +
+        (reach + budget)*step + 2*pi)`` radians, ``shift = -2*pi*q0``, so
+        that it contains the own widened window of every call whose first
+        candidate lies at most ``reach`` above this one's: that is more than
+        the growth of their slack (its ``|base|`` grows with the shift) and
+        the rounding and drift of their windows and this one, together below
+        ``(10 |base| + 7 budget*step + 50) eps64``."""
+        tests, budget, shift = self.tests(q0), self.budget, -(TWO_PI * q0)
+        rotations, walked = [], []
+        for (c, s, w), (origin, slope, step, _, advance) in zip(tests, self.coordinates):
+            if reach:
+                pad = 32.0 * _EPS64 * (abs(origin) + abs(shift * slope)
+                                       + (reach + budget) * step + TWO_PI) / TWO_PI
+                c, w = c + pad, w + 2.0 * pad
+            rotation = _on_grid(c, s, w, advance, budget + reach)
+            rotations.append(rotation)
+            walked.append(_round_up(rotation[2]))
+        if not rotations:
+            return tests, rotations, None
+        return tests, rotations, _tables(self.advances, tuple(walked))
+
+    def _best_candidate(self, q0: int):
+        """The smallest worst residual among the hits of the call's own
         first window, found by walking again; among all candidates when
         there was no hit."""
-        problem = self.problem
-        _, rotations, tables = self.windows(budget)
+        problem, budget = self.problem, self.budget
+        _, rotations, tables = self.windows(q0)
         hits = _rotation_hits(rotations[:1], 0, budget, tables) if rotations else iter(())
         first = next(hits, None)
         if first is None:
@@ -694,7 +651,7 @@ class _LinearSearch:
             candidates = itertools.chain([first], hits)
         best_t, best_worst = math.nan, math.inf
         while batch := list(itertools.islice(candidates, _RESCAN_CHUNK)):
-            times = self.time_of(np.asarray(batch, dtype=np.float64))
+            times = self.time_of(q0, np.asarray(batch, dtype=np.float64))
             worst = residuals(problem.basis, problem.k, times, problem.targets)
             worst = worst.max(axis=-1)
             j = int(np.argmin(worst))
@@ -703,44 +660,13 @@ class _LinearSearch:
         return best_t, residuals(problem.basis, problem.k, best_t, problem.targets)
 
 
-class LatticeSearch:
-    """The lattice solves of one problem: a call with ``t_min`` returns the
-    time of the first lattice solution above it.
-
-    Made from a :class:`KroneckerProblem`, whose ``t_min`` it ignores, and a
-    positive budget, both checked once.  A call checks only its ``t_min``, as
-    the problem does, and walks on from the cursor of the problem's memo when
-    it can (see the module docstring).  ``last`` holds the last solution's
-    ``(residuals, q)``; ``calls`` and ``steps`` count the solutions returned
-    and sum their ``steps``.
-    """
-
-    __slots__ = ("problem", "budget", "last", "calls", "steps")
-
-    def __init__(self, problem: KroneckerProblem, budget: int):
-        if budget <= 0:
-            raise DomainError(f"budget must be positive, got {budget}")
-        self.problem, self.budget, self.last = problem, int(budget), None
-        self.calls = self.steps = 0
-
-    def __call__(self, t_min: float) -> float:
-        memo = self.problem._memo
-        _check_t_min(t_min, memo.eps, memo.logs, len(memo.logs))
-        t, self.last, steps = _LinearSearch(self.problem, t_min).run(self.budget)
-        self.calls += 1
-        self.steps += steps
-        return t
-
-
 def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolution:
     """Reference forward scan with step ``delta = eps / (2 log p_k)`` (see
     the module docstring): the first ``t_min + (i + 1) * delta``, ``i <
     budget``, above ``t_min`` whose :func:`residuals` are all below ``eps``;
     ``steps`` is ``i + 1``.  Chunks of ``_SHORT_SCAN`` candidates, doubling
     up to ``_RESCAN_CHUNK``, keep an early answer cheap."""
-    if budget <= 0:
-        raise DomainError(f"budget must be positive, got {budget}")
-    budget = int(budget)
+    budget = _checked_budget(budget)
     basis, k, targets, eps, t_min = (problem.basis, problem.k, problem.targets,
                                      problem.eps, problem.t_min)
     logs = basis.logs[:k]
@@ -776,7 +702,7 @@ def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSo
     """
     search = LatticeSearch(problem, budget)
     t = search(problem.t_min)
-    return KroneckerSolution(t, *search.last, search.steps, "lattice")
+    return KroneckerSolution(t, *_solution_fields(search, t), search.steps, "lattice")
 
 
 solve = lattice_solve  # the default; scan_solve is the complete reference

@@ -34,14 +34,14 @@ from polytorus.kronecker import (
     LatticeSearch,
     _grid_advance,
     _joint_hits,
-    _LinearSearch,
     _on_grid,
-    _problem_memo,
     _recheck,
     _return_times,
     _rotation_hits,
     _round_up,
+    _solution_fields,
     _Tables,
+    _tables,
 )
 from polytorus.measures import build_point_mass_lambda, scan_step
 
@@ -184,10 +184,15 @@ class TestSolverProperties:
         recheck = residuals(problem.basis, 3, err.best_t, problem.targets)
         assert err.best_residuals == tuple(float(r) for r in recheck)
 
-    def test_budget_must_be_positive(self):
-        problem = KroneckerProblem(PrimeBasis(1), 1, (0.0,), 0.1)
-        with pytest.raises(DomainError):
-            solve(problem, budget=0)
+    @pytest.mark.parametrize("budget", [math.nan, 2.5, True, "10", 0, -1])
+    @pytest.mark.parametrize("backend", [lattice_solve, scan_solve])
+    def test_budget_must_be_a_positive_integer(self, backend, budget):
+        # one check for both backends: no float is truncated, no bool or
+        # string is read as a count; numpy integers are counts
+        problem = KroneckerProblem(PrimeBasis(2), 2, (1.0, 2.0), 0.25)
+        with pytest.raises(DomainError, match="budget must be a positive integer"):
+            backend(problem, budget)
+        assert backend(problem, np.int64(10**6)) == backend(problem, 10**6)
 
     def test_solution_steps_counts_candidates(self):
         problem = KroneckerProblem(PrimeBasis(1), 1, (0.0,), 0.1, t_min=5.0)
@@ -254,8 +259,8 @@ class TestProblemValidation:
 
 
 def reference_problem(basis, k, targets, eps, t_min):
-    """Every check of a problem, in order, without a memo: ``(targets, eps,
-    t_min)`` as the problem stores them."""
+    """Every check of a problem, in order, written out on its own: ``(targets,
+    eps, t_min)`` as the problem stores them."""
     if not 1 <= k <= basis.dimension:
         raise DimensionError(f"active dimension {k} not in [1, {basis.dimension}]")
     if not 0.0 < eps < math.pi:
@@ -293,7 +298,7 @@ SPECIAL_FLOATS = [0.0, -0.0, 1.0, -1e-300, TWO_PI, -TWO_PI, 7.5, 1e300, -1e300,
                   math.nan, math.inf, -math.inf]
 
 
-class TestValidationMemo:
+class TestValidationReference:
     @given(
         st.integers(1, 4),
         st.integers(-1, 5),
@@ -309,51 +314,21 @@ class TestValidationMemo:
     @example(2, 2, [-0.0, 0.0], "numpy", 1.0, 5)
     @example(1, 1, [math.nan], "list", 0.1, math.inf)
     @settings(max_examples=500, deadline=None)
-    def test_memoized_problem_matches_reference(self, dimension, k, targets, kind,
-                                                eps, t_min):
-        # Built cold, built again, built after a valid problem of the same
-        # (dimension, k, targets, eps) has filled the memo, and built once
-        # more: every time the same fields, or the same exception and text,
-        # as the reference.  -0.0 and 0.0 share a key, as 1 and 1.0 do; a
-        # target that is no number fails where the reference fails.
+    def test_problem_matches_reference(self, dimension, k, targets, kind, eps, t_min):
+        # The same fields, or the same exception and text, as the reference,
+        # built once and built again; a target that is no number fails where
+        # the reference fails.
         basis = PrimeBasis(dimension)
         box = {"tuple": tuple, "list": list, "numpy": np.array}[kind]
         expected = construction(lambda: reference_problem(basis, k, box(targets), eps,
                                                           t_min))
-
-        def build(t):
-            return construction(lambda: KroneckerProblem(basis, k, box(targets), eps, t))
-
-        clear_kronecker_caches()
-        assert build(t_min) == expected
-        assert build(t_min) == expected
-        for other in (targets[::-1], targets):
-            warm = construction(lambda: KroneckerProblem(basis, k, box(other), eps, 1.0))
-            assert warm == construction(
-                lambda: reference_problem(basis, k, box(other), eps, 1.0))
-            assert build(t_min) == expected
-
-    def test_failures_are_not_cached(self):
-        clear_kronecker_caches()
-        basis = PrimeBasis(2)
         for _ in range(2):
-            with pytest.raises(DomainError, match="targets must be finite"):
-                KroneckerProblem(basis, 2, (1.0, math.nan), 0.1, 5.0)
-            with pytest.raises(DomainError, match="t_min must be finite"):
-                KroneckerProblem(basis, 2, (1.0, math.nan), 0.1, -1.0)
-        assert _problem_memo.cache_info().currsize == 0
-        good = KroneckerProblem(basis, 2, (1.0, 2.0), 0.1, 5.0)
-        for _ in range(2):
-            with pytest.raises(DomainError, match="cannot resolve"):
-                KroneckerProblem(basis, 2, (1.0, 2.0), 0.1, 1e16)
-        assert _problem_memo.cache_info().currsize == 1
-        assert KroneckerProblem(basis, 2, [1.0, 2.0], 0.1, 5.0) == good
+            assert construction(
+                lambda: KroneckerProblem(basis, k, box(targets), eps, t_min)) == expected
 
     def test_k_that_is_not_an_int(self):
-        # a float k fails where the reference fails, after the t_min checks,
-        # even when the memo holds the problem with the int k
+        # a float k fails where the reference fails, after the t_min checks
         basis = PrimeBasis(2)
-        KroneckerProblem(basis, 2, (1.0, 2.0), 0.1)
         for t_min in (1.0, -1.0):
             assert construction(lambda: KroneckerProblem(basis, 2.0, (1.0, 2.0), 0.1,
                                                          t_min)) == \
@@ -365,6 +340,13 @@ def implied_integers(problem, t):
     """``rint((-t log p_r - theta_r) / 2*pi)`` in numpy."""
     raw = (-t * problem.basis.logs[:problem.k] - np.asarray(problem.targets)) / TWO_PI
     return tuple(int(q) for q in np.rint(raw))
+
+
+def search_at(problem, budget):
+    """A :class:`LatticeSearch` of ``problem`` with ``budget``, and ``q0``,
+    the first lattice integer of its call at the problem's ``t_min``."""
+    search = LatticeSearch(problem, budget)
+    return search, search.first_integer(problem.t_min)
 
 
 def grid_rotations(tests, budget):
@@ -401,16 +383,16 @@ def walk_from(tests, budget, start):
 def brute_force_first(problem, budget):
     """Oracle for the window walk: one plain numpy pass over every index with
     the same pre-filter, then the exact ``residuals`` recheck, in order."""
-    search = _LinearSearch(problem, problem.t_min)
+    search, q0 = search_at(problem, budget)
     idx = np.arange(budget, dtype=np.float64)
     alive = np.ones(budget, dtype=bool)
-    tests, _, _ = search.windows(budget)
+    tests, _, _ = search.windows(q0)
     for c, s, w in tests:
         u = c - idx * s
         u -= np.floor(u)
         alive &= u < w
     for i in np.flatnonzero(alive).tolist():
-        t = search.time_of(i)
+        t = search.time_of(q0, i)
         if not t > problem.t_min:
             continue
         res = residuals(problem.basis, problem.k, t, problem.targets)
@@ -660,7 +642,7 @@ class TestReferenceScan:
         if plant is not None:
             assert expected[3] <= plant + 1
 
-    def test_shares_no_code_with_the_walk(self, monkeypatch, cold_memos):
+    def test_shares_no_code_with_the_walk(self, cold_caches, monkeypatch):
         # With the walk's functions refusing to run, the scan solves and
         # exhausts as before; a lattice solve of the same problems reaches
         # them.
@@ -675,7 +657,7 @@ class TestReferenceScan:
             raise AssertionError("the scan reached the lattice walk")
 
         for name in ("_rotation_hits", "_joint_hits", "_rescan", "_on_grid", "_Tables",
-                     "_LinearSearch", "LatticeSearch", "_recheck"):
+                     "_tables", "LatticeSearch", "_recheck", "_solution_fields"):
             monkeypatch.setattr(kronecker, name, refuse)
         assert [scan_outcome(problem, budget) for problem, budget in cases] == before
         with pytest.raises(AssertionError, match="lattice walk"):
@@ -687,26 +669,26 @@ class TestScalarAcceptPath:
            st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=4))
     @example(0.0, [math.pi])  # implied integer rint(-0.5): a tie
+    @example(9.064720283654388, [math.pi])  # rint(-1.5) = -2: half to even, not up
     @example(0.0, [-1e-300])  # canonical target exactly 2*pi
     @settings(max_examples=300, deadline=None)
     def test_matches_numpy_forms(self, t, targets):
         basis, k = PrimeBasis(4), len(targets)
         problem = KroneckerProblem(basis, k, targets, 0.1)
-        scalar, q = _recheck(problem._memo, t, math.inf)
+        search = LatticeSearch(problem, 1)
+        scalar, q = _solution_fields(search, t)
         vector = residuals(basis, k, t, problem.targets).tolist()
         assert [r.hex() for r in scalar] == [r.hex() for r in vector]
         assert q == implied_integers(problem, t)
-        # below eps only when every residual is
-        found = _recheck(problem._memo, t, 0.1)
-        assert (found is not None) == all(r < 0.1 for r in vector)
-        if found is not None:
-            assert found == (scalar, q)
+        # the recheck passes when every residual is below eps, and only then
+        for eps in (0.1, *vector):
+            assert _recheck(search, t, eps) == all(r < eps for r in vector)
+        assert _recheck(search, t, math.inf)
 
     def test_interleaved_solves_match_solves_alone(self):
-        # The memo is keyed on what ignores t_min; solving problems that
-        # differ in basis, k, targets, eps and t_min in turn must give what
-        # each gives on a cold memo.  A problem keeps the memo it was built
-        # with, so each cold solve builds its problem anew.
+        # The walks' tables are cached by their grid steps and widths;
+        # solving problems that differ in basis, k, targets, eps and t_min
+        # in turn must give what each gives with every cache empty.
         rng = np.random.default_rng(8)
         problems = []
         for d in (1, 2, 3, 4):
@@ -746,16 +728,15 @@ def inside_every_window(tests, budget, index):
 
 
 def clear_kronecker_caches():
-    """Empty every cache of the kronecker module: the problem memo, which
-    also validates, and any other ``lru_cache``."""
+    """Empty the kronecker module's one cache, the walks' tables, after
+    checking that it is the only ``lru_cache`` there."""
     caches = [f for f in vars(kronecker).values() if hasattr(f, "cache_clear")]
-    assert _problem_memo in caches
-    for cache in caches:
-        cache.cache_clear()
+    assert caches == [_tables]
+    _tables.cache_clear()
 
 
 @pytest.fixture
-def cold_memos():
+def cold_caches():
     """Every kronecker cache empty, before and after the test."""
     clear_kronecker_caches()
     yield
@@ -768,13 +749,15 @@ def seeded_problem(rng, k, eps):
     return KroneckerProblem(PrimeBasis(k), k, targets, eps, t_min)
 
 
-def cursor_of(problem):
-    """The lattice cursor the problem's memo holds, or ``None``."""
-    return problem._memo.cursor
-
-
 def fields(solution):
     return solution.t, solution.residuals, solution.q, solution.steps
+
+
+def call_fields(search, t_min):
+    """The fields of :func:`fields` for one call of ``search``."""
+    before = search.steps
+    t = search(t_min)
+    return (t, *_solution_fields(search, t), search.steps - before)
 
 
 def count_calls(monkeypatch, name):
@@ -809,8 +792,8 @@ def record_searches(monkeypatch):
             t = super().__call__(t_min)
             p = self.problem
             problems.append((p.basis, p.k, p.targets, p.eps, t_min, self.budget))
-            solutions.append(KroneckerSolution(t, *self.last, self.steps - before,
-                                               "lattice"))
+            solutions.append(KroneckerSolution(t, *_solution_fields(self, t),
+                                               self.steps - before, "lattice"))
             return t
 
     monkeypatch.setattr(measures, "LatticeSearch", Recording)
@@ -845,7 +828,7 @@ def per_atom_solves(solutions):
 
 
 def cold_solve(basis, k, targets, eps, t_min, budget):
-    _problem_memo.cache_clear()
+    clear_kronecker_caches()
     return solve(KroneckerProblem(basis, k, targets, eps, t_min), budget)
 
 
@@ -857,7 +840,7 @@ class TestJointGaps:
     BUDGET = 1 << 20
 
     @pytest.mark.parametrize("k", [3, 4])
-    def test_joint_walk_matches_first_window_walk(self, k, cold_memos):
+    def test_joint_walk_matches_first_window_walk(self, k, cold_caches):
         # Each problem, three per depth, is rebuilt with t_min at its fourth
         # joint hit (or its last, when it has fewer), so that its first joint
         # hit sits below 0: over 2^20 candidates the joint-gap steps from
@@ -867,15 +850,16 @@ class TestJointGaps:
         total, walked = 0, 0
         for depth in list(range(3, 10)) * 3:
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            early = _LinearSearch(problem, problem.t_min)
-            hits = first_window_then_filter(early.windows(self.BUDGET)[0], self.BUDGET)
+            early, q0 = search_at(problem, self.BUDGET)
+            hits = first_window_then_filter(early.windows(q0)[0], self.BUDGET)
             if not hits:
                 continue
             walked += 1
             last = hits[:4][-1]
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
-                                     early.time_of(last))
-            tests = _LinearSearch(later, later.t_min).windows(self.BUDGET)[0]
+                                     early.time_of(q0, last))
+            search, later_q0 = search_at(later, self.BUDGET)
+            tests = search.windows(later_q0)[0]
             expected = first_window_then_filter(tests, self.BUDGET)
             start = hits[0] - last - 1
             assert inside_every_window(tests, self.BUDGET, start)
@@ -884,7 +868,7 @@ class TestJointGaps:
         assert walked >= 4
         assert total >= {3: 1000, 4: 50}[k]
 
-    def test_walk_from_a_joint_hit_below_zero(self, cold_memos):
+    def test_walk_from_a_joint_hit_below_zero(self, cold_caches):
         # A joint hit of an earlier problem with the same target, below the
         # later problem's first candidate and inside its windows, starts the
         # walk; the indices yielded are those of a walk from 0.
@@ -893,15 +877,15 @@ class TestJointGaps:
         used = 0
         for depth in (3, 4, 5):
             early = seeded_problem(rng, 3, 2.0 ** -depth)
-            search = _LinearSearch(early, early.t_min)
-            q0 = search.q0
-            hits = list(walk(search.windows(budget)[0], budget))
+            search, q0 = search_at(early, budget)
+            hits = list(walk(search.windows(q0)[0], budget))
             assert len(hits) >= 4
             for h in hits[: len(hits) // 2: max(1, len(hits) // 8)]:
                 later = KroneckerProblem(early.basis, 3, early.targets, early.eps,
-                                         search.time_of(h + 3))
-                tests = _LinearSearch(later, later.t_min).windows(budget)[0]
-                start = q0 + h - _LinearSearch(later, later.t_min).q0
+                                         search.time_of(q0, h + 3))
+                later_search, later_q0 = search_at(later, budget)
+                tests = later_search.windows(later_q0)[0]
+                start = q0 + h - later_q0
                 assert start < 0
                 if inside_every_window(tests, budget, start):
                     used += 1
@@ -910,7 +894,7 @@ class TestJointGaps:
         assert used >= 6
 
     @pytest.mark.parametrize("joint_span", [1e-9, 0.5])
-    def test_fallback_when_no_gap_lands(self, joint_span, monkeypatch, cold_memos):
+    def test_fallback_when_no_gap_lands(self, joint_span, monkeypatch, cold_caches):
         # A tiny span leaves gaps that do not reach the next joint hit (or no
         # gaps at all), so the walk goes back to the first window's hits.
         monkeypatch.setattr(kronecker, "_JOINT_SPAN", joint_span)
@@ -918,15 +902,16 @@ class TestJointGaps:
         budget = 1 << 18
         for k, depth in ((3, 3), (3, 4), (4, 3)):
             problem = seeded_problem(rng, k, 2.0 ** -depth)
-            search = _LinearSearch(problem, problem.t_min)
-            tests = search.windows(budget)[0]
+            search, q0 = search_at(problem, budget)
+            tests = search.windows(q0)[0]
             expected = first_window_then_filter(tests, budget)
             assert len(expected) >= 2
             assert list(walk(tests, budget)) == expected
             # from the first hit, at -1 of a shifted problem
             later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
-                                     search.time_of(expected[0]))
-            tests, _, tables = _LinearSearch(later, later.t_min).windows(budget)
+                                     search.time_of(q0, expected[0]))
+            later_search, later_q0 = search_at(later, budget)
+            tests, _, tables = later_search.windows(later_q0)
             hits = first_window_then_filter(tests, budget)
             assert inside_every_window(tests, budget, -1)
             assert walk_from(tests, budget, -1) == hits
@@ -962,38 +947,41 @@ class TestJointGaps:
         assert checked > 100
 
     @pytest.mark.parametrize("d, depth", [(2, 4), (2, 7), (3, 5), (4, 3)])
-    def test_chained_solves_warm_memo_equal_cold(self, d, depth, cold_memos,
-                                                 monkeypatch):
-        # Three targets in turn, each solve starting one scan step after the
+    def test_chained_search_calls_equal_cold_solves(self, d, depth, cold_caches,
+                                                    monkeypatch):
+        # Three targets in turn, each call starting one scan step after the
         # previous solution, as the builders do: the same reprs, and so the
-        # same t, residuals, q and steps, whether the memo holds each
-        # target's cursor or is cleared before every solve.  Only each
-        # target's first solve searches from 0: with one filtered window
-        # (d = 2) the others make no rescan.
+        # same t, residuals, q and steps, whether each target's calls go to
+        # one search, which continues its cursor, or each is a solve of a
+        # new problem.  Only each search's first call walks from 0: with one
+        # filtered window (d = 2) the others make no rescan.
         rng = np.random.default_rng(74 + d)
         basis, k, eps = PrimeBasis(d), min(d, depth), 2.0 ** -depth
         targets = [tuple(float(g) for g in rng.uniform(0, TWO_PI, size=k))
                    for _ in range(3)]
         step = scan_step(basis, depth)
         rescans = count_calls(monkeypatch, "_rescan")
+        searches = [LatticeSearch(KroneckerProblem(basis, k, omega, eps), 10**8)
+                    for omega in targets]
 
-        def chain(clear):
+        def chain(searched):
             out, t = [], 0.0
             rescans.clear()
             for _ in range(12):
-                for omega in targets:
-                    if clear:
-                        _problem_memo.cache_clear()
-                    sol = solve(KroneckerProblem(basis, k, omega, eps, t))
-                    out.append(repr(sol))
-                    t = sol.t + step
+                for omega, search in zip(targets, searches):
+                    if searched:
+                        t, *rest = call_fields(search, t)
+                        out.append(repr(KroneckerSolution(t, *rest, "lattice")))
+                    else:
+                        sol = solve(KroneckerProblem(basis, k, omega, eps, t))
+                        out.append(repr(sol))
+                        t = sol.t
+                    t += step
             return out, len(rescans)
 
-        warm, warm_rescans = chain(False)
-        assert _problem_memo.cache_info().currsize == 3
-        assert all(cursor_of(KroneckerProblem(basis, k, omega, eps)) is not None
-                   for omega in targets)
-        cold, cold_rescans = chain(True)
+        warm, warm_rescans = chain(True)
+        assert all(search.q0 is not None for search in searches)
+        cold, cold_rescans = chain(False)
         assert warm == cold
         if d == 2:
             assert warm_rescans == 3 and cold_rescans >= 36
@@ -1006,10 +994,10 @@ class TestCursor:
                      GrowthSchedule.constant(3), id="d2-K5"),
     ])
     def test_build_solutions_equal_cold_solutions(self, mu, levels, growth, monkeypatch,
-                                                  cold_memos):
-        # Every solve of a build but the first of each level and source
-        # continues its problem's cursor; each solution equals that of the
-        # same problem solved on a cold memo.
+                                                  cold_caches):
+        # Every call of a build's searches but the first of each level and
+        # source continues its search's cursor; each solution equals that of
+        # the same problem solved by a new search.
         grids = count_calls(monkeypatch, "_on_grid")
         problems, warm = build_solutions(mu, levels, growth, monkeypatch)
         seeded = len(grids)
@@ -1019,51 +1007,63 @@ class TestCursor:
         assert seeded == sum(k - 1 for k, _, _ in pairs)
         assert len(problems) > 40 * len(pairs)
 
-    def test_build_leaves_cursors_for_the_next_build(self, cold_memos):
-        # A second build of the same measure finds each level's cursors
-        # above its first solves, so those walk fresh; it equals the first
-        # build and a build on cold memos.
-        first = build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.constant(2))
-        level4 = [KroneckerProblem(PrimeBasis(3), 3, omega.angles, 2.0 ** -4)
-                  for omega, _ in THREE_POINTS.atoms]
-        assert all(cursor_of(problem) is not None for problem in level4)
-        again = build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.constant(2))
-        clear_kronecker_caches()
-        cold = build_point_mass_lambda(THREE_POINTS, 4, GrowthSchedule.constant(2))
-        assert first == again == cold
-
-    def test_continuing_solves_set_up_no_windows(self, monkeypatch, cold_memos):
-        # The level-4 solves of a K=4 build, replayed in order on cold
-        # memos: the first solve of each source sets up its windows
-        # (_on_grid per filtered coordinate) and leaves a cursor, and every
-        # later solve continues it without setting up a window.
+    def test_continuing_solves_set_up_no_windows(self, monkeypatch, cold_caches):
+        # The level-4 solves of a K=4 build, replayed in order through one
+        # new search per source: the first call of each search sets up its
+        # windows (_on_grid per filtered coordinate) and leaves a cursor,
+        # and every later call continues it without setting up a window.
         problems, solutions = build_solutions(THREE_POINTS, 4, GrowthSchedule.default(),
                                               monkeypatch)
         level4 = [(p, s) for p, s in zip(problems, solutions) if p[3] == 2.0 ** -4]
         assert len(level4) > 1000
         clear_kronecker_caches()
         grids = count_calls(monkeypatch, "_on_grid")
-        seen = set()
+        searches = {}
         for (basis, k, targets, eps, t_min, budget), expected in level4:
             grids.clear()
-            sol = solve(KroneckerProblem(basis, k, targets, eps, t_min), budget)
-            assert fields(sol) == fields(expected)
-            assert len(grids) == (0 if targets in seen else k - 1)
-            seen.add(targets)
+            fresh = targets not in searches
+            if fresh:
+                searches[targets] = LatticeSearch(KroneckerProblem(basis, k, targets, eps),
+                                                  budget)
+            assert call_fields(searches[targets], t_min) == fields(expected)
+            assert len(grids) == (k - 1 if fresh else 0)
+        assert len(searches) == len(THREE_POINTS)
+
+    def test_two_searches_of_one_problem_keep_their_own_cursors(self, monkeypatch,
+                                                                 cold_caches):
+        # Two searches of one problem, called in turn from lower bounds far
+        # apart, each set up their windows once and return what each
+        # returns called alone.
+        problem = KroneckerProblem(PrimeBasis(3), 3, (1.0, 2.0, 3.0), 2.0 ** -4)
+        step = scan_step(problem.basis, 4)
+
+        def chain(search, t):
+            for _ in range(30):
+                found = call_fields(search, t)
+                yield found
+                t = found[0] + step
+
+        starts = (0.0, 1e6)
+        alone = [list(chain(LatticeSearch(problem, 10**8), t)) for t in starts]
+        grids = count_calls(monkeypatch, "_on_grid")
+        # zip calls the two chains' searches alternately
+        together = zip(*[chain(LatticeSearch(problem, 10**8), t) for t in starts])
+        assert [list(found) for found in zip(*together)] == alone
+        assert len(grids) == 2 * 2
 
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("case", ["below", "at", "far", "budget", "range"])
+    @pytest.mark.parametrize("case", ["below", "at", "far", "range"])
     def test_solve_off_the_cursor_walks_as_a_cold_solve(self, k, case, monkeypatch,
-                                                        cold_memos):
-        # A solve near t_min = 1e4 leaves the cursor at its solution.  A
-        # solve below it (t_min = 10), at it (t_min just below the solution,
-        # which is then its first candidate), millions of candidates above it
-        # (t_min = 1e7), with another budget, or starting more than the
-        # cursor's budget above where its windows start, walks from its
-        # first candidate with windows of its own, as on a cold memo, instead
-        # of stepping over every hit in between or walking windows made for
-        # other solves: counted by the windows set up and by the passes over
-        # the jump and joint-gap tables, one per hit walked.
+                                                        cold_caches):
+        # A call near t_min = 1e4 leaves the search's cursor at its
+        # solution.  A call below it (t_min = 10), at it (t_min just below
+        # the solution, which is then its first candidate), millions of
+        # candidates above it (t_min = 1e7), or starting more than the
+        # budget above where the cursor's windows start, walks from its
+        # first candidate with windows of its own, as a new search does,
+        # instead of stepping over every hit in between or walking windows
+        # made for other calls: counted by the windows set up and by the
+        # passes over the jump and joint-gap tables, one per hit walked.
         walked = []
 
         class Counted(tuple):
@@ -1077,55 +1077,49 @@ class TestCursor:
         monkeypatch.setattr(kronecker, "_joint_gaps",
                             lambda *args: Counted(joint_gaps(*args)))
         grids = count_calls(monkeypatch, "_on_grid")
-        basis, targets, eps = PrimeBasis(k), (1.0, 2.0, 3.0)[:k], 2.0 ** -4
-        first_budget = {"range": {2: 200, 3: 15000}[k]}.get(case, 10**8)
-        first = KroneckerProblem(basis, k, targets, eps, 1e4)
-        t = solve(first, first_budget).t
-        cursor = cursor_of(first)
-        past = _LinearSearch(first, first.t_min).time_of(first_budget)
-        t_min, budget = {
-            "below": (10.0, 10**8), "at": (math.nextafter(t, 0.0), 10**8),
-            "far": (1e7, 10**8), "budget": (t, 10**7),
+        problem = KroneckerProblem(PrimeBasis(k), k, (1.0, 2.0, 3.0)[:k], 2.0 ** -4)
+        budget = {2: 200, 3: 15000}[k] if case == "range" else 10**8
+        search = LatticeSearch(problem, budget)
+        t = search(1e4)
+        t_min = {
+            "below": 10.0, "at": math.nextafter(t, 0.0), "far": 1e7,
             # the first candidate one past the cursor's budget
-            "range": (past, first_budget),
+            "range": search.time_of(search.q0, budget),
         }[case]
-        low = _LinearSearch(first, t_min).q0 - cursor.q0
+        low = search.first_integer(t_min) - search.q0
         # each case fails one condition of continuing the cursor, and only one
-        assert [low <= cursor.i, low > cursor.i + cursor.tables.span,
-                budget != cursor.budget, low > cursor.budget] == \
-            [case in c for c in (("below", "at"), "far", "budget", "range")]
-        assert (low == cursor.i) == (case == "at")
+        assert [low <= search.i, low > search.i + search.tables.span, low > budget] == \
+            [case in c for c in (("below", "at"), "far", "range")]
+        assert (low == search.i) == (case == "at")
 
-        def off_solve():
+        def off_call(search):
             walked.clear()
             grids.clear()
-            sol = solve(KroneckerProblem(basis, k, targets, eps, t_min), budget)
-            return fields(sol), len(walked), len(grids)
+            return call_fields(search, t_min), len(walked), len(grids)
 
-        warm = off_solve()
+        warm = off_call(search)
         clear_kronecker_caches()
-        cold = off_solve()
+        cold = off_call(LatticeSearch(problem, budget))
         assert warm == cold
         assert warm[1] <= 64 and warm[2] == k - 1
 
-    def test_windows_wider_than_half_the_circle_leave_no_cursor(self, cold_memos):
+    def test_windows_wider_than_half_the_circle_leave_no_cursor(self, cold_caches):
         # The joint walk's signed test needs windows no wider than half the
-        # circle; at eps = 3 every solve walks fresh, and the same as cold.
-        basis, t = PrimeBasis(3), 0.0
+        # circle; at eps = 3 every call walks fresh, and the same as cold.
+        basis, targets, t = PrimeBasis(3), (1.0, 2.0, 3.0), 0.0
+        search = LatticeSearch(KroneckerProblem(basis, 3, targets, 3.0), 10**8)
         for _ in range(20):
-            problem = KroneckerProblem(basis, 3, (1.0, 2.0, 3.0), 3.0, t)
-            sol = solve(problem)
-            assert cursor_of(problem) is None
-            assert fields(sol) == fields(cold_solve(basis, 3, (1.0, 2.0, 3.0), 3.0, t,
-                                                    10**8))
-            t = sol.t
+            found = call_fields(search, t)
+            assert search.q0 is None
+            assert found == fields(cold_solve(basis, 3, targets, 3.0, t, 10**8))
+            t = found[0]
 
     @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_cursor_windows_contain_the_own_windows(self, k, cold_memos):
-        # The windows a fresh solve leaves for its cursor contain the own
-        # widened window of every solve with the same budget whose first
+    def test_cursor_windows_contain_the_own_windows(self, k, cold_caches):
+        # The windows a fresh call leaves for its cursor contain the own
+        # widened window of every call with the same budget whose first
         # candidate lies D in [1, budget] above.  Both grids step by the
-        # same advance, so candidate i of that solve sits a fixed distance
+        # same advance, so candidate i of that call sits a fixed distance
         # from cursor index D + i, and containment is one exact test of the
         # window edges for every i at once.
         rng = np.random.default_rng(90 + k)
@@ -1134,14 +1128,12 @@ class TestCursor:
             budget = int(rng.choice([1 << 12, 10**6, 10**8]))
             problem = KroneckerProblem(PrimeBasis(k), k, tuple(rng.uniform(0, TWO_PI, k)),
                                        2.0 ** -int(rng.integers(1, 8)), t_min)
-            seed = _LinearSearch(problem, problem.t_min)
-            cursor = seed.windows(budget, budget)[1]
+            search, q0 = search_at(problem, budget)
+            cursor = search.windows(q0, budget)[1]
             for shift in (1, int(rng.integers(2, budget)), budget):
-                later = KroneckerProblem(problem.basis, k, problem.targets, problem.eps,
-                                         seed.time_of(shift - 1))
-                search = _LinearSearch(later, later.t_min)
-                assert search.q0 == seed.q0 + shift
-                for (o, a, w), (oc, ac, wc) in zip(search.windows(budget)[1], cursor):
+                later = search.first_integer(search.time_of(q0, shift - 1))
+                assert later == q0 + shift
+                for (o, a, w), (oc, ac, wc) in zip(search.windows(later)[1], cursor):
                     assert a == ac
                     assert (oc + shift * a - o) % _GRID + w <= wc, (trial, shift)
 
@@ -1175,7 +1167,7 @@ def no_depth_margin(monkeypatch):
 BUILDS = ["d2", "d3", "nested"]
 
 
-@pytest.mark.usefixtures("no_depth_margin", "cold_memos")
+@pytest.mark.usefixtures("no_depth_margin", "cold_caches")
 class TestBuildSearches:
     @pytest.mark.parametrize("build", BUILDS)
     def test_atom_times_equal_a_chain_of_solves(self, build, monkeypatch):
@@ -1214,7 +1206,7 @@ class TestBuildSearches:
             assert len(searches) == lam.levels * len(set(lam.source.tolist()))
 
 
-@pytest.mark.usefixtures("cold_memos")
+@pytest.mark.usefixtures("cold_caches")
 class TestBuildFailures:
     @pytest.mark.parametrize("build", BUILDS)
     def test_exhausted_budget_names_the_atom(self, build):
@@ -1251,9 +1243,9 @@ class TestBuildFailures:
 
     def test_non_positive_budget_refused_up_front(self):
         for budget in (0, -1):
-            with pytest.raises(DomainError, match="budget must be positive"):
+            with pytest.raises(DomainError, match="budget must be a positive integer"):
                 run_build("d2", budget)
-            with pytest.raises(DomainError, match="budget must be positive"):
+            with pytest.raises(DomainError, match="budget must be a positive integer"):
                 LatticeSearch(KroneckerProblem(PrimeBasis(2), 2, (1.0, 2.0), 0.1), budget)
 
 
@@ -1269,7 +1261,7 @@ def grid_hits(origin, advance, wide, start, stop):
 class TestSingleWindowWalk:
     BUDGET = 1 << 20
 
-    def test_walk_from_below_zero_matches_first_window_then_filter(self, cold_memos):
+    def test_walk_from_below_zero_matches_first_window_then_filter(self, cold_caches):
         # k = 2: one filtered window.  A walk from any hit below 0 of the
         # widened window, as a cursor's walk continues, steps over the hits
         # below 0 and yields those of a walk from 0.  Each problem is also
@@ -1279,15 +1271,15 @@ class TestSingleWindowWalk:
         problems = []
         for depth in (4, 6, 8):
             problem = seeded_problem(rng, 2, 2.0 ** -depth)
-            early = _LinearSearch(problem, problem.t_min)
-            first = first_window_then_filter(early.windows(self.BUDGET)[0][:1],
-                                             self.BUDGET)[0]
+            early, q0 = search_at(problem, self.BUDGET)
+            first = first_window_then_filter(early.windows(q0)[0][:1], self.BUDGET)[0]
             problems += [problem, KroneckerProblem(problem.basis, 2, problem.targets,
                                                    problem.eps,
-                                                   early.time_of(max(first - 1, 0)))]
+                                                   early.time_of(q0, max(first - 1, 0)))]
         used, starts = 0, set()
         for problem in problems:
-            tests = _LinearSearch(problem, problem.t_min).windows(self.BUDGET)[0][:1]
+            search, q0 = search_at(problem, self.BUDGET)
+            tests = search.windows(q0)[0][:1]
             (origin, advance, wide), = grid_rotations(tests, self.BUDGET)
             expected = first_window_then_filter(tests, self.BUDGET)
             assert expected == grid_hits(origin, advance, wide, 0, self.BUDGET)
