@@ -20,6 +20,7 @@ from .polynomials import (
     DirichletPolynomial,
     MultiIndex,
     TorusPolynomial,
+    _BOUND_SLACK,
     _mean_kernel,
     bohr_lift,
     eval_torus,
@@ -27,10 +28,6 @@ from .polynomials import (
 )
 from .polynomials import eval_dirichlet  # unused here; a name bench/tracing.py rebinds
 from .primes import PrimeBasis
-
-# Relative slack applied when validating mean bounds; covers accumulated
-# rounding across up-to-1e6-atom sums.
-_BOUND_SLACK = 1e-9
 
 
 def atomic_time_mean(f: DirichletPolynomial, lam: AtomicLineMeasure, T: float) -> float:

@@ -168,6 +168,9 @@ def _check_ranges(config):
     if eps is not None and not 1e-6 < eps < math.pi:
         raise UsageError(f"eps must lie in (1e-6, pi), got {eps}")
     budget = config.get("budget")
+    # a budget counts steps; the runners' int() would truncate a fraction
+    if budget is not None and budget != int(budget):
+        raise UsageError(f"budget must be a whole number, got {budget}")
     if budget is not None and not 1 <= budget <= MAX_BUDGET:
         raise UsageError(f"budget must lie in [1, {MAX_BUDGET}], got {budget}")
 

@@ -25,13 +25,20 @@ TWO_PI = 2.0 * math.pi
 # is refused outright rather than silently wrapped or rounded.
 MAX_FREQUENCY = 2**63 - 1
 
-# Checked bound on the spurious imaginary part of the closed-form mean.
-_IMAG_RESIDUE_TOL = 1e-10
+# Relative slack applied when validating mean bounds; covers accumulated
+# rounding across up-to-1e6-atom sums and n^2-term closed forms.
+_BOUND_SLACK = 1e-9
 
-# Rows of the kernel matrix evaluated together in lebesgue_line_mean: few
-# enough that a block's share below the diagonal stays small, enough that the
-# numpy calls per block stay cheap next to the entries they evaluate.
+# Rows of the kernel matrix evaluated together in lebesgue_line_mean and
+# cross_term_envelope: few enough that a block's share below the diagonal
+# stays small, enough that the numpy calls per block stay cheap next to the
+# entries they evaluate.
 _KERNEL_ROWS = 32
+
+# Times evaluated together in eval_dirichlet: a block of phases holds
+# _EVAL_ROWS * len(f) complex values, so memory does not grow with the
+# number of times.
+_EVAL_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -303,10 +310,21 @@ def flow_angles(basis: PrimeBasis, t) -> np.ndarray:
     return np.mod(np.multiply.outer(-t, basis.logs), TWO_PI)
 
 
+def _term_sums(f: DirichletPolynomial, amps, times):
+    """``sum_n amps_n exp(-i t log n)`` for every ``t`` in ``times``."""
+    terms = -1j * np.multiply.outer(times, f._logs)
+    np.exp(terms, out=terms)
+    terms *= amps
+    # each row summed along the term axis on its own (not matmul), so
+    # scalar, batched and blocked calls agree bit for bit
+    return terms.sum(axis=-1)
+
+
 def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
     """Evaluate ``f`` at ``s = sigma + i t`` for scalar or array ``t``.
 
     Returns ``sum_n a_n n^{-sigma} exp(-i t log n)``; requires ``sigma >= 0``.
+    The times are evaluated in blocks of at most ``_EVAL_ROWS``.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
@@ -315,10 +333,15 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
         out = np.zeros(t_arr.shape, dtype=np.complex128)
         return complex(out) if t_arr.ndim == 0 else out
     amps = f._coeffs * np.exp(-sigma * f._logs)
-    phases = np.exp(-1j * np.multiply.outer(t_arr, f._logs))
-    # summed along the term axis (not matmul) so scalar and batched calls
-    # reduce in the same order and agree bit for bit
-    out = (phases * amps).sum(axis=-1)
+    if t_arr.size <= _EVAL_ROWS:
+        out = _term_sums(f, amps, t_arr)
+    else:
+        t_flat = t_arr.reshape(-1)
+        out = np.empty(t_arr.shape, dtype=np.complex128)
+        out_flat = out.reshape(-1)
+        for i0 in range(0, t_flat.size, _EVAL_ROWS):
+            rows = slice(i0, i0 + _EVAL_ROWS)
+            out_flat[rows] = _term_sums(f, amps, t_flat[rows])
     return complex(out) if t_arr.ndim == 0 else out
 
 
@@ -354,6 +377,33 @@ def carlson_target(f: DirichletPolynomial, sigma: float) -> float:
     return float(np.sum(np.abs(f._coeffs) ** 2 * np.exp(-2.0 * sigma * f._logs)))
 
 
+def _upper_sum(logs, entry, left, right) -> float:
+    """Real part of ``left @ M @ right`` over the strict upper triangle of
+    ``M[i, j] = entry(logs[i] - logs[j])``: one reduction per
+    ``_KERNEL_ROWS`` block of rows, the blocks added with ``math.fsum``.
+
+    Block ``[i0, i1)`` is evaluated against columns ``i0+1..n-1`` only: its
+    entry ``(r, c)`` pairs ``i0 + r`` with ``i0 + 1 + c``, and those with
+    ``c < r`` (on or below the diagonal) are zeroed before the reduction.
+    No array larger than ``_KERNEL_ROWS`` by ``n`` is made.
+    """
+    n = len(logs)
+    below = np.tri(_KERNEL_ROWS, k=-1, dtype=bool)
+    parts = []
+    for i0 in range(0, n - 1, _KERNEL_ROWS):
+        i1 = min(i0 + _KERNEL_ROWS, n - 1)
+        block = entry(logs[i0:i1, None] - logs[None, i0 + 1:])
+        rows = i1 - i0
+        block[:, :rows][below[:rows, :rows]] = 0.0
+        parts.append((left[i0:i1] @ block @ right[i0 + 1:]).real)
+    return math.fsum(parts)
+
+
+def _envelope_entry(log_ratio):
+    with np.errstate(divide="ignore"):
+        return np.where(log_ratio != 0.0, 2.0 / np.abs(log_ratio), 0.0)
+
+
 def cross_term_envelope(f: DirichletPolynomial, sigma: float) -> float:
     """Constant ``C`` with ``|line mean - carlson_target| <= C / T`` for every ``T > 0``.
 
@@ -363,10 +413,9 @@ def cross_term_envelope(f: DirichletPolynomial, sigma: float) -> float:
     if len(f) < 2:
         return 0.0
     mags = np.abs(f._coeffs) * np.exp(-sigma * f._logs)
-    log_ratio = f._logs[:, None] - f._logs[None, :]
-    with np.errstate(divide="ignore"):
-        inv = np.where(log_ratio != 0.0, 2.0 / np.abs(log_ratio), 0.0)
-    return float(mags @ inv @ mags)
+    # the pair matrix is symmetric: twice its upper triangle, row block by
+    # row block
+    return 2.0 * _upper_sum(f._logs, _envelope_entry, mags, mags)
 
 
 def lebesgue_line_mean(f: DirichletPolynomial, sigma: float, T: float) -> float:
@@ -375,13 +424,14 @@ def lebesgue_line_mean(f: DirichletPolynomial, sigma: float, T: float) -> float:
     Expanding the square gives the diagonal ``sum |a_n|^2 n^{-2 sigma}`` plus
     cross terms ``a_n conj(a_m) (n m)^{-sigma} * kernel(T log(n/m))`` where
     ``kernel(x) = (exp(-ix) - 1)/(-ix)``.  The kernel matrix is Hermitian, so
-    it is evaluated in blocks of rows from the diagonal rightwards (about half
-    the matrix) and the lower triangle is filled with the conjugate:
-    ``log(n/m)`` is exactly antisymmetric, the complex exponential of an
-    imaginary argument is conjugate-symmetric and ``sinc`` is even, so this is
-    the full evaluation bit for bit.  The result is mathematically real; the
-    floating imaginary residue is checked against 1e-10 (relative) and then
-    discarded.  A larger residue signals a bug and raises.
+    the cross terms are twice the real part of its strict upper triangle.
+    That triangle is evaluated and reduced in blocks of ``_KERNEL_ROWS`` rows:
+    each block gives ``damped[rows] @ block @ conj(damped[cols])`` with its
+    entries on or below the diagonal zeroed, and the blocks' real parts are
+    added with ``math.fsum``.  No ``n x n`` array is made.  The result must
+    lie in ``[0, (sum |a_n| n^{-sigma})^2]``, the range of ``|f|^2``, widened
+    by ``_BOUND_SLACK`` as in :func:`~polytorus.averages.convergence_sweep`;
+    a mean outside it signals a bug and raises.
     """
     if not 0 < T < math.inf:
         raise DomainError(f"T must be positive and finite, got {T}")
@@ -391,25 +441,13 @@ def lebesgue_line_mean(f: DirichletPolynomial, sigma: float, T: float) -> float:
         return 0.0
     damped = f._coeffs * np.exp(-sigma * f._logs)
     diagonal = float(np.sum(np.abs(damped) ** 2))
-    logs, n = f._logs, len(f)
-    kernel = np.zeros((n, n), dtype=np.complex128)
-    for i0 in range(0, n - 1, _KERNEL_ROWS):
-        i1 = min(i0 + _KERNEL_ROWS, n - 1)
-        # Rows i0..i1-1 against columns i0+1..n-1: entry (r, c) pairs n_{i0+r}
-        # with n_{i0+1+c}, above the diagonal when c >= r.  Its entries below
-        # the diagonal are overwritten by the conjugate copy, its diagonal
-        # by fill_diagonal.
-        block = _mean_kernel(T * (logs[i0:i1, None] - logs[None, i0 + 1:]))
-        kernel[i0:i1, i0 + 1:] = block
-        lower = kernel[i0 + 1:, i0:i1]
-        np.copyto(lower, np.conj(block.T), where=np.tri(*lower.shape, dtype=bool))
-    np.fill_diagonal(kernel, 0.0)
-    cross = complex(damped @ kernel @ np.conj(damped))
-    total = diagonal + cross
-    scale = max(1.0, abs(total))
-    if abs(total.imag) > _IMAG_RESIDUE_TOL * scale:
+    cross = _upper_sum(f._logs, lambda x: _mean_kernel(T * x), damped,
+                       np.conj(damped))
+    total = diagonal + 2.0 * cross
+    bound = float(np.sum(np.abs(damped))) ** 2
+    if not -_BOUND_SLACK * (1.0 + bound) <= total <= bound * (1.0 + _BOUND_SLACK):
         raise ArithmeticError(
-            f"closed-form mean produced imaginary residue {total.imag:.3e} "
-            f"(relative {abs(total.imag) / scale:.3e}); this indicates a bug"
+            f"closed-form mean {total!r} escapes [0, {bound}]; this indicates "
+            "a bug"
         )
-    return float(total.real)
+    return total

@@ -25,6 +25,8 @@ from polytorus import (
     recover_moments,
 )
 
+from polytorus.polynomials import _EVAL_ROWS
+
 from conftest import random_dirichlet, random_point_mass
 
 TWO_PI = 2.0 * math.pi
@@ -191,6 +193,24 @@ class TestConvergenceSweep:
             expected = atomic_time_mean(f, lam, row.T)
             assert row.time_mean.hex() == expected.hex()
             assert row.abs_error.hex() == abs(expected - 0.5).hex()
+
+    def test_atomic_sweep_across_evaluation_blocks(self, rng):
+        # prefix ends on both sides of each block edge of eval_dirichlet
+        # give the bits of the mean over per-atom scalar evaluations
+        n = 2 * _EVAL_ROWS + 3
+        t = np.cumsum(rng.uniform(0.5, 1.5, size=n))
+        w = rng.uniform(0.2, 1.0, size=n)
+        lam = AtomicLineMeasure(t, w, [1] * n, [1] * n, [1] * n,
+                                level_boundaries=(t[-1] + 1.0,),
+                                total_mass_by_level=(math.fsum(w),))
+        f = random_dirichlet(rng, d=2, max_terms=6, max_exp=3)
+        values = np.array([eval_dirichlet(f, 0.0, float(x)) for x in t])
+        ends = [_EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1,
+                2 * _EVAL_ROWS, 2 * _EVAL_ROWS + 1, n]
+        record = convergence_sweep(f, lam, 0.5, [float(t[e - 1]) for e in ends])
+        for row, end in zip(record.rows, ends):
+            expected = math.fsum(np.abs(values[:end]) ** 2 * w[:end]) / math.fsum(w[:end])
+            assert row.time_mean.hex() == expected.hex()
 
     def test_atomic_sweep_below_first_atom(self):
         lam = single_atom_measure(5.0)

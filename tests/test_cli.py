@@ -551,6 +551,34 @@ class TestConfigFile:
         assert code == 2
         assert "budget must be a finite number" in json.loads(err)["error"]
 
+    @pytest.mark.parametrize("kind", ["kronecker", "build-measure", "nested-build"])
+    @pytest.mark.parametrize("budget", ["2.5", "0.5", "1e-3", "1000000.5"])
+    def test_budget_flag_that_is_not_whole_exit_2(self, kind, budget, workdir, capsys):
+        # the runners turn the budget into an int; 2.5 used to run as 2
+        code, _, err = run_cli(
+            [kind, "--budget", budget, "--out", workdir / "x.out"], capsys)
+        assert code == 2
+        assert json.loads(err)["error"].startswith("budget must be a whole number")
+        assert not (workdir / "x.out").exists()
+
+    @pytest.mark.parametrize("kind", ["kronecker", "build-measure", "nested-build"])
+    def test_fractional_budget_in_config_exit_2(self, kind, workdir, capsys):
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"budget": 2.5, "out": str(workdir / "x.out")}))
+        code, _, err = run_cli([kind, "--config", config], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == "budget must be a whole number, got 2.5"
+        assert not (workdir / "x.out").exists()
+
+    def test_budget_in_exponent_notation_runs(self, capsys):
+        code, out, _ = run_cli(
+            ["kronecker", "--dim", "2", "--theta", "1.0,2.0", "--eps", "0.01",
+             "--budget", "1e6"],
+            capsys,
+        )
+        assert code == 0
+        assert max(json.loads(out[0])["residuals"]) < 0.01
+
 
 class TestAtomicWrite:
     def test_no_partial_artifact_on_crash(self, tmp_path, monkeypatch):

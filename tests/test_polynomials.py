@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -26,9 +27,11 @@ from polytorus import (
     flow_point,
     lebesgue_line_mean,
     minimal_basis,
+    weighted_mean_square,
 )
+from polytorus import polynomials
 from polytorus.kronecker import circle_distance
-from polytorus.polynomials import _mean_kernel
+from polytorus.polynomials import _EVAL_ROWS, _KERNEL_ROWS, _mean_kernel
 
 from conftest import random_dirichlet
 
@@ -137,6 +140,17 @@ class TestEvaluation:
         for t, v in zip(ts, vec):
             assert v == eval_dirichlet(f, 0.3, float(t))
 
+    def test_blocked_calls_match_scalar_calls(self, rng):
+        f = random_dirichlet(rng, max_terms=8)
+        ts = rng.uniform(0, 1e4, size=2 * _EVAL_ROWS + 1)
+        scalar = np.array([eval_dirichlet(f, 0.25, float(t)) for t in ts])
+        for size in (_EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 1):
+            assert eval_dirichlet(f, 0.25, ts[:size]).tobytes() == scalar[:size].tobytes()
+        grid = eval_dirichlet(f, 0.25, ts[:-1].reshape(2, _EVAL_ROWS))
+        assert grid.shape == (2, _EVAL_ROWS)
+        assert grid.tobytes() == scalar[:-1].tobytes()
+        assert eval_dirichlet(f, 0.25, ts[:0]).shape == (0,)
+
     def test_torus_examples(self):
         basis = PrimeBasis(1)
         F = TorusPolynomial({MultiIndex((1,)): 1.0}, basis)
@@ -211,12 +225,62 @@ def simpson_line_mean(f, sigma, T, intervals=100_000):
 
 
 def full_matrix_line_mean(f, sigma, T):
-    """The closed form with the kernel evaluated on the whole matrix."""
+    """The closed form with the kernel evaluated on the whole matrix.
+
+    The entries are reduced in the implementation's order: twice the real
+    part of the strict upper triangle, ``_KERNEL_ROWS`` rows at a time, each
+    block with its entries on or below the diagonal zeroed.
+    """
     damped = f._coeffs * np.exp(-sigma * f._logs)
     diagonal = float(np.sum(np.abs(damped) ** 2))
     kernel = _mean_kernel(T * (f._logs[:, None] - f._logs[None, :]))
-    np.fill_diagonal(kernel, 0.0)
-    return float((diagonal + complex(damped @ kernel @ np.conj(damped))).real)
+    n = len(f)
+    parts = []
+    for i0 in range(0, n - 1, _KERNEL_ROWS):
+        i1 = min(i0 + _KERNEL_ROWS, n - 1)
+        block = np.triu(kernel[i0:i1, i0 + 1:])
+        parts.append((damped[i0:i1] @ block @ np.conj(damped[i0 + 1:])).real)
+    return diagonal + 2.0 * math.fsum(parts)
+
+
+def mpmath_line_means(f, sigmas, T):
+    """The closed form at 50 digits from the exact frequencies, per sigma."""
+    with mpmath.workdps(50):
+        freqs = f.frequencies
+        logs = [mpmath.log(n) for n in freqs]
+        kernels = [
+            (i, j, (mpmath.expj(-x) - 1) / mpmath.mpc(0, -x))
+            for i in range(len(freqs)) for j in range(i + 1, len(freqs))
+            for x in [T * (logs[i] - logs[j])]
+        ]
+        means = []
+        for sigma in sigmas:
+            damped = [mpmath.mpc(f.coefficient(n)) * mpmath.power(n, -mpmath.mpf(sigma))
+                      for n in freqs]
+            total = mpmath.fsum(abs(a) ** 2 for a in damped) + 2 * mpmath.fsum(
+                (damped[i] * kernel * mpmath.conj(damped[j])).real
+                for i, j, kernel in kernels)
+            means.append(float(total))
+        return means
+
+
+def full_matrix_envelope(f, sigma):
+    """``cross_term_envelope`` with every pair in one n x n matrix."""
+    mags = np.abs(f._coeffs) * np.exp(-sigma * f._logs)
+    log_ratio = f._logs[:, None] - f._logs[None, :]
+    with np.errstate(divide="ignore"):
+        inv = np.where(log_ratio != 0.0, 2.0 / np.abs(log_ratio), 0.0)
+    return float(mags @ inv @ mags)
+
+
+def traced_peak(call):
+    """Peak bytes allocated (numpy buffers included) while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestLebesgueLineMean:
@@ -264,6 +328,38 @@ class TestLebesgueLineMean:
                 expected = full_matrix_line_mean(f, sigma, T)
                 assert lebesgue_line_mean(f, sigma, T).hex() == expected.hex()
 
+    def test_matches_mpmath_reference(self, rng):
+        freqs = rng.choice(np.arange(1, 5000), size=200, replace=False)
+        f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
+        sigmas = (0.0, 0.5, 1.0)
+        for sigma, exact in zip(sigmas, mpmath_line_means(f, sigmas, 50.0)):
+            assert lebesgue_line_mean(f, sigma, 50.0) == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [3.0, -3.0])
+    def test_mean_outside_the_range_of_the_square_raises(self, monkeypatch, factor):
+        # a kernel scaled by 3 pushes the mean of 1 + 2^-s near T = 0 above
+        # (1 + 1)^2 = 4, and by -3 below 0
+        f = DirichletPolynomial({1: 1, 2: 1})
+        assert lebesgue_line_mean(f, 0.0, 1e-3) == pytest.approx(4.0, rel=1e-6)
+        monkeypatch.setattr(polynomials, "_mean_kernel",
+                            lambda x: factor * _mean_kernel(x))
+        with pytest.raises(ArithmeticError, match="escapes"):
+            lebesgue_line_mean(f, 0.0, 1e-3)
+
+    def test_envelope_matches_full_matrix(self, rng):
+        polys = [random_dirichlet(rng, d=4, max_terms=12, max_exp=3)
+                 for _ in range(4)]
+        for size in (2, 32, 33, 34, 65, 300):
+            freqs = rng.choice(np.arange(1, 5000), size=size, replace=False)
+            polys.append(DirichletPolynomial(
+                {int(n): complex(*rng.normal(size=2)) for n in freqs}))
+        # frequencies past 2^53 whose float logs coincide contribute nothing
+        polys.append(DirichletPolynomial({2**63 - 1: 1.0, 2**63 - 2: 1.0, 3: 1.0}))
+        for f in polys:
+            for sigma in (0.0, 0.5, 1.0):
+                assert cross_term_envelope(f, sigma) == pytest.approx(
+                    full_matrix_envelope(f, sigma), rel=1e-12)
+
     def test_carlson_envelope(self, rng):
         # |mean - target| <= C_f / T, and the envelope decreases along the grid
         for _ in range(10):
@@ -278,6 +374,27 @@ class TestLebesgueLineMean:
             for err, T in zip(errs, (1e2, 1e3, 1e4)):
                 assert err <= envelope / T + 1e-12
             assert errs[2] <= errs[0] + 1e-12
+
+
+class TestBoundedMemory:
+    """The check kernels allocate per block of rows, not per matrix."""
+
+    LIMIT = 8 * 2**20
+
+    def test_line_mean_and_envelope_at_2000_terms(self, rng):
+        freqs = rng.choice(np.arange(1, 10**6), size=2000, replace=False)
+        f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
+        # the full n x n kernel was 64 MB, the envelope's three matrices 96 MB
+        assert traced_peak(lambda: lebesgue_line_mean(f, 0.5, 1e8)) < self.LIMIT
+        assert traced_peak(lambda: cross_term_envelope(f, 0.5)) < self.LIMIT
+
+    def test_weighted_mean_square_at_50490_atoms(self, rng):
+        freqs = rng.choice(np.arange(1, 10**4), size=30, replace=False)
+        f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
+        times = np.sort(rng.uniform(0.0, 1e6, size=50_490))
+        weights = rng.uniform(0.1, 1.0, size=50_490)
+        # one phase matrix for every atom was 50,490 x 30 complex values
+        assert traced_peak(lambda: weighted_mean_square(f, times, weights)) < self.LIMIT
 
 
 class TestValidation:
