@@ -21,9 +21,12 @@ from .polynomials import (
     MultiIndex,
     TorusPolynomial,
     _BOUND_SLACK,
+    _EVAL_VALUES,
+    _map,
     _mean_kernel,
     bohr_lift,
     eval_torus,
+    exact_sum,
     lebesgue_line_mean,
 )
 from .polynomials import eval_dirichlet  # unused here; a name bench/tracing.py rebinds
@@ -168,28 +171,40 @@ def recover_moments(
         if not len(w):
             raise EmptyMeasureError(f"no mass in [0, {T}]")
         times = lam.t[inside]
-        mass = math.fsum(w)
+        mass = exact_sum(w)
 
-    out = []
-    # The character depends on the pair only through log_ratio, so pairs
-    # with the same alpha - beta share one evaluation.
-    empirical_by_ratio: dict[float, complex] = {}
+    diffs = []
     for alpha, beta in normalized:
         diff = np.zeros(basis.dimension)
         diff[: alpha.length] += alpha.exponents
         diff[: beta.length] -= beta.exponents
-        log_ratio = float(diff @ basis.logs)
-        empirical = empirical_by_ratio.get(log_ratio)
-        if empirical is None:
-            if lam is None:
-                empirical = complex(_mean_kernel(T * log_ratio))
-            else:
-                phases = np.exp(-1j * log_ratio * times)
-                empirical = complex(
-                    math.fsum(phases.real * w) / mass,
-                    math.fsum(phases.imag * w) / mass,
-                )
-            empirical_by_ratio[log_ratio] = empirical
+        diffs.append(diff)
+    log_ratios = [float(diff @ basis.logs) for diff in diffs]
+
+    def character_means(ratios):
+        means = []
+        for log_ratio in ratios:
+            phases = -1j * log_ratio * times
+            np.exp(phases, out=phases)
+            means.append(complex(exact_sum(phases.real * w) / mass,
+                                 exact_sum(phases.imag * w) / mass))
+        return means
+
+    # The character depends on the pair only through log_ratio, so pairs
+    # with the same alpha - beta share one evaluation.  The distinct ones are
+    # spread over the cores in blocks of about _EVAL_VALUES phases, as the
+    # times of eval_dirichlet are; fewer phases stay on this thread.
+    distinct = list(dict.fromkeys(log_ratios))
+    if lam is None:
+        means = [complex(_mean_kernel(T * log_ratio)) for log_ratio in distinct]
+    else:
+        size = max(1, _EVAL_VALUES // len(times))
+        blocks = _map(lambda i0: character_means(distinct[i0:i0 + size]),
+                      range(0, len(distinct), size))
+        means = [mean for block in blocks for mean in block]
+    empirical_by_ratio = dict(zip(distinct, means))
+    out = []
+    for (alpha, beta), diff, log_ratio in zip(normalized, diffs, log_ratios):
         reference = None
         if mu is not None:
             acc = 0j
@@ -198,7 +213,7 @@ def recover_moments(
                 theta[: omega.dimension] = omega.angles
                 acc += c * np.exp(1j * float(diff @ theta))
             reference = complex(acc)
-        out.append(MomentPair(alpha, beta, empirical, reference))
+        out.append(MomentPair(alpha, beta, empirical_by_ratio[log_ratio], reference))
     return out
 
 

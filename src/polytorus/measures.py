@@ -12,7 +12,6 @@ of ``|f(it)|^2`` against the result converges to the space average of
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import re
@@ -31,7 +30,7 @@ from .errors import (
 )
 from .kronecker import KroneckerProblem, LatticeSearch
 from .kronecker import solve  # unused here; a name bench/tracing.py rebinds
-from .polynomials import TorusPoint, bohr_unlift, eval_dirichlet
+from .polynomials import TorusPoint, bohr_unlift, eval_dirichlet, exact_sum
 from .primes import PrimeBasis
 
 WEIGHT_SUM_TOL = 1e-12
@@ -336,16 +335,18 @@ def weighted_mean_square(f, times, weights, ends=None):
 
     With ``ends``, a list holding the mean over each prefix ``[:n]`` for
     ``n`` in ``ends`` (each ``n >= 1``); ``|f|^2`` is evaluated once, on the
-    atoms up to the longest prefix.  :func:`eval_dirichlet` reduces each
-    atom's row on its own and compensated sums are correctly rounded, so each
-    prefix mean has the bits of a call on that prefix alone; the compensated
-    sums also keep million-atom means meaningful against 1e-9 tolerances.
+    atoms up to the longest prefix, and both sums of every prefix come from
+    one :func:`~polytorus.polynomials.exact_sum` pass.  :func:`eval_dirichlet`
+    reduces each atom's row on its own and the sums are correctly rounded, so
+    each prefix mean has the bits of a call on that prefix alone; correctly
+    rounded sums also keep million-atom means meaningful against 1e-9
+    tolerances.
     """
     last = len(times) if ends is None else max(ends)
     values = np.abs(eval_dirichlet(f, 0.0, times[:last])) ** 2 * weights[:last]
     if ends is None:
-        return math.fsum(values) / math.fsum(weights)
-    return [math.fsum(values[:n]) / math.fsum(weights[:n]) for n in ends]
+        return exact_sum(values) / exact_sum(weights)
+    return [v / w for v, w in zip(exact_sum(values, ends), exact_sum(weights, ends))]
 
 
 def windowed_time_means(lam, t_lo: float, t_hi: float, polys) -> list[float]:
@@ -415,29 +416,36 @@ FORMAT_NAME = "lambda-atoms"
 FORMAT_VERSION = 1
 
 
+# Atoms formatted together by atoms_to_bytes: the encoded bytes are built a
+# chunk at a time, so no text of the whole file is made besides its bytes.
+_ENCODE_ATOMS = 4096
+
+
 def atoms_to_bytes(lam: AtomicLineMeasure) -> bytes:
-    buf = io.StringIO()
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "growth": lam.growth_name,
         "levels": lam.levels,
     }
-    buf.write(json.dumps(header) + "\n")
+    parts = [(json.dumps(header) + "\n").encode("utf-8")]
     # json.dumps writes a finite float as float.__repr__ and an int as str;
     # AtomicLineMeasure refuses non-finite t and w, so these are its bytes.
-    buf.write("".join(
-        f'{{"t": {t!r}, "w": {w!r}, "k": {k}, "j": {j}, "m": {m}}}\n'
-        for t, w, k, j, m in zip(lam.t.tolist(), lam.w.tolist(), lam.level.tolist(),
-                                 lam.source.tolist(), lam.rep.tolist())
-    ))
+    for i0 in range(0, len(lam), _ENCODE_ATOMS):
+        rows = slice(i0, i0 + _ENCODE_ATOMS)
+        parts.append("".join(
+            f'{{"t": {t!r}, "w": {w!r}, "k": {k}, "j": {j}, "m": {m}}}\n'
+            for t, w, k, j, m in zip(lam.t[rows].tolist(), lam.w[rows].tolist(),
+                                     lam.level[rows].tolist(), lam.source[rows].tolist(),
+                                     lam.rep[rows].tolist())
+        ).encode("utf-8"))
     if len(lam) or lam.level_boundaries:
         trailer = {
             "boundaries": list(lam.level_boundaries),
             "masses": list(lam.total_mass_by_level),
         }
-        buf.write(json.dumps(trailer) + "\n")
-    return buf.getvalue().encode("utf-8")
+        parts.append((json.dumps(trailer) + "\n").encode("utf-8"))
+    return b"".join(parts)
 
 
 # The encoder's atom line, with JSON number and JSON integer groups; any other
@@ -482,7 +490,14 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     masses: list[float] = []
     saw_trailer = False
     previous = -math.inf
-    for number, raw in enumerate(lines[1:], start=2):
+    # Each line is dropped once read, so that the stream's lines and its
+    # atoms' values are not all held at once; an error splits it again.
+    lines.reverse()
+    lines.pop()  # the header, read above
+    number = 1
+    while lines:
+        raw = lines.pop()
+        number += 1
         match = _ATOM_LINE.fullmatch(raw)
         if match is not None and not saw_trailer:
             t_s, w_s, k_s, j_s, m_s = match.groups()
@@ -517,7 +532,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             if error := _past_int64((k_i, j_i, m_i), number):
                 raise error
         if t_i <= previous:
-            raise _overflow(lines, number) or ParseError(
+            raise _overflow(data, number) or ParseError(
                 f"atom positions must strictly increase ({t_i} after {previous})",
                 number,
             )
@@ -535,7 +550,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             growth_name=header.get("growth", "2^k"),
         )
     except (DomainError, OverflowError) as exc:  # an integer beyond int64
-        raise _overflow(lines, len(lines)) or ParseError(str(exc)) from exc
+        raise _overflow(data, number) or ParseError(str(exc)) from exc
     # The structure both builders give: one boundary and one cumulative mass
     # per level, and each level-k atom above T_{k-1} and below T_k.
     levels = _integer(header.get("levels"), "header levels")
@@ -565,20 +580,22 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             raise ParseError(f"level {k} of {levels} holds no atom")
     # Both builders give level k the mass masses[k-1] exactly, up to the
     # point-mass weights' own tolerance and rounding.
-    for k, mass in enumerate(masses, start=1):
-        total = math.fsum(w[:cuts[k]])
+    for k, (total, mass) in enumerate(zip(exact_sum(lam.w, cuts[1:]), masses),
+                                      start=1):
         if not abs(total - mass) <= MASS_TOL * total:
             raise ParseError(f"the atoms through level {k} weigh {total!r}, "
                              f"but the trailer gives mass {mass!r}")
     return lam
 
 
-def _overflow(lines, stop: int) -> ParseError | None:
-    """The error for the first atom line up to line ``stop`` whose ``t`` or
-    ``w`` the regular expression read as a number beyond float64, or whose
-    ``k``, ``j`` or ``m`` it read as an integer beyond int64, or ``None``.
-    The strict path refuses such values itself; this one is looked for only
-    once decoding has failed, so that decoding costs no more."""
+def _overflow(data: bytes, stop: int) -> ParseError | None:
+    """The error for the first atom line of the stream ``data`` up to line
+    ``stop`` whose ``t`` or ``w`` the regular expression read as a number
+    beyond float64, or whose ``k``, ``j`` or ``m`` it read as an integer
+    beyond int64, or ``None``.  The strict path refuses such values itself;
+    this one is looked for only once decoding has failed, so that decoding
+    costs no more."""
+    lines = data.decode("utf-8").splitlines()
     for number, raw in enumerate(lines[1:stop], start=2):
         match = _ATOM_LINE.fullmatch(raw)
         if match is not None:

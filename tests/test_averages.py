@@ -25,7 +25,7 @@ from polytorus import (
     recover_moments,
 )
 
-from polytorus.polynomials import _EVAL_ROWS
+from polytorus import polynomials
 
 from conftest import random_dirichlet, random_point_mass
 
@@ -194,19 +194,20 @@ class TestConvergenceSweep:
             assert row.time_mean.hex() == expected.hex()
             assert row.abs_error.hex() == abs(expected - 0.5).hex()
 
-    def test_atomic_sweep_across_evaluation_blocks(self, rng):
+    def test_atomic_sweep_across_evaluation_blocks(self, rng, monkeypatch):
         # prefix ends on both sides of each block edge of eval_dirichlet
         # give the bits of the mean over per-atom scalar evaluations
-        n = 2 * _EVAL_ROWS + 3
+        f = random_dirichlet(rng, d=2, max_terms=6, max_exp=3)
+        rows = 4096
+        monkeypatch.setattr(polynomials, "_EVAL_VALUES", rows * len(f))
+        n = 2 * rows + 3
         t = np.cumsum(rng.uniform(0.5, 1.5, size=n))
         w = rng.uniform(0.2, 1.0, size=n)
         lam = AtomicLineMeasure(t, w, [1] * n, [1] * n, [1] * n,
                                 level_boundaries=(t[-1] + 1.0,),
                                 total_mass_by_level=(math.fsum(w),))
-        f = random_dirichlet(rng, d=2, max_terms=6, max_exp=3)
         values = np.array([eval_dirichlet(f, 0.0, float(x)) for x in t])
-        ends = [_EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1,
-                2 * _EVAL_ROWS, 2 * _EVAL_ROWS + 1, n]
+        ends = [rows - 1, rows, rows + 1, 2 * rows, 2 * rows + 1, n]
         record = convergence_sweep(f, lam, 0.5, [float(t[e - 1]) for e in ends])
         for row, end in zip(record.rows, ends):
             expected = math.fsum(np.abs(values[:end]) ** 2 * w[:end]) / math.fsum(w[:end])

@@ -32,6 +32,8 @@ from polytorus import (
     window_check,
 )
 
+from polytorus import measures
+
 from conftest import random_dirichlet, random_point_mass
 
 TWO_PI = 2.0 * math.pi
@@ -276,6 +278,16 @@ class TestAtomFiles:
         n = len(t)
         lam = AtomicLineMeasure(t, w[:n], ints[:n], ints[12:12 + n], ints[24:24 + n],
                                 level_boundaries=t[-1:], total_mass_by_level=w[:1])
+        assert atoms_to_bytes(lam) == json_dumps_atoms(lam)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
+    def test_encoder_chunks_join_to_the_per_line_bytes(self, extra):
+        n = 2 * measures._ENCODE_ATOMS + extra
+        t = np.cumsum(np.linspace(0.1, 3.7, n))
+        w = np.full(n, 1.0 / 3.0)
+        lam = AtomicLineMeasure(t, w, [1] * n, [2] * n, np.arange(n),
+                                level_boundaries=(t[-1] + 1.0,),
+                                total_mass_by_level=(math.fsum(w),))
         assert atoms_to_bytes(lam) == json_dumps_atoms(lam)
 
     def test_empty_measure_header_only(self):

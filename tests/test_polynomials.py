@@ -31,7 +31,7 @@ from polytorus import (
 )
 from polytorus import polynomials
 from polytorus.kronecker import circle_distance
-from polytorus.polynomials import _EVAL_ROWS, _KERNEL_ROWS, _mean_kernel
+from polytorus.polynomials import _KERNEL_ROWS, _mean_kernel
 
 from conftest import random_dirichlet
 
@@ -140,14 +140,16 @@ class TestEvaluation:
         for t, v in zip(ts, vec):
             assert v == eval_dirichlet(f, 0.3, float(t))
 
-    def test_blocked_calls_match_scalar_calls(self, rng):
+    def test_blocked_calls_match_scalar_calls(self, rng, monkeypatch):
         f = random_dirichlet(rng, max_terms=8)
-        ts = rng.uniform(0, 1e4, size=2 * _EVAL_ROWS + 1)
+        rows = 4096
+        monkeypatch.setattr(polynomials, "_EVAL_VALUES", rows * len(f))
+        ts = rng.uniform(0, 1e4, size=2 * rows + 1)
         scalar = np.array([eval_dirichlet(f, 0.25, float(t)) for t in ts])
-        for size in (_EVAL_ROWS - 1, _EVAL_ROWS, _EVAL_ROWS + 1, 2 * _EVAL_ROWS + 1):
+        for size in (rows - 1, rows, rows + 1, 2 * rows + 1):
             assert eval_dirichlet(f, 0.25, ts[:size]).tobytes() == scalar[:size].tobytes()
-        grid = eval_dirichlet(f, 0.25, ts[:-1].reshape(2, _EVAL_ROWS))
-        assert grid.shape == (2, _EVAL_ROWS)
+        grid = eval_dirichlet(f, 0.25, ts[:-1].reshape(2, rows))
+        assert grid.shape == (2, rows)
         assert grid.tobytes() == scalar[:-1].tobytes()
         assert eval_dirichlet(f, 0.25, ts[:0]).shape == (0,)
 
