@@ -103,6 +103,17 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _load_atoms(path: str):
+    """``load_atoms(path)``, with a file that cannot be opened reported as
+    bad usage."""
+    try:
+        return load_atoms(path)
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -245,7 +256,7 @@ def _run_verify_sigma(config):
 def _run_verify_boundary(config):
     _require(config, "poly", "atoms", "mu", "out")
     f, _basis = dirichlet_from_json(_read(config["poly"]))
-    lam = load_atoms(config["atoms"])
+    lam = _load_atoms(config["atoms"])
     mu = point_mass_from_json(_read(config["mu"]))
     F = bohr_lift(f, PrimeBasis(mu.dimension))
     target = point_mass_space_average(F, mu)
@@ -304,7 +315,7 @@ def _run_moments(config):
     pairs = _parse_pairs(config["pairs"])
     dim = max(len(exps) for pair in pairs for exps in pair)
     basis = PrimeBasis(max(dim, 1))
-    lam = None if use_lebesgue else load_atoms(config["atoms"])
+    lam = None if use_lebesgue else _load_atoms(config["atoms"])
     mu = point_mass_from_json(_read(config["mu"])) if config.get("mu") else None
     moments = recover_moments(lam, basis, pairs, float(config["t_max"]), mu=mu)
     rows = []

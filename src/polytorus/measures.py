@@ -461,7 +461,8 @@ _ATOM_LINE = re.compile(
 def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     """Parse an atom stream, strictly.
 
-    An atom line of the encoder's exact shape is read by one regular
+    The stream must be UTF-8 text; a byte that is not is refused with its
+    line.  An atom line of the encoder's exact shape is read by one regular
     expression; any other line goes through :func:`formats.loads_strict`,
     which refuses repeated keys and non-finite numbers, and ``t``/``w``
     must then be JSON numbers and ``k``/``j``/``m`` JSON integers.  Both
@@ -469,11 +470,15 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     then have the structure both builders give: one boundary and one
     cumulative mass per level, each level-k atom above ``T_{k-1}`` and
     below ``T_k``, at least one atom per level, and the weights through
-    level k summing to its mass.
+    level k summing, within float64, to its mass.
     """
     from .formats import _integer, _number, loads_strict  # formats imports us
 
-    lines = data.decode("utf-8").splitlines()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                         data.count(b"\n", 0, exc.start) + 1) from exc
     if not lines:
         raise ParseError("empty atom stream, expected a header line", 1)
     try:
@@ -580,8 +585,11 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             raise ParseError(f"level {k} of {levels} holds no atom")
     # Both builders give level k the mass masses[k-1] exactly, up to the
     # point-mass weights' own tolerance and rounding.
-    for k, (total, mass) in enumerate(zip(exact_sum(lam.w, cuts[1:]), masses),
-                                      start=1):
+    try:
+        totals = exact_sum(lam.w, cuts[1:])
+    except OverflowError as exc:
+        raise ParseError(f"the atoms' weights sum past float64 ({exc})") from exc
+    for k, (total, mass) in enumerate(zip(totals, masses), start=1):
         if not abs(total - mass) <= MASS_TOL * total:
             raise ParseError(f"the atoms through level {k} weigh {total!r}, "
                              f"but the trailer gives mass {mass!r}")

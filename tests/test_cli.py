@@ -427,6 +427,64 @@ class TestVerifyCommands:
         assert worst[0] < 0.5 and worst[1] < 0.25
 
 
+BIG_WEIGHT_ATOMS = "".join(json.dumps(line) + "\n" for line in [
+    {"format": "lambda-atoms", "version": 1, "growth": "2^k", "levels": 1},
+    {"t": 1.0, "w": 1e308, "k": 1, "j": 1, "m": 1},
+    {"t": 2.0, "w": 1e308, "k": 1, "j": 1, "m": 2},
+    {"boundaries": [3.0], "masses": [1e308]},
+])
+
+
+class TestInputsThatLeaveFloat64OrUtf8:
+    """Each of these inputs used to end in a traceback with exit 1."""
+
+    def assert_refused(self, args, capsys, message):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == []
+        assert "Traceback" not in err
+        assert message in json.loads(err)["error"]
+
+    def test_poly_that_is_not_utf8(self, workdir, capsys):
+        bad = workdir / "bad.json"
+        bad.write_bytes(POLY_JSON.encode() + b"\xff")
+        self.assert_refused(
+            ["verify-sigma", "--poly", bad, "--sigma", "1.0",
+             "--t-grid", "10,100", "--out", workdir / "sigma.csv"],
+            capsys, f"{bad} is not UTF-8 text")
+
+    def test_atoms_that_are_not_utf8(self, workdir, capsys):
+        atoms = workdir / "atoms.jsonl"
+        lines = BIG_WEIGHT_ATOMS.encode().split(b"\n")
+        lines[2] += b"\xff"
+        atoms.write_bytes(b"\n".join(lines))
+        self.assert_refused(
+            ["moments", "--atoms", atoms, "--pairs", "0:1", "--t-max", "3.0",
+             "--out", workdir / "m.jsonl"],
+            capsys, "line 3: not UTF-8 text")
+
+    def test_atoms_that_cannot_be_opened(self, workdir, capsys):
+        missing = workdir / "missing.jsonl"
+        self.assert_refused(
+            ["moments", "--atoms", missing, "--pairs", "0:1", "--t-max", "3.0"],
+            capsys, f"cannot read {missing}")
+
+    def test_coefficients_whose_square_leaves_float64(self, workdir, capsys):
+        big = workdir / "big.json"
+        big.write_text('{"basis_dim":1,"terms":[{"n":1,"re":1e200},{"n":2,"re":1e200}]}')
+        self.assert_refused(
+            ["verify-sigma", "--poly", big, "--sigma", "1.0",
+             "--t-grid", "10", "--out", workdir / "sigma.csv"],
+            capsys, "absolute sum 2e+200 squares past float64")
+
+    def test_atom_weights_that_sum_past_float64(self, workdir, capsys):
+        atoms = workdir / "big.jsonl"
+        atoms.write_text(BIG_WEIGHT_ATOMS)
+        self.assert_refused(
+            ["moments", "--atoms", atoms, "--pairs", "0:1", "--t-max", "3.0",
+             "--out", workdir / "m.jsonl"],
+            capsys, "weights sum past float64")
+
+
 def nested_inputs(workdir):
     """Write a two-measure sequence and a test family; returns their flags."""
     seq = workdir / "seq.json"

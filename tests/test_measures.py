@@ -329,6 +329,26 @@ class TestAtomFiles:
         with pytest.raises(ParseError, match="line 2"):
             atoms_from_bytes(blob)
 
+    @pytest.mark.parametrize("at, line", [(0, 1), (-1, 3)])
+    def test_bytes_that_are_not_utf8_name_their_line(self, at, line):
+        lines = [json.dumps({"format": "lambda-atoms", "version": 1,
+                             "growth": "2^k", "levels": 1}).encode(),
+                 json.dumps({"t": 1.0, "w": 0.5, "k": 1, "j": 1, "m": 1}).encode(),
+                 json.dumps({"boundaries": [3.0], "masses": [0.5]}).encode()]
+        lines[at] = lines[at][:5] + b"\xff" + lines[at][5:]
+        with pytest.raises(ParseError, match=f"line {line}: not UTF-8 text"):
+            atoms_from_bytes(b"\n".join(lines))
+
+    def test_weights_that_sum_past_float64(self):
+        text = "\n".join(json.dumps(line) for line in [
+            {"format": "lambda-atoms", "version": 1, "growth": "2^k", "levels": 1},
+            {"t": 1.0, "w": 1e308, "k": 1, "j": 1, "m": 1},
+            {"t": 2.0, "w": 1e308, "k": 1, "j": 1, "m": 2},
+            {"boundaries": [3.0], "masses": [1e308]},
+        ])
+        with pytest.raises(ParseError, match="weights sum past float64"):
+            atoms_from_bytes(text.encode())
+
     def test_wrong_format_header(self):
         with pytest.raises(ParseError):
             atoms_from_bytes(b'{"format": "something-else", "version": 1}\n')

@@ -31,7 +31,7 @@ from polytorus import (
 )
 from polytorus import polynomials
 from polytorus.kronecker import circle_distance
-from polytorus.polynomials import _KERNEL_ROWS, _mean_kernel
+from polytorus.polynomials import _KERNEL_ROWS, _NEAR_PHASE, _mean_kernel
 
 from conftest import random_dirichlet
 
@@ -227,21 +227,35 @@ def simpson_line_mean(f, sigma, T, intervals=100_000):
 
 
 def full_matrix_line_mean(f, sigma, T):
-    """The closed form with the kernel evaluated on the whole matrix.
+    """The separable closed form with every entry evaluated on the whole
+    n x n matrix: the reciprocals ``1 / log(m/n)`` of the strict upper
+    triangle, and ``_mean_kernel`` at ``x = -T / reciprocal`` for every pair,
+    read where ``|x| < _NEAR_PHASE``.
 
-    The entries are reduced in the implementation's order: twice the real
-    part of the strict upper triangle, ``_KERNEL_ROWS`` rows at a time, each
-    block with its entries on or below the diagonal zeroed.
+    The entries are reduced in the implementation's order: per
+    ``_KERNEL_ROWS`` block of rows, the near pairs' real parts in row-major
+    order, then the far pairs through the stacked real product divided by
+    ``T``; the blocks added with ``math.fsum``.
     """
-    damped = f._coeffs * np.exp(-sigma * f._logs)
-    diagonal = float(np.sum(np.abs(damped) ** 2))
-    kernel = _mean_kernel(T * (f._logs[:, None] - f._logs[None, :]))
+    logs = f._logs
     n = len(f)
+    damped = f._coeffs * np.exp(-sigma * logs)
+    diagonal = float(np.sum(np.abs(damped) ** 2))
+    turned = damped * np.exp(-1j * T * logs)
+    left = np.stack([turned.imag, -turned.real, -damped.imag, damped.real])
+    right = np.stack([turned.real, turned.imag, damped.real, damped.imag])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inverse = np.triu(1.0 / (logs[None, :] - logs[:, None]), k=1)
+        terms = _mean_kernel(-T / inverse) * damped[:, None] * np.conj(damped)[None, :]
+    near = np.abs(inverse) > T / _NEAR_PHASE
+    far = np.where(near, 0.0, inverse)
     parts = []
     for i0 in range(0, n - 1, _KERNEL_ROWS):
         i1 = min(i0 + _KERNEL_ROWS, n - 1)
-        block = np.triu(kernel[i0:i1, i0 + 1:])
-        parts.append((damped[i0:i1] @ block @ np.conj(damped[i0 + 1:])).real)
+        block = (slice(i0, i1), slice(i0 + 1, n))
+        near_part = float(np.sum(terms[block][near[block]].real))
+        far_part = float(np.vdot(left[:, i0:i1] @ far[block], right[:, i0 + 1:])) / T
+        parts.append(near_part + far_part)
     return diagonal + 2.0 * math.fsum(parts)
 
 
@@ -337,6 +351,31 @@ class TestLebesgueLineMean:
         for sigma, exact in zip(sigmas, mpmath_line_means(f, sigmas, 50.0)):
             assert lebesgue_line_mean(f, sigma, 50.0) == pytest.approx(exact, rel=1e-12)
 
+    @pytest.mark.parametrize("T", [1e-3, 1.0, 1e4, 1e8])
+    def test_matches_mpmath_reference_at_every_height(self, rng, T):
+        # every pair near at 1e-3, most near at 1, most far at 1e4 and 1e8
+        freqs = rng.choice(np.arange(1, 5000), size=100, replace=False)
+        f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
+        sigmas = (0.0, 0.5, 1.0)
+        for sigma, exact in zip(sigmas, mpmath_line_means(f, sigmas, T)):
+            assert lebesgue_line_mean(f, sigma, T) == pytest.approx(exact, rel=1e-12)
+
+    def test_blocks_mixing_near_and_far_pairs_match_mpmath(self, rng):
+        # at T = 1e3 the pairs among 10^6 + {0, 1, 2} have |x| ~ 1e-3, the
+        # pair 2^63 - {1, 2} has x = 0 in float, and every other pair is
+        # far; at T = 37.5 neighbours among the small frequencies are near
+        # too, so blocks of rows hold both kinds
+        small = rng.choice(np.arange(2, 500), size=60, replace=False)
+        freqs = [*map(int, small[:30]), 10**6, 10**6 + 1, 10**6 + 2,
+                 *map(int, small[30:]), 2**63 - 2, 2**63 - 1]
+        f = DirichletPolynomial({n: complex(*rng.normal(size=2)) for n in freqs})
+        sigmas = (0.0, 0.5)
+        for T in (1e3, 37.5):
+            for sigma, exact in zip(sigmas, mpmath_line_means(f, sigmas, T)):
+                assert lebesgue_line_mean(f, sigma, T) == pytest.approx(exact, rel=1e-12)
+                assert lebesgue_line_mean(f, sigma, T).hex() == (
+                    full_matrix_line_mean(f, sigma, T).hex())
+
     @pytest.mark.parametrize("factor", [3.0, -3.0])
     def test_mean_outside_the_range_of_the_square_raises(self, monkeypatch, factor):
         # a kernel scaled by 3 pushes the mean of 1 + 2^-s near T = 0 above
@@ -390,6 +429,13 @@ class TestBoundedMemory:
         assert traced_peak(lambda: lebesgue_line_mean(f, 0.5, 1e8)) < self.LIMIT
         assert traced_peak(lambda: cross_term_envelope(f, 0.5)) < self.LIMIT
 
+    def test_line_mean_where_every_pair_is_near(self, rng, monkeypatch):
+        # at T = 1e-3 every pair goes through _mean_kernel, block by block
+        monkeypatch.setattr(polynomials, "_thread_count", lambda: 1)
+        freqs = rng.choice(np.arange(1, 10**6), size=2000, replace=False)
+        f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
+        assert traced_peak(lambda: lebesgue_line_mean(f, 0.5, 1e-3)) < self.LIMIT
+
     def test_weighted_mean_square_at_50490_atoms(self, rng):
         freqs = rng.choice(np.arange(1, 10**4), size=30, replace=False)
         f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
@@ -421,6 +467,17 @@ class TestValidation:
         assert abs(eval_dirichlet(f, 0.0, 0.0) - 3.0) < 1e-12
         big = DirichletPolynomial({2**63 - 1: 1.0, 2**63 - 2: 1.0})
         assert big.frequencies == (2**63 - 2, 2**63 - 1)
+
+    def test_coefficients_whose_square_leaves_float64(self):
+        # (sum |a_n|)^2 bounds |f|^2 and every mean of it; the line mean and
+        # the sweep's range checks square the sum
+        for terms in ({1: 1e200, 2: 1e200}, {1: complex(1e308, 1e308)},
+                      {1: 1.4e154}):
+            with pytest.raises(DomainError, match="squares past float64"):
+                DirichletPolynomial(terms)
+        f = DirichletPolynomial({1: 1.3e154})
+        assert f.sup_square_bound() == 1.3e154 ** 2
+        assert lebesgue_line_mean(f, 0.0, 1.0) == pytest.approx(1.69e308)
 
     def test_torus_poly_dimension_check(self):
         with pytest.raises(DimensionError):
