@@ -72,8 +72,6 @@ class ConvergenceRecord:
     """Per-T means against a fixed target, sorted by T."""
 
     rows: tuple[ConvergenceRow, ...]
-    poly_id: str = ""
-    measure_id: str = ""
 
     def final_error(self) -> float:
         return self.rows[-1].abs_error
@@ -89,8 +87,6 @@ def convergence_sweep(
     t_grid,
     *,
     sigma: float = 0.0,
-    poly_id: str = "",
-    measure_id: str = "",
 ) -> ConvergenceRecord:
     """Tabulate time means over an increasing T grid.
 
@@ -125,7 +121,7 @@ def convergence_sweep(
                 "indicates a bug"
             )
         rows.append(ConvergenceRow(T, mean, target, abs(mean - target)))
-    return ConvergenceRecord(tuple(rows), poly_id=poly_id, measure_id=measure_id)
+    return ConvergenceRecord(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -209,8 +205,9 @@ def recover_moments(
         if mu is not None:
             acc = 0j
             for omega, c in mu.atoms:
+                # coordinates past the basis do not enter the character
                 theta = np.zeros(basis.dimension)
-                theta[: omega.dimension] = omega.angles
+                theta[: omega.dimension] = omega.angles[: basis.dimension]
                 acc += c * np.exp(1j * float(diff @ theta))
             reference = complex(acc)
         out.append(MomentPair(alpha, beta, empirical_by_ratio[log_ratio], reference))

@@ -9,7 +9,10 @@ Each invocation runs one experiment, writes its artifacts atomically
 * 2  -- bad usage or configuration,
 * 3  -- construction or budget failure.
 
-Flags may also be given through ``--config file.json``; explicit flags win.
+``_OPTIONS`` declares each option's type once, and ``_EXPERIMENTS`` the
+options each experiment reads; an experiment accepts no other option.  Options
+may also be given through ``--config file.json``; explicit flags win, and a
+key the experiment does not read exits 2.
 """
 
 from __future__ import annotations
@@ -52,22 +55,37 @@ from .primes import PrimeBasis
 MAX_LEVELS = 8
 MAX_BUDGET = 10**10
 
-# The numeric options and the types argparse gives their flags; values read
-# from a --config file must have them too.
-_NUMERIC_OPTIONS = {"dim": int, "levels": int, "eps": float, "budget": float,
-                    "t_min": float, "sigma": float, "tol": float, "t_max": float}
-# The options whose flags take text (paths, lists, schedules).
-_STRING_OPTIONS = ("theta", "mu", "atoms", "poly", "out", "pairs", "growth",
-                   "t_grid", "mu_seq", "polys")
+# Moment-pair exponents stop where float64 stops holding every integer.
+MAX_EXPONENT = 2**53
 
-KINDS = (
-    "kronecker",
-    "build-measure",
-    "verify-sigma",
-    "verify-boundary",
-    "nested-build",
-    "moments",
-)
+
+class _Path(str):
+    """The type of an option that names a file: a string that is not empty."""
+
+
+# option -> (type, help).  A bool option is a switch; the flag of ``t_min`` is
+# ``--t-min``.
+_OPTIONS = {
+    "dim": (int, "number of active primes"),
+    "theta": (str, "comma-separated target angles"),
+    "eps": (float, "residual tolerance"),
+    "t_min": (float, "strict lower bound on t"),
+    "mu": (_Path, "point-mass measure JSON file"),
+    "levels": (int, "construction depth K"),
+    "growth": (str, "default | const:N"),
+    "poly": (_Path, "Dirichlet polynomial JSON file"),
+    "sigma": (float, "real part of the line"),
+    "t_grid": (str, "comma-separated T values"),
+    "atoms": (_Path, "atom JSONL file"),
+    "mu_seq": (_Path, "JSON file with a 'measures' list"),
+    "polys": (_Path, "JSON file with a 'polynomials' list"),
+    "lebesgue": (bool, "use the Lebesgue line"),
+    "pairs": (str, "moment pairs, e.g. '1,0:0,0;0,1:0,0'"),
+    "t_max": (float, "average over [0, T]"),
+    "budget": (float, "solver step budget, a whole number"),
+    "out": (_Path, "output artifact path"),
+    "tol": (float, "pass/fail tolerance override"),
+}
 
 
 class UsageError(Exception):
@@ -75,17 +93,21 @@ class UsageError(Exception):
 
 
 def write_atomic(path: str, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so no partial file survives."""
+    """Write via a sibling temp file and rename, so no partial file survives;
+    a path that cannot be written is bad usage."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-artifact-")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _csv_bytes(record) -> bytes:
@@ -124,7 +146,10 @@ def _parse_floats(text: str) -> list[float]:
 
 
 def _parse_pairs(text: str):
-    """Moment pairs: "1,0:0,0;0,1:0,0" -> [((1,0),(0,0)), ((0,1),(0,0))]."""
+    """Moment pairs: "1,0:0,0;0,1:0,0" -> [((1,0),(0,0)), ((0,1),(0,0))].
+
+    An exponent above ``MAX_EXPONENT`` is refused; a negative one is left to
+    :class:`~polytorus.polynomials.MultiIndex`."""
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -136,6 +161,9 @@ def _parse_pairs(text: str):
             beta = tuple(int(x) for x in beta_text.split(","))
         except ValueError as exc:
             raise UsageError(f"bad moment pair {chunk!r}") from exc
+        if max(alpha + beta) > MAX_EXPONENT:
+            raise UsageError(
+                f"moment pair {chunk!r} has an exponent above {MAX_EXPONENT}")
         pairs.append((alpha, beta))
     if not pairs:
         raise UsageError("no moment pairs given")
@@ -149,29 +177,31 @@ def _require(config, *names):
 
 
 def _check_types(config):
-    """Every option has its flag's type: a numeric option is finite, and a
-    bool, a string or, for an integer option, a float is refused; a text
-    option is a string and ``lebesgue`` a bool."""
-    for name, kind in _NUMERIC_OPTIONS.items():
+    """Every option has its type in ``_OPTIONS``: a numeric option is finite,
+    and a bool, a string or, for an integer option, a float is refused; a
+    text option is a string, not empty if it names a file; a switch is a
+    bool."""
+    for name, (kind, _help) in _OPTIONS.items():
         value = config.get(name)
         if value is None:
             continue
-        allowed = (int, float) if kind is float else int
-        if (isinstance(value, bool) or not isinstance(value, allowed)
-                or isinstance(value, float) and not math.isfinite(value)):
-            what = "a finite number" if kind is float else "an integer"
-            raise UsageError(f"{name} must be {what}, got {value!r}")
-    for name in _STRING_OPTIONS:
-        value = config.get(name)
-        if value is not None and not isinstance(value, str):
-            raise UsageError(f"{name} must be a string, got {value!r}")
-    value = config.get("lebesgue")
-    if value is not None and not isinstance(value, bool):
-        raise UsageError(f"lebesgue must be true or false, got {value!r}")
+        if kind is bool:
+            if not isinstance(value, bool):
+                raise UsageError(f"{name} must be true or false, got {value!r}")
+        elif issubclass(kind, str):
+            if not isinstance(value, str):
+                raise UsageError(f"{name} must be a string, got {value!r}")
+            if kind is _Path and not value:
+                raise UsageError(f"{name} must name a file, got ''")
+        else:
+            allowed = (int, float) if kind is float else int
+            if (isinstance(value, bool) or not isinstance(value, allowed)
+                    or isinstance(value, float) and not math.isfinite(value)):
+                what = "a finite number" if kind is float else "an integer"
+                raise UsageError(f"{name} must be {what}, got {value!r}")
 
 
 def _check_ranges(config):
-    _check_types(config)
     levels = config.get("levels")
     if levels is not None and not 1 <= levels <= MAX_LEVELS:
         raise UsageError(f"levels must lie in [1, {MAX_LEVELS}], got {levels}")
@@ -202,9 +232,9 @@ def _run_kronecker(config):
         k=dim,
         targets=theta,
         eps=float(config["eps"]),
-        t_min=float(config.get("t_min") or 0.0),
+        t_min=float(config.get("t_min", 0.0)),
     )
-    solution = solve(problem, int(config.get("budget") or 10**8))
+    solution = solve(problem, int(config.get("budget", 10**8)))
     print(json.dumps({
         "t": solution.t,
         "residuals": list(solution.residuals),
@@ -218,12 +248,12 @@ def _run_kronecker(config):
 def _run_build_measure(config):
     _require(config, "mu", "levels", "out")
     mu = point_mass_from_json(_read(config["mu"]))
-    growth = GrowthSchedule.parse(config.get("growth") or "default")
+    growth = GrowthSchedule.parse(config.get("growth", "default"))
     lam = build_point_mass_lambda(
         mu,
         levels=int(config["levels"]),
         growth=growth,
-        solver_budget=int(config.get("budget") or 10**8),
+        solver_budget=int(config.get("budget", 10**8)),
     )
     write_atomic(config["out"], atoms_to_bytes(lam))
     metrics = {
@@ -241,12 +271,9 @@ def _run_verify_sigma(config):
     sigma = float(config["sigma"])
     grid = _parse_floats(config["t_grid"])
     target = carlson_target(f, sigma)
-    record = convergence_sweep(
-        f, None, target, grid, sigma=sigma,
-        poly_id=config["poly"], measure_id=f"lebesgue(sigma={sigma})",
-    )
+    record = convergence_sweep(f, None, target, grid, sigma=sigma)
     write_atomic(config["out"], _csv_bytes(record))
-    tol = float(config.get("tol") or 1e-2)
+    tol = float(config.get("tol", 1e-2))
     final = record.final_error()
     metrics = {"target": target, "final_abs_error": final, "tol": tol,
                "out": config["out"]}
@@ -260,21 +287,12 @@ def _run_verify_boundary(config):
     mu = point_mass_from_json(_read(config["mu"]))
     F = bohr_lift(f, PrimeBasis(mu.dimension))
     target = point_mass_space_average(F, mu)
-    grid = (
-        _parse_floats(config["t_grid"])
-        if config.get("t_grid")
-        else list(lam.level_boundaries)
-    )
-    record = convergence_sweep(
-        f, lam, target, grid,
-        poly_id=config["poly"], measure_id=config["atoms"],
-    )
+    grid = (_parse_floats(config["t_grid"]) if "t_grid" in config
+            else list(lam.level_boundaries))
+    record = convergence_sweep(f, lam, target, grid)
     write_atomic(config["out"], _csv_bytes(record))
-    tol = (
-        float(config["tol"])
-        if config.get("tol") is not None
-        else boundary_mean_error_bound(f, mu, lam)
-    )
+    tol = (float(config["tol"]) if "tol" in config
+           else boundary_mean_error_bound(f, mu, lam))
     final = record.final_error()
     metrics = {"target": target, "final_abs_error": final, "tol": tol,
                "out": config["out"]}
@@ -285,13 +303,13 @@ def _run_nested_build(config):
     _require(config, "mu_seq", "polys", "levels", "out")
     mu_sequence = measure_sequence_from_json(_read(config["mu_seq"]))
     polys = polynomial_family_from_json(_read(config["polys"]))
-    growth = GrowthSchedule.parse(config.get("growth") or "default")
+    growth = GrowthSchedule.parse(config.get("growth", "default"))
     plan = NestedConstructionPlan(mu_sequence, polys)
     lam, completed = build_nested_lambda(
         plan,
         levels=int(config["levels"]),
         growth=growth,
-        solver_budget=int(config.get("budget") or 10**8),
+        solver_budget=int(config.get("budget", 10**8)),
     )
     write_atomic(config["out"], atoms_to_bytes(lam))
     worst_by_level = [max(level) for level in completed.window_estimates]
@@ -309,14 +327,14 @@ def _run_nested_build(config):
 
 def _run_moments(config):
     _require(config, "pairs", "t_max")
-    use_lebesgue = bool(config.get("lebesgue"))
-    if use_lebesgue == bool(config.get("atoms")):
+    use_lebesgue = config.get("lebesgue", False)
+    if use_lebesgue == ("atoms" in config):
         raise UsageError("choose exactly one of --atoms or --lebesgue")
     pairs = _parse_pairs(config["pairs"])
     dim = max(len(exps) for pair in pairs for exps in pair)
     basis = PrimeBasis(max(dim, 1))
     lam = None if use_lebesgue else _load_atoms(config["atoms"])
-    mu = point_mass_from_json(_read(config["mu"])) if config.get("mu") else None
+    mu = point_mass_from_json(_read(config["mu"])) if "mu" in config else None
     moments = recover_moments(lam, basis, pairs, float(config["t_max"]), mu=mu)
     rows = []
     worst = 0.0
@@ -333,35 +351,55 @@ def _run_moments(config):
             worst = max(worst, abs(pair.empirical - pair.reference))
         rows.append(row)
     payload = ("\n".join(json.dumps(r) for r in rows) + "\n").encode()
-    if config.get("out"):
+    if "out" in config:
         write_atomic(config["out"], payload)
     else:
         sys.stdout.write(payload.decode())
     passed = True
     metrics = {"pairs": len(rows)}
     if mu is not None:
-        tol = float(config.get("tol") or 0.2)
+        tol = float(config.get("tol", 0.2))
         passed = worst < tol
         metrics.update({"worst_abs_error": worst, "tol": tol})
     return metrics, passed
 
 
-_RUNNERS = {
-    "kronecker": _run_kronecker,
-    "build-measure": _run_build_measure,
-    "verify-sigma": _run_verify_sigma,
-    "verify-boundary": _run_verify_boundary,
-    "nested-build": _run_nested_build,
-    "moments": _run_moments,
+# experiment -> (runner, the options it reads, help)
+_EXPERIMENTS = {
+    "kronecker": (_run_kronecker, ("dim", "theta", "eps", "t_min", "budget"),
+                  "solve one simultaneous approximation problem"),
+    "build-measure": (_run_build_measure, ("mu", "levels", "growth", "budget", "out"),
+                      "build a line measure from a point-mass measure"),
+    "verify-sigma": (_run_verify_sigma, ("poly", "sigma", "t_grid", "out", "tol"),
+                     "vertical-line mean convergence at sigma > 0"),
+    "verify-boundary": (_run_verify_boundary,
+                        ("poly", "atoms", "mu", "t_grid", "out", "tol"),
+                        "boundary mean convergence against atoms (T grid default: "
+                        "level boundaries)"),
+    "nested-build": (_run_nested_build,
+                     ("mu_seq", "polys", "levels", "growth", "budget", "out"),
+                     "windowed construction over a measure sequence"),
+    "moments": (_run_moments, ("atoms", "lebesgue", "pairs", "t_max", "mu", "out", "tol"),
+                "recover torus moments from a line measure (against --mu if given)"),
 }
 
 
 def run(kind: str, config: dict) -> int:
-    """Execute one experiment; prints the summary line and returns the exit code."""
+    """Execute one experiment; prints the summary line and returns the exit code.
+
+    Before any work, the types of every known option are checked, then their
+    ranges, then that the experiment reads every key.  A key whose value is
+    None counts as not given.
+    """
     started = time.perf_counter()
+    runner, options, _help = _EXPERIMENTS[kind]
     try:
+        _check_types(config)
         _check_ranges(config)
-        metrics, passed = _RUNNERS[kind](config)
+        unread = sorted(set(config) - set(options))
+        if unread:
+            raise UsageError(f"{kind} does not read {', '.join(unread)}")
+        metrics, passed = runner({k: v for k, v in config.items() if v is not None})
     except (UsageError, PolytorusError) as exc:
         print(json.dumps({"kind": kind, "error": str(exc), "pass": False}),
               file=sys.stderr)
@@ -374,13 +412,6 @@ def run(kind: str, config: dict) -> int:
     }
     print(json.dumps(summary))
     return 0 if passed else 1
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON file of options; flags override it")
-    parser.add_argument("--budget", type=float, help="solver step budget")
-    parser.add_argument("--out", help="output artifact path")
-    parser.add_argument("--tol", type=float, help="pass/fail tolerance override")
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,48 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="kind", required=True)
-
-    p = sub.add_parser("kronecker", help="solve one simultaneous approximation problem")
-    p.add_argument("--dim", type=int, help="number of active primes")
-    p.add_argument("--theta", help="comma-separated target angles")
-    p.add_argument("--eps", type=float, help="residual tolerance")
-    p.add_argument("--t-min", dest="t_min", type=float, help="strict lower bound on t")
-    _add_common(p)
-
-    p = sub.add_parser("build-measure", help="build a line measure from a point-mass measure")
-    p.add_argument("--mu", help="point-mass measure JSON file")
-    p.add_argument("--levels", type=int, help="construction depth K")
-    p.add_argument("--growth", help="default | const:N")
-    _add_common(p)
-
-    p = sub.add_parser("verify-sigma", help="vertical-line mean convergence at sigma > 0")
-    p.add_argument("--poly", help="Dirichlet polynomial JSON file")
-    p.add_argument("--sigma", type=float, help="real part of the line")
-    p.add_argument("--t-grid", dest="t_grid", help="comma-separated T values")
-    _add_common(p)
-
-    p = sub.add_parser("verify-boundary", help="boundary mean convergence against atoms")
-    p.add_argument("--poly", help="Dirichlet polynomial JSON file")
-    p.add_argument("--atoms", help="atom JSONL file")
-    p.add_argument("--mu", help="point-mass measure JSON file")
-    p.add_argument("--t-grid", dest="t_grid", help="T values (default: level boundaries)")
-    _add_common(p)
-
-    p = sub.add_parser("nested-build", help="windowed construction over a measure sequence")
-    p.add_argument("--mu-seq", dest="mu_seq", help="JSON file with a 'measures' list")
-    p.add_argument("--polys", help="JSON file with a 'polynomials' list")
-    p.add_argument("--levels", type=int, help="construction depth K")
-    p.add_argument("--growth", help="default | const:N")
-    _add_common(p)
-
-    p = sub.add_parser("moments", help="recover torus moments from a line measure")
-    p.add_argument("--atoms", help="atom JSONL file")
-    p.add_argument("--lebesgue", action="store_true", help="use the Lebesgue line")
-    p.add_argument("--pairs", help="moment pairs, e.g. '1,0:0,0;0,1:0,0'")
-    p.add_argument("--t-max", dest="t_max", type=float, help="average over [0, T]")
-    p.add_argument("--mu", help="reference point-mass measure JSON file")
-    _add_common(p)
-
+    for kind, (_runner, options, help_text) in _EXPERIMENTS.items():
+        # an option not given is left out of the parsed arguments
+        p = sub.add_parser(kind, help=help_text, argument_default=argparse.SUPPRESS)
+        for name in options:
+            option_type, option_help = _OPTIONS[name]
+            flag = "--" + name.replace("_", "-")
+            if option_type is bool:
+                p.add_argument(flag, dest=name, action="store_true", help=option_help)
+            else:
+                p.add_argument(flag, dest=name, type=option_type, help=option_help)
+        p.add_argument("--config", help="JSON file of options; flags override it")
     return parser
 
 
@@ -450,11 +450,7 @@ def merged_config(args: argparse.Namespace) -> dict:
         if not isinstance(data, dict):
             raise UsageError("--config must hold a JSON object")
         config.update(data)
-    for key, value in vars(args).items():
-        if key in ("kind", "config"):
-            continue
-        if value is not None and value is not False:
-            config[key] = value
+    config.update((k, v) for k, v in vars(args).items() if k not in ("kind", "config"))
     return config
 
 

@@ -27,7 +27,7 @@ import functools
 import json
 import math
 
-from .errors import ParseError, PolytorusError
+from .errors import DomainError, ParseError, PolytorusError
 from .polynomials import (
     DirichletPolynomial,
     MultiIndex,
@@ -203,8 +203,11 @@ def _torus_from_data(data) -> TorusPolynomial:
         raise ParseError("expected an object with a 'terms' list")
     terms: dict[MultiIndex, complex] = {}
     for entry in _array(data["terms"], "terms"):
-        alpha = MultiIndex([_integer(e, "alpha entry")
-                            for e in _array(entry["alpha"], "alpha")])
+        exponents = [_integer(e, "alpha entry") for e in _array(entry["alpha"], "alpha")]
+        try:
+            alpha = MultiIndex(exponents)
+        except DomainError as exc:  # a negative exponent is a malformed entry
+            raise ParseError(f"malformed entry: {exc}") from exc
         if alpha in terms:
             raise ParseError(f"duplicate index {alpha.exponents}")
         terms[alpha] = _term_coefficient(entry, f"index {alpha.exponents}")

@@ -75,7 +75,7 @@ class MultiIndex:
     def __init__(self, exponents=()):
         exps = tuple(int(e) for e in exponents)
         if any(e < 0 for e in exps):
-            raise ValueError(f"multi-index entries must be >= 0, got {exps}")
+            raise DomainError(f"multi-index entries must be >= 0, got {exps}")
         while exps and exps[-1] == 0:
             exps = exps[:-1]
         object.__setattr__(self, "exponents", exps)

@@ -298,6 +298,16 @@ class TestMoments:
         assert pair.reference == pytest.approx(np.exp(1j * omega[0]))
         assert abs(pair.empirical - pair.reference) < 0.2
 
+    def test_reference_in_a_basis_narrower_than_mu(self, delta_setup):
+        # a one-coordinate pair against a 2-D mu used to fail to broadcast
+        omega, mu, lam = delta_setup
+        narrow = recover_moments(lam, PrimeBasis(1), [((1,), ())],
+                                 float(lam.t[-1]), mu=mu)[0]
+        wide = recover_moments(lam, PrimeBasis(2), [((1, 0), (0, 0))],
+                               float(lam.t[-1]), mu=mu)[0]
+        assert narrow.reference == wide.reference == pytest.approx(np.exp(1j * omega[0]))
+        assert narrow.empirical == wide.empirical
+
     def test_references_need_mu(self, delta_setup):
         _, _, lam = delta_setup
         pair = recover_moments(lam, PrimeBasis(2), [((1, 0), (0, 0))],

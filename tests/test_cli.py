@@ -6,11 +6,12 @@ import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytorus import ParseError, atoms_from_bytes, load_atoms
-from polytorus.cli import main, write_atomic
+from polytorus.cli import (_EXPERIMENTS, _OPTIONS, _Path, build_parser, main,
+                           write_atomic)
 
 MU_JSON = json.dumps({
     "dim": 2,
@@ -613,8 +614,9 @@ class TestConfigFile:
     @pytest.mark.parametrize("budget", ["2.5", "0.5", "1e-3", "1000000.5"])
     def test_budget_flag_that_is_not_whole_exit_2(self, kind, budget, workdir, capsys):
         # the runners turn the budget into an int; 2.5 used to run as 2
-        code, _, err = run_cli(
-            [kind, "--budget", budget, "--out", workdir / "x.out"], capsys)
+        # (kronecker writes no artifact, so it takes no --out)
+        out = [] if kind == "kronecker" else ["--out", workdir / "x.out"]
+        code, _, err = run_cli([kind, "--budget", budget, *out], capsys)
         assert code == 2
         assert json.loads(err)["error"].startswith("budget must be a whole number")
         assert not (workdir / "x.out").exists()
@@ -636,6 +638,231 @@ class TestConfigFile:
         )
         assert code == 0
         assert max(json.loads(out[0])["residuals"]) < 0.01
+
+
+# (experiment, flag) pairs the parser used to accept although nothing read them
+REMOVED_FLAGS = [
+    ("kronecker", "--out"), ("kronecker", "--tol"), ("build-measure", "--tol"),
+    ("nested-build", "--tol"), ("verify-sigma", "--budget"),
+    ("verify-boundary", "--budget"), ("moments", "--budget"),
+]
+
+
+class TestOptionTable:
+    """Each experiment accepts only the options its runner reads."""
+
+    @pytest.fixture
+    def atoms(self, workdir, capsys):
+        path = workdir / "atoms.jsonl"
+        code, _, _ = run_cli(["build-measure", "--mu", workdir / "mu.json",
+                              "--levels", "2", "--out", path], capsys)
+        assert code == 0
+        return path
+
+    def test_flags_are_the_options_read(self):
+        experiments = build_parser()._subparsers._group_actions[0].choices
+        pairs = set()
+        for kind, parser in experiments.items():
+            flags = {flag for action in parser._actions
+                     for flag in action.option_strings} - {"-h", "--help", "--config"}
+            assert flags == {"--" + name.replace("_", "-")
+                             for name in _EXPERIMENTS[kind][1]}
+            pairs |= {(kind, flag) for flag in flags}
+        assert len(pairs) == 34
+        assert not pairs & set(REMOVED_FLAGS)
+
+    @pytest.mark.parametrize("kind, flag", REMOVED_FLAGS)
+    def test_flag_nothing_reads_exit_2(self, kind, flag, workdir, capsys):
+        # `kronecker --out never.json` used to exit 0 and write nothing
+        never = workdir / "never.json"
+        with pytest.raises(SystemExit) as info:
+            main([kind, flag, str(never) if flag == "--out" else "1"])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not never.exists()
+
+    def test_config_key_the_experiment_does_not_read_exit_2(self, workdir, capsys):
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"levls": 3, "tol": 5, "sigma": 1.0}))
+        out_path = workdir / "lam.jsonl"
+        code, out, err = run_cli(
+            ["build-measure", "--config", config, "--mu", workdir / "mu.json",
+             "--levels", "1", "--out", out_path], capsys)
+        assert code == 2 and out == []
+        assert json.loads(err)["error"] == "build-measure does not read levls, sigma, tol"
+        assert not out_path.exists()
+
+    def test_verify_sigma_tol_zero_is_judged_as_zero(self, workdir, capsys):
+        code, out, _ = run_cli(
+            ["verify-sigma", "--poly", workdir / "f.json", "--sigma", "1.0",
+             "--t-grid", "100", "--out", workdir / "sigma.csv", "--tol", "0"],
+            capsys)
+        summary = json.loads(out[-1])
+        assert code == 1 and summary["pass"] is False
+        assert summary["key_metrics"]["tol"] == 0.0
+
+    def test_moments_tol_zero_is_judged_as_zero(self, workdir, atoms, capsys):
+        code, out, _ = run_cli(
+            ["moments", "--atoms", atoms, "--pairs", "1,0:0,0", "--t-max", "1e9",
+             "--mu", workdir / "mu.json", "--out", workdir / "m.jsonl", "--tol", "0"],
+            capsys)
+        summary = json.loads(out[-1])
+        assert code == 1 and summary["pass"] is False
+        assert summary["key_metrics"]["tol"] == 0.0
+
+    def test_empty_growth_exit_2(self, workdir, capsys):
+        out_path = workdir / "lam.jsonl"
+        code, _, err = run_cli(
+            ["build-measure", "--mu", workdir / "mu.json", "--levels", "1",
+             "--growth", "", "--out", out_path], capsys)
+        assert code == 2
+        assert "unknown growth schedule" in json.loads(err)["error"]
+        assert not out_path.exists()
+
+    def test_empty_t_grid_exit_2(self, workdir, atoms, capsys):
+        out_path = workdir / "boundary.csv"
+        code, _, err = run_cli(
+            ["verify-boundary", "--poly", workdir / "f.json", "--atoms", atoms,
+             "--mu", workdir / "mu.json", "--t-grid", "", "--out", out_path], capsys)
+        assert code == 2
+        assert "T grid must not be empty" in json.loads(err)["error"]
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("source, pairs, match", [
+        ("atoms", "-1:0", "multi-index entries must be >= 0"),
+        ("lebesgue", "99999999999999999999:0", "has an exponent above 9007199254740992"),
+    ])
+    def test_moment_exponent_outside_the_domain_exit_2(self, source, pairs, match,
+                                                       atoms, capsys):
+        # each used to end in a traceback with exit 1
+        chosen = ["--atoms", atoms] if source == "atoms" else ["--lebesgue"]
+        code, out, err = run_cli(
+            ["moments", *chosen, f"--pairs={pairs}", "--t-max", "10"], capsys)
+        assert code == 2 and out == []
+        assert match in json.loads(err)["error"]
+
+    def test_moments_of_fewer_coordinates_than_mu(self, workdir, atoms, capsys):
+        # a one-coordinate pair against the 2-D mu used to fail to broadcast
+        code, out, _ = run_cli(
+            ["moments", "--atoms", atoms, "--pairs", "1:0", "--t-max", "1e9",
+             "--mu", workdir / "mu.json"], capsys)
+        assert code == 0
+        row = json.loads(out[0])
+        assert row["reference_re"] == pytest.approx(0.6 * math.cos(0.9)
+                                                    + 0.4 * math.cos(4.0))
+
+    @pytest.mark.parametrize("option", ["mu", "out"])
+    def test_empty_path_exit_2(self, option, workdir, capsys, monkeypatch):
+        # an empty --out used to place its temp file in the parent of the
+        # working directory, then fail in a traceback
+        run_dir = workdir / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        paths = {"mu": str(workdir / "mu.json"), "out": "lam.jsonl", option: ""}
+        code, _, err = run_cli(
+            ["build-measure", "--mu", paths["mu"], "--levels", "1",
+             "--out", paths["out"]], capsys)
+        assert code == 2
+        assert json.loads(err)["error"] == f"{option} must name a file, got ''"
+        assert sorted(p.name for p in workdir.iterdir()) == ["f.json", "mu.json", "run"]
+        assert list(run_dir.iterdir()) == []
+
+    def test_out_that_cannot_be_written_exit_2(self, workdir, capsys):
+        out_path = workdir / "missing" / "lam.jsonl"
+        code, _, err = run_cli(
+            ["build-measure", "--mu", workdir / "mu.json", "--levels", "1",
+             "--out", out_path], capsys)
+        assert code == 2
+        assert f"cannot write {out_path}" in json.loads(err)["error"]
+
+
+# A valid configuration of each experiment; the fuzz oracle drops and
+# replaces some of its keys.  Paths are relative to the work directory.
+FUZZ_OUT = "out.artifact"
+FUZZ_BASE = {
+    "kronecker": {"dim": 2, "theta": "0.5,1.0", "eps": 0.5},
+    "build-measure": {"mu": "mu.json", "levels": 2, "out": FUZZ_OUT},
+    "verify-sigma": {"poly": "f.json", "sigma": 1.0, "t_grid": "10,100", "out": FUZZ_OUT},
+    "verify-boundary": {"poly": "f.json", "atoms": "atoms.jsonl", "mu": "mu.json",
+                        "out": FUZZ_OUT},
+    "nested-build": {"mu_seq": "seq.json", "polys": "polys.json", "levels": 2,
+                     "growth": "const:2", "out": FUZZ_OUT},
+    "moments": {"atoms": "atoms.jsonl", "pairs": "1,0:0,1", "t_max": 1e3,
+                "mu": "mu.json", "out": FUZZ_OUT},
+}
+FUZZ_KEYS = sorted(_OPTIONS) + ["levls", "seed", "config", "kind"]
+# Values by option type; every number keeps levels <= 2 and budget <= 10^4 or
+# is refused, so each example runs in milliseconds.
+FUZZ_TYPED = {
+    int: [-1, 0, 1, 2, 10**30],
+    float: [-1, 0, 0.5, 2.5, 10**4, 1e308, -1e308],
+    str: ["", "x", "1.0", "0.5,1.0", "10,100", "const:2", "default",
+          "-1:0", "1:0", "1,0:0,1", "99999999999999999999:0"],
+    bool: [True, False],
+}
+FUZZ_TYPED[_Path] = ["mu.json", "f.json", "seq.json", "polys.json", "atoms.jsonl",
+                     "", ".", "missing.json", "missing/out", FUZZ_OUT]
+FUZZ_VALUES = [v for pool in FUZZ_TYPED.values() for v in pool] + [None, [], [1], {"a": 1}]
+
+
+@st.composite
+def fuzz_cases(draw):
+    kind = draw(st.sampled_from(sorted(FUZZ_BASE)))
+    config = dict(FUZZ_BASE[kind])
+    for key in draw(st.lists(st.sampled_from(sorted(config)), max_size=1)):
+        del config[key]
+    for _ in range(draw(st.integers(0, 2))):
+        # half the keys are ones the experiment reads, and half the values
+        # of an option have its type
+        key = draw(st.sampled_from(_EXPERIMENTS[kind][1]) | st.sampled_from(FUZZ_KEYS))
+        values = st.sampled_from(FUZZ_VALUES)
+        if key in _OPTIONS:
+            values |= st.sampled_from(FUZZ_TYPED[_OPTIONS[key][0]])
+        config[key] = draw(values)
+    return kind, config
+
+
+class TestOptionFuzz:
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        """A work directory with every input file, and their bytes."""
+        directory = tmp_path_factory.mktemp("fuzz")
+        (directory / "mu.json").write_text(MU_JSON)
+        (directory / "f.json").write_text(POLY_JSON)
+        nested_inputs(directory)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["build-measure", "--mu", str(directory / "mu.json"),
+                         "--levels", "2", "--out", str(directory / "atoms.jsonl")]) == 0
+        return directory, {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    @given(case=fuzz_cases())
+    @example(case=("moments", {"atoms": "atoms.jsonl", "pairs": "-1:0", "t_max": 10}))
+    @example(case=("moments", {"lebesgue": True, "pairs": "99999999999999999999:0",
+                               "t_max": 10}))
+    @example(case=("build-measure", {"mu": "mu.json", "levels": 1, "out": ""}))
+    @settings(max_examples=500, deadline=None)
+    def test_any_config_exits_cleanly(self, fuzz_dir, case):
+        # exit 0-3 and never a traceback; a refusal or a failed construction
+        # leaves no artifact
+        directory, files = fuzz_dir
+        kind, config = case
+        for path in directory.iterdir():
+            path.unlink()
+        for name, data in files.items():
+            (directory / name).write_bytes(data)
+        (directory / "config.json").write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([kind, "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code in (2, 3):
+            assert not (directory / FUZZ_OUT).exists(), err.getvalue()
 
 
 class TestAtomicWrite:

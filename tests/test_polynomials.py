@@ -71,6 +71,11 @@ class TestMultiIndex:
         with pytest.raises(ValueError):
             MultiIndex((1, -1))
 
+    def test_negative_is_a_domain_error(self):
+        # a library error, so the CLI refuses it with exit 2, not a traceback
+        with pytest.raises(DomainError, match="must be >= 0"):
+            MultiIndex((0, -2))
+
     @given(st.lists(st.integers(min_value=0, max_value=6), max_size=8))
     @settings(max_examples=60, deadline=None)
     def test_canonical_form_invariant(self, exps):

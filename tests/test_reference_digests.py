@@ -1,6 +1,7 @@
 """Every atom file the benchmark's tiny workloads write keeps its recorded
 SHA-256 (``bench/reference.json``): a change that alters an artifact's bytes
-fails here, not only in a benchmark run.  The bench directory is only read.
+fails here, not only in a benchmark run.  So does a library call of the CLI
+that the benchmark's tracer no longer sees.  The bench directory is only read.
 """
 
 import os
@@ -43,3 +44,27 @@ def test_every_tiny_variant_writes_its_reference_atoms(workload, tmp_path):
         run.iterate()
         assert run.failures == [], f"variant {variant}"
         assert run.digests == expected, f"variant {variant}"
+
+
+# Spans by name of one tiny setup() + iterate() of every workload at seed 3,
+# traced.  A workload change in bench/ updates these counts.
+SEAM_SPANS = {
+    "measures.build": 4, "nested.build": 1, "measures.encode": 6,
+    "measures.decode": 8, "averages.convergence_sweep": 5,
+    "averages.recover_moments": 3, "averages.boundary_bound": 4,
+    "formats.parse": 18,
+}
+
+
+def test_tracer_sees_every_library_call_of_the_cli(tmp_path):
+    # bench/tracing.py rebinds the library functions the CLI calls through
+    # polytorus.cli's globals; a call bound elsewhere records no span
+    tracer = Tracer()
+    with tracer.install():
+        for workload in bench.WORKLOADS:
+            run = bench.Run(workload, 3, "tiny", tmp_path / workload, tracer, None)
+            run.setup()
+            run.iterate()
+            assert run.failures == [], workload
+    names = [span[2] for span in tracer.spans]
+    assert {name: names.count(name) for name in SEAM_SPANS} == SEAM_SPANS
