@@ -54,7 +54,6 @@ from .measures import (
     save_atoms,
     weighted_mean_square,
     window_check,
-    windowed_time_means,
 )
 from .nested import NestedConstructionPlan, build_nested_lambda
 from .polynomials import (

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import exact_sum, map_blocks
 from .errors import DimensionError, DomainError, EmptyMeasureError
 from .measures import AtomicLineMeasure, TorusPointMassMeasure, weighted_mean_square
 from .polynomials import (
@@ -21,12 +22,9 @@ from .polynomials import (
     MultiIndex,
     TorusPolynomial,
     _BOUND_SLACK,
-    _EVAL_VALUES,
-    _map,
     _mean_kernel,
     bohr_lift,
     eval_torus,
-    exact_sum,
     lebesgue_line_mean,
 )
 from .polynomials import eval_dirichlet  # unused here; a name bench/tracing.py rebinds
@@ -177,27 +175,24 @@ def recover_moments(
         diffs.append(diff)
     log_ratios = [float(diff @ basis.logs) for diff in diffs]
 
-    def character_means(ratios):
-        means = []
-        for log_ratio in ratios:
-            phases = -1j * log_ratio * times
-            np.exp(phases, out=phases)
-            means.append(complex(exact_sum(phases.real * w) / mass,
-                                 exact_sum(phases.imag * w) / mass))
-        return means
-
     # The character depends on the pair only through log_ratio, so pairs
-    # with the same alpha - beta share one evaluation.  The distinct ones are
-    # spread over the cores in blocks of about _EVAL_VALUES phases, as the
-    # times of eval_dirichlet are; fewer phases stay on this thread.
+    # with the same alpha - beta share one evaluation.  On the Lebesgue line
+    # a phase T * log_ratio past float64 takes the kernel's limit 0.
     distinct = list(dict.fromkeys(log_ratios))
     if lam is None:
-        means = [complex(_mean_kernel(T * log_ratio)) for log_ratio in distinct]
+        means = [complex(_mean_kernel(T * r)) if math.isfinite(T * r) else 0j
+                 for r in distinct]
     else:
-        size = max(1, _EVAL_VALUES // len(times))
-        blocks = _map(lambda i0: character_means(distinct[i0:i0 + size]),
-                      range(0, len(distinct), size))
-        means = [mean for block in blocks for mean in block]
+        means = [None] * len(distinct)
+
+        def block(rows):
+            for i in range(len(distinct))[rows]:
+                phases = -1j * distinct[i] * times
+                np.exp(phases, out=phases)
+                means[i] = complex(exact_sum(phases.real * w) / mass,
+                                   exact_sum(phases.imag * w) / mass)
+
+        map_blocks(block, len(distinct), len(times))
     empirical_by_ratio = dict(zip(distinct, means))
     out = []
     for (alpha, beta), diff, log_ratio in zip(normalized, diffs, log_ratios):

@@ -203,7 +203,8 @@ class KroneckerSolution:
 
 def _recheck(search: LatticeSearch, t: float, eps: float) -> bool:
     """Whether every residual of the time ``t`` lies below ``eps``, with the
-    residuals of :func:`_solution_fields`."""
+    bits of :func:`residuals`: Python's float ``%`` and ``np.mod`` both take
+    ``fmod`` and then add the modulus to a remainder of the wrong sign."""
     for log, g in zip(search.logs, search.reduced):
         d = (-t * log - g) % TWO_PI
         if not (d < eps or TWO_PI - d < eps):
@@ -211,21 +212,14 @@ def _recheck(search: LatticeSearch, t: float, eps: float) -> bool:
     return True
 
 
-def _solution_fields(search: LatticeSearch, t: float):
-    """``(residuals, q)`` of the time ``t`` for the problem of ``search``.
-
-    The residuals have the bits of :func:`residuals`: Python's float ``%``
-    and ``np.mod`` both take ``fmod`` and then add the modulus to a remainder
-    of the wrong sign, and the targets are reduced again as ``residuals``
-    reduces its argument.  ``q`` holds ``rint((-t log p_r - theta_r) /
-    2*pi)`` with the canonical targets; ``round`` rounds half to even.
-    """
-    res, q = [], []
-    for log, g, theta in zip(search.logs, search.reduced, search.problem.targets):
-        d = (-t * log - g) % TWO_PI
-        res.append(min(d, TWO_PI - d))
-        q.append(round((-t * log - theta) / TWO_PI))
-    return tuple(res), tuple(q)
+def _solution(problem: KroneckerProblem, t: float, steps: int,
+              method: str) -> KroneckerSolution:
+    """The solution record of the time ``t``: its :func:`residuals` and
+    ``q = rint((-t log p_r - theta_r) / 2*pi)`` with the canonical targets."""
+    basis, k, targets = problem.basis, problem.k, problem.targets
+    res = residuals(basis, k, t, targets)
+    q = np.rint((-t * basis.logs[:k] - np.asarray(targets)) / TWO_PI)
+    return KroneckerSolution(t, tuple(res.tolist()), tuple(map(int, q)), steps, method)
 
 
 def _return_times(step: int, modulus: int, width: int):
@@ -669,8 +663,7 @@ def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolut
     budget = _checked_budget(budget)
     basis, k, targets, eps, t_min = (problem.basis, problem.k, problem.targets,
                                      problem.eps, problem.t_min)
-    logs = basis.logs[:k]
-    delta = eps / (2.0 * float(logs[-1]))
+    delta = eps / (2.0 * float(basis.logs[k - 1]))
     best_t, best_worst = math.nan, math.inf
     start, size = 0, _SHORT_SCAN
     while start < budget:
@@ -681,10 +674,7 @@ def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolut
         found = np.flatnonzero((worst < eps) & (times > t_min))
         if found.size:
             j = int(found[0])
-            t = float(times[j])
-            q = np.rint((-t * logs - np.asarray(targets)) / TWO_PI)
-            return KroneckerSolution(t, tuple(res[j].tolist()), tuple(map(int, q)),
-                                     start + j + 1, "scan")
+            return _solution(problem, float(times[j]), start + j + 1, "scan")
         j = int(np.argmin(worst))
         if worst[j] < best_worst:
             best_t, best_worst = float(times[j]), worst[j]
@@ -702,7 +692,7 @@ def lattice_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSo
     """
     search = LatticeSearch(problem, budget)
     t = search(problem.t_min)
-    return KroneckerSolution(t, *_solution_fields(search, t), search.steps, "lattice")
+    return _solution(problem, t, search.steps, "lattice")
 
 
 solve = lattice_solve  # the default; scan_solve is the complete reference

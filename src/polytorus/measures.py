@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._blocks import exact_sum
 from .errors import (
     BudgetExhaustedError,
     CapacityError,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .kronecker import KroneckerProblem, LatticeSearch
 from .kronecker import solve  # unused here; a name bench/tracing.py rebinds
-from .polynomials import TorusPoint, bohr_unlift, eval_dirichlet, exact_sum
+from .polynomials import TorusPoint, bohr_unlift, eval_dirichlet
 from .primes import PrimeBasis
 
 WEIGHT_SUM_TOL = 1e-12
@@ -336,7 +337,7 @@ def weighted_mean_square(f, times, weights, ends=None):
     With ``ends``, a list holding the mean over each prefix ``[:n]`` for
     ``n`` in ``ends`` (each ``n >= 1``); ``|f|^2`` is evaluated once, on the
     atoms up to the longest prefix, and both sums of every prefix come from
-    one :func:`~polytorus.polynomials.exact_sum` pass.  :func:`eval_dirichlet`
+    one :func:`~polytorus._blocks.exact_sum` pass.  :func:`eval_dirichlet`
     reduces each atom's row on its own and the sums are correctly rounded, so
     each prefix mean has the bits of a call on that prefix alone; correctly
     rounded sums also keep million-atom means meaningful against 1e-9
@@ -347,17 +348,6 @@ def weighted_mean_square(f, times, weights, ends=None):
     if ends is None:
         return exact_sum(values) / exact_sum(weights)
     return [v / w for v, w in zip(exact_sum(values, ends), exact_sum(weights, ends))]
-
-
-def windowed_time_means(lam, t_lo: float, t_hi: float, polys) -> list[float]:
-    """Normalized means of ``|f_m(it)|^2`` over atoms with ``t_lo < t <= t_hi``."""
-    inside = (lam.t > t_lo) & (lam.t <= t_hi)
-    if not inside.any():
-        raise WindowRepresentationError(
-            f"window ({t_lo}, {t_hi}] contains no atoms"
-        )
-    times, w = lam.t[inside], lam.w[inside]
-    return [weighted_mean_square(bohr_unlift(F), times, w) for F in polys]
 
 
 def window_check(
@@ -392,7 +382,8 @@ def window_check(
         raise WindowRepresentationError(
             f"window ({t_lo}, {t_hi}] has no atoms for source point(s) {missing}"
         )
-    means = windowed_time_means(lam, t_lo, t_hi, polys)
+    times, w = lam.t[inside], lam.w[inside]
+    means = [weighted_mean_square(bohr_unlift(F), times, w) for F in polys]
     errors = tuple(
         abs(mean - point_mass_space_average(F, mu))
         for mean, F in zip(means, polys)
@@ -403,7 +394,7 @@ def window_check(
         worst_error=float(errors[worst]),
         worst_index=worst,
         errors=errors,
-        window_mass=math.fsum(lam.w[inside]),
+        window_mass=math.fsum(w),
     )
 
 

@@ -6,22 +6,19 @@ each frequency as ``n = p_1^{a1} p_2^{a2} ...`` turns ``f`` into a polynomial
 this module implements both directions of that correspondence together with
 pointwise evaluation and the exact closed form for vertical-line mean squares.
 
-All types are immutable after construction and safe to share across threads.
-The blocks of the long evaluations and reductions run on a thread per core
-(:func:`_map`); their numpy work releases the interpreter lock, and every
-block is computed and added as it is on one thread, so no result depends on
-the number of cores.
+All types are immutable after construction and safe to share across threads;
+:func:`eval_dirichlet` and the line-mean kernels run their blocks through
+:mod:`polytorus._blocks`, and no result depends on the number of cores.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blocks
 from .errors import DimensionError, DomainError, FrequencyOverflowError
 from .primes import PrimeBasis
 
@@ -45,26 +42,6 @@ _KERNEL_ROWS = 32
 # smaller than this in size by _mean_kernel: there its separable form's
 # numerator n^{-iT} m^{iT} - 1 cancels to about |x|, losing digits.
 _NEAR_PHASE = 1.0
-
-# Phases evaluated together in eval_dirichlet: a block holds
-# max(1, _EVAL_VALUES // len(f)) times, about 2 MiB of complex values, so
-# memory grows neither with the number of times nor with the number of terms.
-_EVAL_VALUES = 1 << 17
-
-# Most threads _map uses, whatever the number of cores: each holds a block.
-_MAX_THREADS = 8
-
-# exact_sum adds the two halves of the values' mantissas in float64, which is
-# exact for up to _EXACT_TERMS values; longer inputs are left to math.fsum,
-# and so are inputs of at most _FSUM_TERMS values, which fsum adds faster
-# than the numpy pass's fixed cost (about 20 us).
-_EXACT_TERMS = 1 << 26
-_FSUM_TERMS = 512
-
-# exact_sum leaves to math.fsum any input whose magnitudes could sum to
-# 2^_EXACT_TOP or more, so that fsum's overflow errors stay its own.
-_EXACT_TOP = 1020
-
 
 @dataclass(frozen=True)
 class MultiIndex:
@@ -343,134 +320,6 @@ def flow_angles(basis: PrimeBasis, t) -> np.ndarray:
     return np.mod(np.multiply.outer(-t, basis.logs), TWO_PI)
 
 
-def _thread_count() -> int:
-    """Threads :func:`_map` may use: one per core this process may run on, at
-    most ``_MAX_THREADS``."""
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return min(cores, _MAX_THREADS)
-
-
-def _map(fn, items) -> list:
-    """``[fn(item) for item in items]``, the items taken in turn by the calling
-    thread and one helper thread per further core.
-
-    Meant for blocks whose numpy work releases the interpreter lock.  ``fn``
-    may read shared data and write disjoint parts of an output, and must call
-    only private helpers: the benchmark's tracer wraps the public functions,
-    and its span stack belongs to the calling thread.  One item, or one core,
-    starts no thread.  If items raise, no further item is started, and once
-    the started ones have finished, the exception of the first failing item
-    is raised unchanged, as the plain loop would raise it.
-    """
-    items = list(items)
-    threads = min(_thread_count(), len(items))
-    if threads < 2:
-        return [fn(item) for item in items]
-    results = [None] * len(items)
-    errors = {}
-    order = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def take():
-        with lock:
-            return next(order, None)
-
-    def stop():
-        with lock:
-            for _ in order:
-                pass
-
-    def work():
-        while (i := take()) is not None:
-            try:
-                results[i] = fn(items[i])
-            except BaseException as exc:  # raised again by the caller below
-                errors[i] = exc
-                stop()
-
-    helpers = []
-    try:
-        for _ in range(threads - 1):
-            helper = threading.Thread(target=work)
-            helper.start()
-            helpers.append(helper)
-        work()
-    finally:
-        stop()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def exact_sum(x, ends=None):
-    """``math.fsum(x)`` of a float64 array, with most of its work done in
-    numpy, without the interpreter lock; with ``ends``, the list of ``fsum(x[:n])`` for each
-    ``n`` in ``ends`` (each in ``[0, len(x)]``), from one pass.
-
-    ``np.frexp`` writes each value as ``m * 2^(e-53)`` with ``m`` an integer,
-    ``|m| < 2^53``, and ``m`` is split into ``h * 2^26 + l`` with
-    ``|h| < 2^27`` and ``|l| < 2^26``.  ``np.bincount`` adds the ``h`` and the
-    ``l`` of each exponent within each segment between consecutive ends, and
-    a cumulative sum over the segments gives each prefix's totals; float64
-    holds every such sum of at most 2^26 values exactly.  The totals are
-    joined as one Python integer per prefix, which a single correctly
-    rounded division turns into a float.  A correctly rounded sum is unique,
-    so the bits are ``fsum``'s.  Input with a non-finite value, with
-    magnitudes that could sum to ``2^_EXACT_TOP``, or with more than
-    ``_EXACT_TERMS`` or at most ``_FSUM_TERMS`` values goes to ``math.fsum``
-    itself, which keeps its results and its errors.
-    """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    stops = sorted({x.size} if ends is None else set(ends))
-    if stops and not 0 <= stops[0] <= stops[-1] <= x.size:
-        raise ValueError(f"prefix ends must lie in [0, {x.size}], got {ends}")
-    sums = None
-    if _FSUM_TERMS < x.size <= _EXACT_TERMS and np.isfinite(x).all():
-        mant, exp = np.frexp(x)
-        if int(exp.max()) + x.size.bit_length() <= _EXACT_TOP:
-            sums = _exact_prefix_sums(mant, exp, stops)
-    if sums is None:
-        sums = [math.fsum(x[:n]) for n in stops]
-    if ends is None:
-        return sums[0]
-    by_end = dict(zip(stops, sums))
-    return [by_end[n] for n in ends]
-
-
-def _exact_prefix_sums(mant, exp, stops) -> list[float]:
-    """The sums of :func:`exact_sum` for ``frexp`` parts of finite values and
-    sorted prefix ends."""
-    low = int(exp.min())
-    bins = int(exp.max()) - low + 1
-    # in place: a helper thread's malloc arena keeps what its blocks allocate
-    rest = np.multiply(mant, 2.0**27, out=mant)
-    high = np.trunc(rest)
-    rest -= high
-    rest *= 2.0**26
-    index = np.subtract(exp, low, out=exp)
-    segments = len(stops) + 1
-    if stops != [mant.size]:
-        counts = np.diff([0, *stops, mant.size])
-        index = index + bins * np.repeat(np.arange(segments), counts)
-    highs, rests = (
-        np.cumsum(np.bincount(index, weights=part, minlength=bins * segments)
-                  .reshape(segments, bins)[:-1], axis=0).tolist()
-        for part in (high, rest))
-    shift = low - 53
-    sums = []
-    for high_row, rest_row in zip(highs, rests):
-        whole = 0
-        for h, r in zip(reversed(high_row), reversed(rest_row)):
-            whole = (whole << 1) + (int(h) << 26) + int(r)
-        sums.append(whole / (1 << -shift) if shift < 0 else float(whole << shift))
-    return sums
-
-
 def _term_sums(f: DirichletPolynomial, amps, times):
     """``sum_n amps_n exp(-i t log n)`` for every ``t`` in ``times``."""
     terms = -1j * np.multiply.outer(times, f._logs)
@@ -485,8 +334,8 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
     """Evaluate ``f`` at ``s = sigma + i t`` for scalar or array ``t``.
 
     Returns ``sum_n a_n n^{-sigma} exp(-i t log n)``; requires ``sigma >= 0``.
-    The times are evaluated in blocks of ``max(1, _EVAL_VALUES // len(f))``,
-    spread over the cores by :func:`_map`.
+    The times are evaluated in blocks of bounded size by
+    :func:`~polytorus._blocks.map_blocks`.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
@@ -495,18 +344,14 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
         out = np.zeros(t_arr.shape, dtype=np.complex128)
         return complex(out) if t_arr.ndim == 0 else out
     amps = f._coeffs * np.exp(-sigma * f._logs)
-    rows = max(1, _EVAL_VALUES // len(f))
-    if t_arr.size <= rows:
-        out = _term_sums(f, amps, t_arr)
-    else:
-        t_flat = t_arr.reshape(-1)
-        out = np.empty(t_arr.shape, dtype=np.complex128)
-        out_flat = out.reshape(-1)
+    t_flat = t_arr.reshape(-1)
+    out = np.empty(t_arr.shape, dtype=np.complex128)
+    out_flat = out.reshape(-1)
 
-        def block(i0):
-            out_flat[i0:i0 + rows] = _term_sums(f, amps, t_flat[i0:i0 + rows])
+    def block(rows):
+        out_flat[rows] = _term_sums(f, amps, t_flat[rows])
 
-        _map(block, range(0, t_flat.size, rows))
+    _blocks.map_blocks(block, t_flat.size, len(f))
     return complex(out) if t_arr.ndim == 0 else out
 
 
@@ -539,13 +384,17 @@ def carlson_target(f: DirichletPolynomial, sigma: float) -> float:
     """Limit of the vertical-line mean square at ``Re s = sigma``: ``sum |a_n|^2 n^{-2 sigma}``."""
     if len(f) == 0:
         return 0.0
-    return float(np.sum(np.abs(f._coeffs) ** 2 * np.exp(-2.0 * sigma * f._logs)))
+    # sigma * log n first: -2 * sigma is -inf from sigma = 2^1023 on, and
+    # -inf * log 1 is NaN; doubling is exact, so finite products keep their bits
+    with np.errstate(over="ignore"):
+        damping = np.exp(-2.0 * (sigma * f._logs))
+    return float(np.sum(np.abs(f._coeffs) ** 2 * damping))
 
 
 def _upper_sum(logs, block_sum) -> float:
     """``math.fsum`` of ``block_sum(i0, i1, inverse)`` over the strict upper
     triangle of ``1 / (logs[j] - logs[i])``, one block per ``_KERNEL_ROWS``
-    rows, the blocks spread over the cores by :func:`_map`.
+    rows, the blocks spread over the cores by :func:`~polytorus._blocks._map`.
 
     Block ``[i0, i1)`` holds rows ``i0..i1-1`` against columns ``i0+1..n-1``:
     its entry ``(r, c)`` pairs ``i0 + r`` with ``i0 + 1 + c``.  Entries with
@@ -566,7 +415,7 @@ def _upper_sum(logs, block_sum) -> float:
         inverse[:, :rows][below[:rows, :rows]] = 0.0
         return block_sum(i0, i1, inverse)
 
-    return math.fsum(_map(block, range(0, n - 1, _KERNEL_ROWS)))
+    return math.fsum(_blocks._map(block, range(0, n - 1, _KERNEL_ROWS)))
 
 
 def cross_term_envelope(f: DirichletPolynomial, sigma: float) -> float:

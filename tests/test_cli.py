@@ -4,12 +4,14 @@ import io
 import json
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polytorus import ParseError, atoms_from_bytes, load_atoms
+from polytorus import (MomentPair, MultiIndex, ParseError, atoms_from_bytes, cli,
+                       load_atoms)
 from polytorus.cli import (_EXPERIMENTS, _OPTIONS, _Path, build_parser, main,
                            write_atomic)
 
@@ -484,6 +486,50 @@ class TestInputsThatLeaveFloat64OrUtf8:
             ["moments", "--atoms", atoms, "--pairs", "0:1", "--t-max", "3.0",
              "--out", workdir / "m.jsonl"],
             capsys, "weights sum past float64")
+
+
+class TestHugeButFiniteInputs:
+    """Each of these used to give NaN, which the verdict let pass or fail by
+    chance."""
+
+    def test_sigma_of_1e308_targets_the_constant_term(self, workdir, capsys):
+        # -2 * sigma overflowed, and -inf * log 1 made the target NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                ["verify-sigma", "--poly", workdir / "f.json", "--sigma", "1e308",
+                 "--t-grid", "10,100", "--out", workdir / "sigma.csv"], capsys)
+        summary = json.loads(out[-1])
+        assert code == 0 and summary["pass"] is True
+        assert summary["key_metrics"]["target"] == 1.0  # |a_1|^2
+        assert summary["key_metrics"]["final_abs_error"] == 0.0
+
+    def test_lebesgue_moment_at_t_max_1e308_is_its_limit(self, workdir, capsys):
+        # T * log 8 overflowed, the kernel gave NaN, and the NaN error passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(
+                ["moments", "--lebesgue", "--pairs", "3:0", "--t-max", "1e308",
+                 "--mu", workdir / "mu.json"], capsys)
+        row, summary = json.loads(out[0]), json.loads(out[-1])
+        assert (row["empirical_re"], row["empirical_im"]) == (0.0, 0.0)
+        worst = summary["key_metrics"]["worst_abs_error"]
+        assert worst == abs(complex(row["reference_re"], row["reference_im"]))
+        assert summary["pass"] is (worst < 0.2) and code == (0 if worst < 0.2 else 1)
+
+    def test_a_nan_moment_error_fails(self, workdir, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0: the NaN after an exact pair used to pass
+        def moments(lam, basis, pairs, T, mu=None):
+            return [MomentPair(MultiIndex([1]), MultiIndex(), 0.5j, 0.5j),
+                    MomentPair(MultiIndex([2]), MultiIndex(), complex(math.nan, 0.0), 0.5j)]
+
+        monkeypatch.setattr(cli, "recover_moments", moments)
+        code, out, _ = run_cli(
+            ["moments", "--lebesgue", "--pairs", "1:0;2:0", "--t-max", "10",
+             "--mu", workdir / "mu.json"], capsys)
+        summary = json.loads(out[-1])
+        assert code == 1 and summary["pass"] is False
+        assert math.isnan(summary["key_metrics"]["worst_abs_error"])
 
 
 def nested_inputs(workdir):

@@ -24,10 +24,10 @@ from polytorus import (
     eval_dirichlet,
     lebesgue_line_mean,
     measures,
-    polynomials,
     recover_moments,
 )
-from polytorus.polynomials import _map, exact_sum
+from polytorus import _blocks
+from polytorus._blocks import _map, exact_sum, map_blocks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
@@ -55,12 +55,12 @@ def outcome(fn, x):
 @contextmanager
 def numpy_pass():
     """Make exact_sum take its numpy pass for inputs of any length."""
-    short = polynomials._FSUM_TERMS
-    polynomials._FSUM_TERMS = 0
+    short = _blocks._FSUM_TERMS
+    _blocks._FSUM_TERMS = 0
     try:
         yield
     finally:
-        polynomials._FSUM_TERMS = short
+        _blocks._FSUM_TERMS = short
 
 
 def outcomes(fn, x):
@@ -141,13 +141,13 @@ class TestExactSum:
 
 class TestMap:
     def test_results_in_item_order(self, monkeypatch):
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 4)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 4)
         assert _map(lambda i: i * i, range(100)) == [i * i for i in range(100)]
         assert _map(lambda i: i, []) == []
 
     def test_each_item_taken_once_under_stress(self, monkeypatch):
         # more threads than cores, switching as often as the interpreter can
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 16)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 16)
         taken = []
         threads_before = threading.active_count()
 
@@ -167,7 +167,7 @@ class TestMap:
         assert threading.active_count() == threads_before
 
     def test_worker_error_reaches_the_caller_unchanged(self, monkeypatch):
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 2)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 2)
         error = KeyError("worker block")
         helper_ran = threading.Event()
 
@@ -184,7 +184,7 @@ class TestMap:
         assert raised.value is error
 
     def test_first_failing_item_wins(self, monkeypatch):
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 4)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 4)
         errors = [ValueError(i) for i in range(50)]
         all_four_taken = threading.Barrier(4, timeout=10)
 
@@ -200,24 +200,41 @@ class TestMap:
         def refuse(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 4)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 4)
         monkeypatch.setattr(threading, "Thread", refuse)
         assert _map(lambda i: i + 1, [1]) == [2]
+        count = _blocks._EVAL_VALUES // 8
+        assert map_blocks(lambda rows: rows, count, 8) == [slice(0, count)]
         f = DirichletPolynomial({1: 1.0, 2: 0.5})
         assert eval_dirichlet(f, 0.0, np.arange(100.0)).shape == (100,)
+
+    # no items; items wider than a block (blocks of one); counts at the
+    # edges of 4,096-item blocks
+    @pytest.mark.parametrize("count, width", [
+        (0, 1), (0, 1 << 20), (1, 1), (5, 1 << 20), (8191, 32), (8192, 32),
+        (8193, 32), (12288, 32), (3, 1 << 17), (3, (1 << 16) + 1)])
+    def test_block_slices_cover_the_count_once_in_order(self, monkeypatch,
+                                                        count, width):
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 4)
+        size = max(1, _blocks._EVAL_VALUES // width)
+        slices = map_blocks(lambda rows: rows, count, width)
+        covered = [i for rows in slices for i in range(count)[rows]]
+        assert covered == list(range(count))
+        assert all(0 < s.stop - s.start <= size and s.step is None for s in slices)
+        assert len(slices) == -(-count // size)
 
     def test_one_core_starts_no_thread(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("a thread was started")
 
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 1)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 1)
         monkeypatch.setattr(threading, "Thread", refuse)
         assert _map(lambda i: -i, range(5)) == [0, -1, -2, -3, -4]
 
     def test_imports_no_pool_module(self):
         code = ("import sys, numpy as np\n"
-                "from polytorus import DirichletPolynomial, eval_dirichlet, polynomials\n"
-                "polynomials._thread_count = lambda: 2\n"
+                "from polytorus import DirichletPolynomial, _blocks, eval_dirichlet\n"
+                "_blocks._thread_count = lambda: 2\n"
                 "f = DirichletPolynomial({n: 1.0 for n in range(1, 40)})\n"
                 "eval_dirichlet(f, 0.0, np.arange(20000.0))\n"
                 "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))\n")
@@ -259,14 +276,14 @@ def long_measure():
 
 
 def on_threads(monkeypatch, threads, call):
-    monkeypatch.setattr(polynomials, "_thread_count", lambda: threads)
+    monkeypatch.setattr(_blocks, "_thread_count", lambda: threads)
     return call()
 
 
 class TestSameBitsOnOneThreadAndOnSeveral:
     @pytest.mark.parametrize("size", [4095, 4096, 4097, 8193])
     def test_eval_dirichlet(self, monkeypatch, terms_32, size):
-        assert polynomials._EVAL_VALUES // len(terms_32) == 4096
+        assert _blocks._EVAL_VALUES // len(terms_32) == 4096
         t = np.linspace(0.0, 3e5, size)
 
         def call():
@@ -276,6 +293,26 @@ class TestSameBitsOnOneThreadAndOnSeveral:
         assert on_threads(monkeypatch, 4, call) == one
         scalar = np.array([eval_dirichlet(terms_32, 0.25, float(x)) for x in t[::97]])
         assert np.frombuffer(one, dtype=np.complex128)[::97].tobytes() == scalar.tobytes()
+
+    def test_eval_dirichlet_scalar_empty_and_grid(self, monkeypatch, terms_32):
+        # 12,295 times: three blocks of 4,096 and one of 7, cut across rows
+        t = np.linspace(-5e4, 3e5, 3 * 4096 + 7)
+        grid = t.reshape(5, 2459)
+
+        def call():
+            return (eval_dirichlet(terms_32, 0.25, float(t[5])),
+                    eval_dirichlet(terms_32, 0.25, t[:0]),
+                    eval_dirichlet(terms_32, 0.25, grid))
+
+        one = on_threads(monkeypatch, 1, call)
+        four = on_threads(monkeypatch, 4, call)
+        assert isinstance(one[0], complex) and repr(four[0]) == repr(one[0])
+        assert one[1].shape == four[1].shape == (0,)
+        assert one[2].shape == four[2].shape == (5, 2459)
+        assert four[2].tobytes() == one[2].tobytes()
+        flat = eval_dirichlet(terms_32, 0.25, t)
+        assert one[2].tobytes() == flat.tobytes()
+        assert repr(complex(flat[5])) == repr(one[0])
 
     @pytest.mark.parametrize("sigma, T", [(1.0, 1e8), (0.0, 0.5), (0.5, 1e3)])
     def test_lebesgue_line_mean(self, monkeypatch, terms_2000, sigma, T):
@@ -338,7 +375,7 @@ class TestSameBitsOnOneThreadAndOnSeveral:
 
 
 def test_pooled_evaluation_records_one_span(monkeypatch, terms_32):
-    monkeypatch.setattr(polynomials, "_thread_count", lambda: 4)
+    monkeypatch.setattr(_blocks, "_thread_count", lambda: 4)
     times = np.linspace(0.0, 1e4, 8193)
     weights = np.ones_like(times)
     tracer = Tracer()
@@ -352,7 +389,7 @@ def test_pooled_evaluation_records_one_span(monkeypatch, terms_32):
 def test_evaluation_memory_is_bounded_by_values(monkeypatch, terms_2000):
     # 8,192 times of a 2,000-term polynomial: 188 MiB when a block held
     # 4,096 rows whatever the term count
-    monkeypatch.setattr(polynomials, "_thread_count", lambda: 4)
+    monkeypatch.setattr(_blocks, "_thread_count", lambda: 4)
     tracemalloc.start()
     try:
         eval_dirichlet(terms_2000, 0.0, np.linspace(0.0, 1e3, 8192))

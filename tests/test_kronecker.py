@@ -39,7 +39,7 @@ from polytorus.kronecker import (
     _return_times,
     _rotation_hits,
     _round_up,
-    _solution_fields,
+    _solution,
     _Tables,
     _tables,
 )
@@ -657,7 +657,7 @@ class TestReferenceScan:
             raise AssertionError("the scan reached the lattice walk")
 
         for name in ("_rotation_hits", "_joint_hits", "_rescan", "_on_grid", "_Tables",
-                     "_tables", "LatticeSearch", "_recheck", "_solution_fields"):
+                     "_tables", "LatticeSearch", "_recheck"):
             monkeypatch.setattr(kronecker, name, refuse)
         assert [scan_outcome(problem, budget) for problem, budget in cases] == before
         with pytest.raises(AssertionError, match="lattice walk"):
@@ -676,14 +676,26 @@ class TestScalarAcceptPath:
         basis, k = PrimeBasis(4), len(targets)
         problem = KroneckerProblem(basis, k, targets, 0.1)
         search = LatticeSearch(problem, 1)
-        scalar, q = _solution_fields(search, t)
+        solution = _solution(problem, t, 1, "lattice")
         vector = residuals(basis, k, t, problem.targets).tolist()
-        assert [r.hex() for r in scalar] == [r.hex() for r in vector]
-        assert q == implied_integers(problem, t)
+        assert [r.hex() for r in solution.residuals] == [r.hex() for r in vector]
+        assert solution.q == implied_integers(problem, t)
         # the recheck passes when every residual is below eps, and only then
         for eps in (0.1, *vector):
             assert _recheck(search, t, eps) == all(r < eps for r in vector)
         assert _recheck(search, t, math.inf)
+
+    def test_lattice_solutions_carry_the_numpy_residuals(self):
+        # the walk accepts by _recheck's scalar residuals; the record it
+        # returns holds those of residuals(), which agree bit for bit
+        rng = np.random.default_rng(61)
+        for k, depth in ((1, 3), (2, 3), (3, 3), (3, 5), (4, 2)):
+            problem = seeded_problem(rng, k, 2.0 ** -depth)
+            solution = lattice_solve(problem)
+            vector = residuals(problem.basis, k, solution.t, problem.targets)
+            assert [r.hex() for r in solution.residuals] == [r.hex() for r in vector]
+            assert max(solution.residuals) < problem.eps
+            assert solution.q == implied_integers(problem, solution.t)
 
     def test_interleaved_solves_match_solves_alone(self):
         # The walks' tables are cached by their grid steps and widths;
@@ -757,7 +769,7 @@ def call_fields(search, t_min):
     """The fields of :func:`fields` for one call of ``search``."""
     before = search.steps
     t = search(t_min)
-    return (t, *_solution_fields(search, t), search.steps - before)
+    return fields(_solution(search.problem, t, search.steps - before, "lattice"))
 
 
 def count_calls(monkeypatch, name):
@@ -792,8 +804,7 @@ def record_searches(monkeypatch):
             t = super().__call__(t_min)
             p = self.problem
             problems.append((p.basis, p.k, p.targets, p.eps, t_min, self.budget))
-            solutions.append(KroneckerSolution(t, *_solution_fields(self, t),
-                                               self.steps - before, "lattice"))
+            solutions.append(_solution(p, t, self.steps - before, "lattice"))
             return t
 
     monkeypatch.setattr(measures, "LatticeSearch", Recording)

@@ -29,7 +29,7 @@ from polytorus import (
     minimal_basis,
     weighted_mean_square,
 )
-from polytorus import polynomials
+from polytorus import _blocks, polynomials
 from polytorus.kronecker import circle_distance
 from polytorus.polynomials import _KERNEL_ROWS, _NEAR_PHASE, _mean_kernel
 
@@ -148,7 +148,7 @@ class TestEvaluation:
     def test_blocked_calls_match_scalar_calls(self, rng, monkeypatch):
         f = random_dirichlet(rng, max_terms=8)
         rows = 4096
-        monkeypatch.setattr(polynomials, "_EVAL_VALUES", rows * len(f))
+        monkeypatch.setattr(_blocks, "_EVAL_VALUES", rows * len(f))
         ts = rng.uniform(0, 1e4, size=2 * rows + 1)
         scalar = np.array([eval_dirichlet(f, 0.25, float(t)) for t in ts])
         for size in (rows - 1, rows, rows + 1, 2 * rows + 1):
@@ -436,7 +436,7 @@ class TestBoundedMemory:
 
     def test_line_mean_where_every_pair_is_near(self, rng, monkeypatch):
         # at T = 1e-3 every pair goes through _mean_kernel, block by block
-        monkeypatch.setattr(polynomials, "_thread_count", lambda: 1)
+        monkeypatch.setattr(_blocks, "_thread_count", lambda: 1)
         freqs = rng.choice(np.arange(1, 10**6), size=2000, replace=False)
         f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
         assert traced_peak(lambda: lebesgue_line_mean(f, 0.5, 1e-3)) < self.LIMIT
