@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._blocks import exact_sum, map_blocks
+from ._blocks import exact_sum
 from .errors import DimensionError, DomainError, EmptyMeasureError
 from .measures import AtomicLineMeasure, TorusPointMassMeasure, weighted_mean_square
 from .polynomials import (
@@ -183,16 +183,12 @@ def recover_moments(
         means = [complex(_mean_kernel(T * r)) if math.isfinite(T * r) else 0j
                  for r in distinct]
     else:
-        means = [None] * len(distinct)
-
-        def block(rows):
-            for i in range(len(distinct))[rows]:
-                phases = -1j * distinct[i] * times
-                np.exp(phases, out=phases)
-                means[i] = complex(exact_sum(phases.real * w) / mass,
-                                   exact_sum(phases.imag * w) / mass)
-
-        map_blocks(block, len(distinct), len(times))
+        means = []
+        for log_ratio in distinct:
+            phases = -1j * log_ratio * times
+            np.exp(phases, out=phases)
+            means.append(complex(exact_sum(phases.real * w) / mass,
+                                 exact_sum(phases.imag * w) / mass))
     empirical_by_ratio = dict(zip(distinct, means))
     out = []
     for (alpha, beta), diff, log_ratio in zip(normalized, diffs, log_ratios):

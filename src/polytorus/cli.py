@@ -195,8 +195,9 @@ def _check_types(config):
                 raise UsageError(f"{name} must name a file, got ''")
         else:
             allowed = (int, float) if kind is float else int
+            # abs(value) <= the largest float also refuses an int past float64
             if (isinstance(value, bool) or not isinstance(value, allowed)
-                    or isinstance(value, float) and not math.isfinite(value)):
+                    or kind is float and not abs(value) <= sys.float_info.max):
                 what = "a finite number" if kind is float else "an integer"
                 raise UsageError(f"{name} must be {what}, got {value!r}")
 

@@ -6,9 +6,9 @@ each frequency as ``n = p_1^{a1} p_2^{a2} ...`` turns ``f`` into a polynomial
 this module implements both directions of that correspondence together with
 pointwise evaluation and the exact closed form for vertical-line mean squares.
 
-All types are immutable after construction and safe to share across threads;
-:func:`eval_dirichlet` and the line-mean kernels run their blocks through
-:mod:`polytorus._blocks`, and no result depends on the number of cores.
+All types are immutable after construction.  :func:`eval_dirichlet` and the
+line-mean kernels work in blocks of bounded size, so their memory grows with
+neither the number of times nor the number of pairs of terms.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blocks
 from .errors import DimensionError, DomainError, FrequencyOverflowError
 from .primes import PrimeBasis
 
@@ -37,6 +36,10 @@ _BOUND_SLACK = 1e-9
 # diagonal stays small, enough that the numpy calls per block stay cheap
 # next to the entries they evaluate.
 _KERNEL_ROWS = 32
+
+# Values in a block of eval_dirichlet, about 2 MiB of complex values: memory
+# grows neither with the number of times nor with the number of terms.
+_EVAL_VALUES = 1 << 17
 
 # lebesgue_line_mean evaluates the pairs whose phase x = T log(n/m) is
 # smaller than this in size by _mean_kernel: there its separable form's
@@ -300,11 +303,12 @@ def bohr_unlift(F: TorusPolynomial) -> DirichletPolynomial:
     for alpha, a in F.terms.items():
         n = 1
         for p, e in zip(F.basis.primes, alpha.exponents):
-            n *= p**e
-        if n > MAX_FREQUENCY:
-            raise FrequencyOverflowError(
-                f"monomial {alpha.exponents} maps to frequency {n} beyond the 64-bit range"
-            )
+            # p^63 is past the range already: no larger power is made
+            n *= p ** min(e, 63)
+            if n > MAX_FREQUENCY:
+                raise FrequencyOverflowError(
+                    f"monomial {alpha.exponents} maps to a frequency beyond the 64-bit range"
+                )
         terms[n] = terms.get(n, 0j) + a
     return DirichletPolynomial(terms)
 
@@ -318,6 +322,13 @@ def flow_angles(basis: PrimeBasis, t) -> np.ndarray:
     """Vectorized flow angles; shape ``t.shape + (dimension,)``."""
     t = np.asarray(t, dtype=np.float64)
     return np.mod(np.multiply.outer(-t, basis.logs), TWO_PI)
+
+
+def _damping(f: DirichletPolynomial, sigma: float) -> np.ndarray:
+    """``n^{-sigma}`` for each frequency ``n`` of ``f``; where ``sigma * log n``
+    passes float64 the product is ``-inf`` and its ``exp`` the right 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-sigma * f._logs)
 
 
 def _term_sums(f: DirichletPolynomial, amps, times):
@@ -334,8 +345,8 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
     """Evaluate ``f`` at ``s = sigma + i t`` for scalar or array ``t``.
 
     Returns ``sum_n a_n n^{-sigma} exp(-i t log n)``; requires ``sigma >= 0``.
-    The times are evaluated in blocks of bounded size by
-    :func:`~polytorus._blocks.map_blocks`.
+    The times are evaluated in blocks of ``max(1, _EVAL_VALUES // len(f))``
+    times.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")
@@ -343,15 +354,13 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
     if len(f) == 0:
         out = np.zeros(t_arr.shape, dtype=np.complex128)
         return complex(out) if t_arr.ndim == 0 else out
-    amps = f._coeffs * np.exp(-sigma * f._logs)
+    amps = f._coeffs * _damping(f, sigma)
     t_flat = t_arr.reshape(-1)
     out = np.empty(t_arr.shape, dtype=np.complex128)
     out_flat = out.reshape(-1)
-
-    def block(rows):
-        out_flat[rows] = _term_sums(f, amps, t_flat[rows])
-
-    _blocks.map_blocks(block, t_flat.size, len(f))
+    size = max(1, _EVAL_VALUES // len(f))
+    for i0 in range(0, t_flat.size, size):
+        out_flat[i0:i0 + size] = _term_sums(f, amps, t_flat[i0:i0 + size])
     return complex(out) if t_arr.ndim == 0 else out
 
 
@@ -394,7 +403,7 @@ def carlson_target(f: DirichletPolynomial, sigma: float) -> float:
 def _upper_sum(logs, block_sum) -> float:
     """``math.fsum`` of ``block_sum(i0, i1, inverse)`` over the strict upper
     triangle of ``1 / (logs[j] - logs[i])``, one block per ``_KERNEL_ROWS``
-    rows, the blocks spread over the cores by :func:`~polytorus._blocks._map`.
+    rows.
 
     Block ``[i0, i1)`` holds rows ``i0..i1-1`` against columns ``i0+1..n-1``:
     its entry ``(r, c)`` pairs ``i0 + r`` with ``i0 + 1 + c``.  Entries with
@@ -405,17 +414,16 @@ def _upper_sum(logs, block_sum) -> float:
     """
     n = len(logs)
     below = np.tri(_KERNEL_ROWS, k=-1, dtype=bool)
-
-    def block(i0):
+    parts = []
+    for i0 in range(0, n - 1, _KERNEL_ROWS):
         i1 = min(i0 + _KERNEL_ROWS, n - 1)
         inverse = logs[None, i0 + 1:] - logs[i0:i1, None]
         with np.errstate(divide="ignore"):
             np.divide(1.0, inverse, out=inverse)
         rows = i1 - i0
         inverse[:, :rows][below[:rows, :rows]] = 0.0
-        return block_sum(i0, i1, inverse)
-
-    return math.fsum(_blocks._map(block, range(0, n - 1, _KERNEL_ROWS)))
+        parts.append(block_sum(i0, i1, inverse))
+    return math.fsum(parts)
 
 
 def cross_term_envelope(f: DirichletPolynomial, sigma: float) -> float:
@@ -429,7 +437,7 @@ def cross_term_envelope(f: DirichletPolynomial, sigma: float) -> float:
     """
     if len(f) < 2:
         return 0.0
-    mags = np.abs(f._coeffs) * np.exp(-sigma * f._logs)
+    mags = np.abs(f._coeffs) * _damping(f, sigma)
 
     def block_sum(i0, i1, inverse):
         magnitude = np.abs(inverse, out=inverse)
@@ -478,7 +486,7 @@ def lebesgue_line_mean(f: DirichletPolynomial, sigma: float, T: float) -> float:
     if len(f) == 0:
         return 0.0
     logs = f._logs
-    damped = f._coeffs * np.exp(-sigma * logs)
+    damped = f._coeffs * _damping(f, sigma)
     diagonal = float(np.sum(np.abs(damped) ** 2))
     turned = damped * np.exp(-1j * T * logs)
     # Im(b_r conj(b_c) - d_r conj(d_c)) = sum_k left[k, r] * right[k, c]

@@ -25,7 +25,7 @@ from polytorus import (
     recover_moments,
 )
 
-from polytorus import _blocks
+from polytorus import polynomials
 
 from conftest import random_dirichlet, random_point_mass
 
@@ -199,7 +199,7 @@ class TestConvergenceSweep:
         # give the bits of the mean over per-atom scalar evaluations
         f = random_dirichlet(rng, d=2, max_terms=6, max_exp=3)
         rows = 4096
-        monkeypatch.setattr(_blocks, "_EVAL_VALUES", rows * len(f))
+        monkeypatch.setattr(polynomials, "_EVAL_VALUES", rows * len(f))
         n = 2 * rows + 3
         t = np.cumsum(rng.uniform(0.5, 1.5, size=n))
         w = rng.uniform(0.2, 1.0, size=n)

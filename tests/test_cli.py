@@ -4,6 +4,10 @@ import io
 import json
 import math
 import os
+import pathlib
+import re
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -279,6 +283,22 @@ class TestVerifyCommands:
         line = json.loads(err)
         assert line["kind"] == "verify-sigma" and line["pass"] is False
         assert "finite" in line["error"]
+
+    def test_verify_sigma_past_float64_warns_nothing(self, workdir):
+        # 7^-sigma underflows to 0 at sigma = 1e308; numpy's overflow warning
+        # of sigma * log 7 used to reach stderr
+        poly = workdir / "f7.json"
+        poly.write_text(json.dumps({"basis_dim": 4, "terms": [
+            {"n": 1, "re": 1.0, "im": 0.0}, {"n": 7, "re": 1.0, "im": 0.0}]}))
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "polytorus", "verify-sigma", "--poly", str(poly),
+             "--sigma", "1e308", "--t-grid", "10,100", "--out", str(workdir / "sigma.csv")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1])["pass"] is True
+        assert "RuntimeWarning" not in done.stderr
 
     def test_verify_sigma(self, workdir, capsys):
         out_path = workdir / "sigma.csv"
@@ -868,19 +888,42 @@ def fuzz_cases(draw):
     return kind, config
 
 
-class TestOptionFuzz:
-    @pytest.fixture(scope="class")
-    def fuzz_dir(self, tmp_path_factory):
-        """A work directory with every input file, and their bytes."""
-        directory = tmp_path_factory.mktemp("fuzz")
-        (directory / "mu.json").write_text(MU_JSON)
-        (directory / "f.json").write_text(POLY_JSON)
-        nested_inputs(directory)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["build-measure", "--mu", str(directory / "mu.json"),
-                         "--levels", "2", "--out", str(directory / "atoms.jsonl")]) == 0
-        return directory, {p.name: p.read_bytes() for p in directory.iterdir()}
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A work directory with every input file, and their bytes."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    (directory / "mu.json").write_text(MU_JSON)
+    (directory / "f.json").write_text(POLY_JSON)
+    nested_inputs(directory)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["build-measure", "--mu", str(directory / "mu.json"),
+                     "--levels", "2", "--out", str(directory / "atoms.jsonl")]) == 0
+    return directory, {p.name: p.read_bytes() for p in directory.iterdir()}
 
+
+def run_in(directory, files, kind, config):
+    """``main([kind, "--config", "config.json"])`` in ``directory`` holding
+    exactly ``files`` (name to bytes) and ``config`` (JSON, or bytes as
+    they are); returns the exit code and stderr."""
+    for path in directory.iterdir():
+        path.unlink()
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    if not isinstance(config, bytes):
+        config = json.dumps(config).encode()
+    (directory / "config.json").write_bytes(config)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([kind, "--config", "config.json"])
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+class TestOptionFuzz:
     @given(case=fuzz_cases())
     @example(case=("moments", {"atoms": "atoms.jsonl", "pairs": "-1:0", "t_max": 10}))
     @example(case=("moments", {"lebesgue": True, "pairs": "99999999999999999999:0",
@@ -891,24 +934,71 @@ class TestOptionFuzz:
         # exit 0-3 and never a traceback; a refusal or a failed construction
         # leaves no artifact
         directory, files = fuzz_dir
-        kind, config = case
-        for path in directory.iterdir():
-            path.unlink()
-        for name, data in files.items():
-            (directory / name).write_bytes(data)
-        (directory / "config.json").write_text(json.dumps(config))
-        out, err = io.StringIO(), io.StringIO()
-        cwd = os.getcwd()
-        os.chdir(directory)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([kind, "--config", "config.json"])
-        finally:
-            os.chdir(cwd)
-        assert code in (0, 1, 2, 3), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        code, err = run_in(directory, files, *case)
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
         if code in (2, 3):
-            assert not (directory / FUZZ_OUT).exists(), err.getvalue()
+            assert not (directory / FUZZ_OUT).exists(), err
+
+
+# Extremes the file fuzz writes in place of one number of an input file.
+FUZZ_NUMBERS = ["0", "-0", "-1", "0.5", "1e308", "-1e308", "1e309", "5e-324", "1e-400",
+                "9223372036854775807", "9223372036854775808", "1" + "0" * 400,
+                "NaN", "Infinity", "-Infinity"]
+NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+
+
+def mutate(data, how, i, j):
+    """``data`` with one mutation, ``how`` of "flip" (one byte), "delete"
+    (1-16 bytes), "repeat" (one line, 1-3 more times) or "number" (one number
+    token, if there is one, made an extreme); any ``i`` and ``j`` >= 0 pick
+    where and what."""
+    if how == "flip":
+        i %= len(data)
+        return data[:i] + bytes([data[i] ^ (1 + j % 255)]) + data[i + 1:]
+    if how == "delete":
+        i %= len(data) + 1
+        return data[:i] + data[i + 1 + j % 16:]
+    if how == "repeat":
+        lines = data.splitlines(keepends=True)
+        i %= len(lines)
+        return b"".join(lines[:i + 1] + [lines[i]] * (1 + j % 3) + lines[i + 1:])
+    numbers = list(NUMBER.finditer(data))
+    if not numbers:
+        return data
+    token = numbers[i % len(numbers)]
+    return data[:token.start()] + FUZZ_NUMBERS[j % len(FUZZ_NUMBERS)].encode() + data[token.end():]
+
+
+def fuzz_inputs(kind):
+    """The files ``run_in`` gives ``kind``: its configuration and the input
+    files it names."""
+    inputs = [value for key, value in FUZZ_BASE[kind].items()
+              if _OPTIONS[key][0] is _Path and value != FUZZ_OUT]
+    return ["config.json", *inputs]
+
+
+class TestInputFileFuzz:
+    @given(kind=st.sampled_from(sorted(FUZZ_BASE)), pick=st.integers(0, 3),
+           how=st.sampled_from(["flip", "delete", "repeat", "number"]),
+           i=st.integers(0, 1 << 20), j=st.integers(0, 1 << 10))
+    # a sigma of 10^400 in the configuration: float() raised OverflowError
+    @example(kind="verify-sigma", pick=0, how="number", i=0, j=11)
+    # an exponent of 10^400 in the test family: bohr_unlift computed 3^(10^400)
+    @example(kind="nested-build", pick=2, how="number", i=1, j=11)
+    @settings(max_examples=500, deadline=None)
+    def test_any_mutated_input_exits_cleanly(self, fuzz_dir, kind, pick, how, i, j):
+        # each experiment on its valid inputs, one of them mutated: exit 0-3
+        # and never a traceback
+        directory, files = fuzz_dir
+        inputs = {**files, "config.json": json.dumps(FUZZ_BASE[kind]).encode()}
+        names = fuzz_inputs(kind)
+        name = names[pick % len(names)]
+        inputs[name] = mutate(inputs[name], how, i, j)
+        config = inputs.pop("config.json")
+        code, err = run_in(directory, inputs, kind, config)
+        assert code in (0, 1, 2, 3), err
+        assert "Traceback" not in err
 
 
 class TestAtomicWrite:

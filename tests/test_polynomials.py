@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -29,7 +30,7 @@ from polytorus import (
     minimal_basis,
     weighted_mean_square,
 )
-from polytorus import _blocks, polynomials
+from polytorus import polynomials
 from polytorus.kronecker import circle_distance
 from polytorus.polynomials import _KERNEL_ROWS, _NEAR_PHASE, _mean_kernel
 
@@ -113,6 +114,16 @@ class TestBohrLift:
         with pytest.raises(FrequencyOverflowError):
             bohr_unlift(F)
 
+    def test_unlift_refuses_overflow_before_the_power(self):
+        # 3^(10^400) was computed in full before the range check
+        for exponents in [(63,), (0, 40), (2**63,), (1, 10**400)]:
+            F = TorusPolynomial({MultiIndex(exponents): 1.0}, PrimeBasis(2))
+            with pytest.raises(FrequencyOverflowError):
+                bohr_unlift(F)
+        edge = TorusPolynomial({MultiIndex((62,)): 1.0, MultiIndex((0, 39)): 1.0},
+                               PrimeBasis(2))
+        assert bohr_unlift(edge).frequencies == (3**39, 2**62)
+
     def test_minimal_basis(self):
         assert minimal_basis(DirichletPolynomial({30: 1})).dimension == 3
 
@@ -148,7 +159,7 @@ class TestEvaluation:
     def test_blocked_calls_match_scalar_calls(self, rng, monkeypatch):
         f = random_dirichlet(rng, max_terms=8)
         rows = 4096
-        monkeypatch.setattr(_blocks, "_EVAL_VALUES", rows * len(f))
+        monkeypatch.setattr(polynomials, "_EVAL_VALUES", rows * len(f))
         ts = rng.uniform(0, 1e4, size=2 * rows + 1)
         scalar = np.array([eval_dirichlet(f, 0.25, float(t)) for t in ts])
         for size in (rows - 1, rows, rows + 1, 2 * rows + 1):
@@ -434,9 +445,8 @@ class TestBoundedMemory:
         assert traced_peak(lambda: lebesgue_line_mean(f, 0.5, 1e8)) < self.LIMIT
         assert traced_peak(lambda: cross_term_envelope(f, 0.5)) < self.LIMIT
 
-    def test_line_mean_where_every_pair_is_near(self, rng, monkeypatch):
+    def test_line_mean_where_every_pair_is_near(self, rng):
         # at T = 1e-3 every pair goes through _mean_kernel, block by block
-        monkeypatch.setattr(_blocks, "_thread_count", lambda: 1)
         freqs = rng.choice(np.arange(1, 10**6), size=2000, replace=False)
         f = DirichletPolynomial({int(n): complex(*rng.normal(size=2)) for n in freqs})
         assert traced_peak(lambda: lebesgue_line_mean(f, 0.5, 1e-3)) < self.LIMIT
@@ -448,6 +458,17 @@ class TestBoundedMemory:
         weights = rng.uniform(0.1, 1.0, size=50_490)
         # one phase matrix for every atom was 50,490 x 30 complex values
         assert traced_peak(lambda: weighted_mean_square(f, times, weights)) < self.LIMIT
+
+
+def test_damping_past_float64_warns_nothing():
+    # at sigma = 1e308, sigma * log 7 overflows to inf and 7^-sigma is 0;
+    # numpy used to warn about the overflow at each of these calls
+    f = DirichletPolynomial({1: 1.0, 7: 1.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eval_dirichlet(f, 1e308, 0.0) == 1.0
+        assert cross_term_envelope(f, 1e308) == 0.0
+        assert lebesgue_line_mean(f, 1e308, 10.0) == 1.0
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
-"""Every atom file the benchmark's tiny workloads write keeps its recorded
-SHA-256 (``bench/reference.json``): a change that alters an artifact's bytes
-fails here, not only in a benchmark run.  So does a library call of the CLI
+"""Every atom file the benchmark's tiny workloads write, and those of one full
+variant of each workload, keeps its recorded SHA-256
+(``bench/reference.json``): a change that alters an artifact's bytes fails
+here, not only in a benchmark run.  So does a library call of the CLI
 that the benchmark's tracer no longer sees.  The bench directory is only read.
 """
 
@@ -44,6 +45,22 @@ def test_every_tiny_variant_writes_its_reference_atoms(workload, tmp_path):
         run.iterate()
         assert run.failures == [], f"variant {variant}"
         assert run.digests == expected, f"variant {variant}"
+
+
+# The full variant the benchmark runs at seed 9 (variant = seed % 32).
+FULL_VARIANT = 9
+
+
+@pytest.mark.parametrize("workload", bench.WORKLOADS)
+def test_one_full_variant_writes_its_reference_atoms(workload, tmp_path):
+    expected = REFERENCE["full"][workload][str(FULL_VARIANT)]
+    run = bench.Run(workload, FULL_VARIANT, "full", tmp_path, Tracer(), expected)
+    run.setup()
+    # analyze-large writes its one atom file in setup(); its passes only check
+    if workload != "analyze-large":
+        run.iterate()
+    assert run.failures == []
+    assert run.digests == expected
 
 
 # Spans by name of one tiny setup() + iterate() of every workload at seed 3,
