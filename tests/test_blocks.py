@@ -19,6 +19,7 @@ from polytorus import (
     PrimeBasis,
     TorusPointMassMeasure,
     convergence_sweep,
+    cross_term_envelope,
     eval_dirichlet,
     lebesgue_line_mean,
     measures,
@@ -26,6 +27,7 @@ from polytorus import (
 )
 from polytorus import _blocks, polynomials
 from polytorus._blocks import exact_sum
+from polytorus.polynomials import _mean_kernel, _upper_sum
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT) not in sys.path:
@@ -190,6 +192,26 @@ class TestBlocksKeepTheBits:
         assert grid.tobytes() == flat.tobytes()
         assert repr(complex(flat[5])) == repr(scalar)
 
+    # the blocked sum against every pair in the closed form, one row at a time
+    @pytest.mark.parametrize("sigma, T", [(1.0, 1e8), (0.0, 0.5), (0.5, 1e3)])
+    def test_lebesgue_line_mean(self, terms_2000, sigma, T):
+        logs = terms_2000._logs
+        d = terms_2000._coeffs * np.exp(-sigma * logs)
+        parts = [math.fsum(np.abs(d) ** 2)]
+        for i in range(len(d) - 1):
+            kernel = _mean_kernel(T * (logs[i] - logs[i + 1:]))
+            parts.append(math.fsum(2.0 * (d[i] * kernel * np.conj(d[i + 1:])).real))
+        assert lebesgue_line_mean(terms_2000, sigma, T) == pytest.approx(
+            math.fsum(parts), rel=1e-12, abs=0.0)
+
+    def test_cross_term_envelope(self, terms_2000):
+        logs = terms_2000._logs
+        mags = np.abs(terms_2000._coeffs) * np.exp(-0.5 * logs)
+        pairs = math.fsum(math.fsum(mags[i] * mags[i + 1:] / np.abs(logs[i + 1:] - logs[i]))
+                          for i in range(len(mags) - 1))
+        assert cross_term_envelope(terms_2000, 0.5) == pytest.approx(
+            4.0 * pairs, rel=1e-12, abs=0.0)
+
     def test_recover_moments(self, long_measure):
         basis = PrimeBasis(2)
         pairs = [((a1, a2), (b1, b2)) for a1 in range(3) for a2 in range(3)
@@ -218,6 +240,71 @@ class TestBlocksKeepTheBits:
             n = int(np.searchsorted(t, T, side="right"))
             assert row.time_mean.hex() == (
                 math.fsum(values[:n]) / math.fsum(long_measure.w[:n])).hex()
+
+
+class TestBlockCover:
+    # no times; more terms than values in a block (blocks of one time);
+    # counts at the edges of 4,096-time blocks
+    @pytest.mark.parametrize("count, terms, values", [
+        (0, 1, None), (0, 64, 8), (1, 1, None), (5, 64, 8), (8191, 32, None),
+        (8192, 32, None), (8193, 32, None), (12288, 32, None), (3, 16, 16),
+        (3, 17, 32)])
+    def test_eval_blocks_cover_the_times_once_in_order(self, monkeypatch, count,
+                                                       terms, values):
+        f = DirichletPolynomial({n: 1.0 / n + 0.5j for n in range(1, terms + 1)})
+        t = np.linspace(-3.0, 2e4, count)
+        whole = eval_dirichlet(f, 0.25, t)
+        if values is not None:
+            monkeypatch.setattr(polynomials, "_EVAL_VALUES", values)
+        size = max(1, polynomials._EVAL_VALUES // terms)
+        blocks = []
+        term_sums = polynomials._term_sums
+
+        def recording(f, amps, times):
+            blocks.append(times.copy())
+            return term_sums(f, amps, times)
+
+        monkeypatch.setattr(polynomials, "_term_sums", recording)
+        blocked = eval_dirichlet(f, 0.25, t)
+        assert all(0 < len(times) <= size for times in blocks)
+        assert len(blocks) == -(-count // size)
+        assert np.concatenate([t[:0]] + blocks).tobytes() == t.tobytes()
+        assert blocked.tobytes() == whole.tobytes()
+
+    # no pair; one pair; row counts at the edges of 32-row blocks
+    @pytest.mark.parametrize("n", [0, 1, 2, 32, 33, 34, 65, 66, 100])
+    def test_upper_sum_blocks_cover_each_pair_once_in_order(self, n):
+        logs = np.log(np.arange(1.0, n + 1.0))
+        blocks = []
+
+        def block_sum(i0, i1, inverse):
+            blocks.append((i0, i1, inverse.copy()))
+            return float(i1 - i0)
+
+        assert _upper_sum(logs, block_sum) == max(n - 1, 0)
+        rows = polynomials._KERNEL_ROWS
+        assert [(i0, i1) for i0, i1, _ in blocks] == [
+            (i0, min(i0 + rows, n - 1)) for i0 in range(0, n - 1, rows)]
+        pairs = []
+        for i0, i1, inverse in blocks:
+            assert inverse.shape == (i1 - i0, n - 1 - i0)
+            for r in range(i1 - i0):
+                for c in range(n - 1 - i0):
+                    i, j = i0 + r, i0 + 1 + c
+                    if c < r:
+                        assert inverse[r, c] == 0.0
+                    else:
+                        assert inverse[r, c].hex() == (1.0 / (logs[j] - logs[i])).hex()
+                        pairs.append((i, j))
+        assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+    def test_upper_sum_coinciding_logs_give_inf(self):
+        logs = np.array([0.0, 1.0, 1.0, 2.0])
+        blocks = []
+        _upper_sum(logs, lambda i0, i1, inverse: blocks.append(inverse.copy()) or 0.0)
+        [inverse] = blocks
+        assert inverse[1, 1] == math.inf
+        assert np.isfinite(np.delete(inverse.ravel(), 4)).all()
 
 
 def test_checks_start_no_thread(monkeypatch, terms_32, terms_2000):
