@@ -22,6 +22,7 @@ from .polynomials import (
     MultiIndex,
     TorusPolynomial,
     _BOUND_SLACK,
+    _Powers,
     _mean_kernel,
     bohr_lift,
     eval_torus,
@@ -122,6 +123,30 @@ def convergence_sweep(
     return ConvergenceRecord(tuple(rows))
 
 
+def _characters(times, logs, keys):
+    """For each exponent vector ``key``, the character
+    ``prod_j z_j^key[j]`` at ``times``, with ``z_j = exp(-i t logs[j])``.
+
+    The powers come from one :class:`~polytorus.polynomials._Powers` table;
+    a negative power is the conjugate of the positive one.
+    """
+    used = [j for j in range(len(logs)) if any(key[j] for key in keys)]
+    powers = _Powers(logs[used], [sorted({abs(key[j]) for key in keys} - {0})
+                                  for j in used])
+    table = powers(times)
+    for key in keys:
+        phases = np.ones(len(times), dtype=np.complex128)
+        for k, j in enumerate(used):
+            if key[j]:
+                # times conj(power), as conj(conj(phases) * power): in place
+                if key[j] < 0:
+                    np.conjugate(phases, out=phases)
+                phases *= table[powers.rows[k, abs(key[j])]]
+                if key[j] < 0:
+                    np.conjugate(phases, out=phases)
+        yield phases
+
+
 @dataclass(frozen=True)
 class MomentPair:
     """Empirical vs reference value of ``integral z^alpha conj(z)^beta dmu``."""
@@ -143,8 +168,14 @@ def recover_moments(
 
     The character ``t -> prod_r p_r^{-it (alpha_r - beta_r)}`` is averaged
     over ``[0, T]`` (weighted atoms, or the exact Lebesgue-line integral when
-    ``lam`` is None).  If a source measure is supplied, the reference moment
-    ``sum_j c_j omega_j^alpha conj(omega_j)^beta`` is attached.
+    ``lam`` is None).  Characters are keyed by the integer difference
+    ``alpha - beta``: pairs with one difference share a mean, and a pair
+    whose difference is the negative of another's gets that mean's conjugate,
+    bit for bit.  On the atoms, the character is a product of powers of the
+    primes' phases ``p_r^{-it}`` (see :func:`_characters`), one complex
+    exponential per prime and time.  If a source measure is supplied, the
+    reference moment ``sum_j c_j omega_j^alpha conj(omega_j)^beta`` is
+    attached.
     """
     normalized = []
     for alpha, beta in pairs:
@@ -167,41 +198,44 @@ def recover_moments(
         times = lam.t[inside]
         mass = exact_sum(w)
 
-    diffs = []
+    # A pair's character is prod_r z_r^(alpha_r - beta_r), z_r = p_r^{-it}:
+    # pairs with one exponent difference share it, and the difference -d
+    # has the conjugate mean of d.  Each difference is taken with its first
+    # nonzero entry positive, and its mean conjugated where it was flipped.
+    dimension = basis.dimension
+    diffs, keys, flips = [], [], []
     for alpha, beta in normalized:
-        diff = np.zeros(basis.dimension)
-        diff[: alpha.length] += alpha.exponents
-        diff[: beta.length] -= beta.exponents
+        diff = tuple(a - b for a, b in zip(alpha.padded(dimension), beta.padded(dimension)))
+        flip = next((e < 0 for e in diff if e), False)
         diffs.append(diff)
-    log_ratios = [float(diff @ basis.logs) for diff in diffs]
-
-    # The character depends on the pair only through log_ratio, so pairs
-    # with the same alpha - beta share one evaluation.  On the Lebesgue line
-    # a phase T * log_ratio past float64 takes the kernel's limit 0.
-    distinct = list(dict.fromkeys(log_ratios))
+        keys.append(tuple(-e for e in diff) if flip else diff)
+        flips.append(flip)
+    distinct = list(dict.fromkeys(keys))
     if lam is None:
-        means = [complex(_mean_kernel(T * r)) if math.isfinite(T * r) else 0j
-                 for r in distinct]
-    else:
+        # a phase T * log_ratio past float64 takes the kernel's limit 0
         means = []
-        for log_ratio in distinct:
-            phases = -1j * log_ratio * times
-            np.exp(phases, out=phases)
-            means.append(complex(exact_sum(phases.real * w) / mass,
-                                 exact_sum(phases.imag * w) / mass))
-    empirical_by_ratio = dict(zip(distinct, means))
+        for key in distinct:
+            x = T * float(np.array(key, dtype=np.float64) @ basis.logs)
+            means.append(complex(_mean_kernel(x)) if math.isfinite(x) else 0j)
+    else:
+        means = [complex(exact_sum(phases.real * w) / mass,
+                         exact_sum(phases.imag * w) / mass)
+                 for phases in _characters(times, basis.logs, distinct)]
+    mean_of = dict(zip(distinct, means))
     out = []
-    for (alpha, beta), diff, log_ratio in zip(normalized, diffs, log_ratios):
+    for (alpha, beta), diff, key, flip in zip(normalized, diffs, keys, flips):
         reference = None
         if mu is not None:
             acc = 0j
+            exponents = np.array(diff, dtype=np.float64)
             for omega, c in mu.atoms:
                 # coordinates past the basis do not enter the character
-                theta = np.zeros(basis.dimension)
-                theta[: omega.dimension] = omega.angles[: basis.dimension]
-                acc += c * np.exp(1j * float(diff @ theta))
+                theta = np.zeros(dimension)
+                theta[: omega.dimension] = omega.angles[:dimension]
+                acc += c * np.exp(1j * float(exponents @ theta))
             reference = complex(acc)
-        out.append(MomentPair(alpha, beta, empirical_by_ratio[log_ratio], reference))
+        empirical = mean_of[key].conjugate() if flip else mean_of[key]
+        out.append(MomentPair(alpha, beta, empirical, reference))
     return out
 
 

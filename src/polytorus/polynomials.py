@@ -9,17 +9,25 @@ pointwise evaluation and the exact closed form for vertical-line mean squares.
 All types are immutable after construction.  :func:`eval_dirichlet` and the
 line-mean kernels work in blocks of bounded size, so their memory grows with
 neither the number of times nor the number of pairs of terms.
+
+:func:`eval_dirichlet` reads the vertical line as the flow on the polytorus:
+where the frequencies share small primes, it takes one complex exponential
+per time for each such prime, ``z_p = p^{-it}``, and forms the terms' phases
+from integer powers of these (see :class:`_Lift`).  Each polynomial factors
+its frequencies once, on first use, and :func:`minimal_basis` reads the same
+factoring.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, FrequencyOverflowError
-from .primes import PrimeBasis
+from .primes import PrimeBasis, first_primes
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,6 +48,25 @@ _KERNEL_ROWS = 32
 # Values in a block of eval_dirichlet, about 2 MiB of complex values: memory
 # grows neither with the number of times nor with the number of terms.
 _EVAL_VALUES = 1 << 17
+
+# minimal_basis looks for a basis among the first _REACH primes (2 to 313),
+# and eval_dirichlet lifts none but these.
+_REACH = 65
+_PRIMES = first_primes(_REACH)
+_PRIME_INDEX = {p: j for j, p in enumerate(_PRIMES)}
+
+# The cost of a complex exponential in _choose_lift's units, one pass of a
+# complex product or copy over a term's column: about 35 ns against about
+# 2 ns a value, measured on a 2-vCPU x86-64 host at 4,096 times by 30 terms.
+_EXP_COST = 17
+
+# A lift is taken only if it saves at least this many complex exponentials
+# per time.  Its numpy calls cost about 1.5 us per term and block: 45 us for
+# 30 terms over 2 and 3, whose 28 saved exponentials pay them back from about
+# 50 times on.  So polynomials of at most this many terms, such as the 2- to
+# 5-term test polynomials the builds evaluate at a few times each, keep the
+# per-term form.
+_MIN_SAVED = 8
 
 # lebesgue_line_mean evaluates the pairs whose phase x = T log(n/m) is
 # smaller than this in size by _mean_kernel: there its separable form's
@@ -117,7 +144,7 @@ class DirichletPolynomial:
     built.
     """
 
-    __slots__ = ("_terms", "_coeffs", "_logs")
+    __slots__ = ("_terms", "_coeffs", "_logs", "_factors", "_lift")
 
     def __init__(self, terms):
         cleaned: dict[int, complex] = {}
@@ -147,9 +174,25 @@ class DirichletPolynomial:
         object.__setattr__(self, "_terms", cleaned)
         object.__setattr__(self, "_coeffs", coeffs)
         object.__setattr__(self, "_logs", logs)
+        object.__setattr__(self, "_factors", None)
+        object.__setattr__(self, "_lift", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("DirichletPolynomial is immutable")
+
+    def _factored(self) -> tuple:
+        """:func:`_factor` of each frequency, in increasing order; made on
+        first use, once."""
+        if self._factors is None:
+            object.__setattr__(
+                self, "_factors", tuple(_factor(n) for n in self.frequencies))
+        return self._factors
+
+    def _lifted(self) -> _Lift:
+        """The :class:`_Lift` that evaluates ``f``; made on first use, once."""
+        if self._lift is None:
+            object.__setattr__(self, "_lift", _Lift(self))
+        return self._lift
 
     @property
     def terms(self) -> dict[int, complex]:
@@ -269,19 +312,42 @@ def factor_over_basis(n: int, basis: PrimeBasis) -> MultiIndex:
     return MultiIndex(exps)
 
 
+def _factor(n: int) -> tuple[dict[int, int], int]:
+    """``({j: e}, rest)``: the exponent ``e >= 1`` of each ``_PRIMES[j]`` that
+    divides ``n``, in increasing ``j``, and what is left of ``n`` once they
+    are divided out."""
+    exponents = {}
+    for j, p in enumerate(_PRIMES):
+        if p * p > n:
+            break
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            exponents[j] = e
+    # n is now 1, a prime, or has no prime factor up to _PRIMES[-1]
+    if n in _PRIME_INDEX:
+        exponents[_PRIME_INDEX[n]] = 1
+        n = 1
+    return exponents, n
+
+
 def minimal_basis(f: DirichletPolynomial) -> PrimeBasis:
-    """Smallest prime basis over which every frequency of ``f`` factors."""
-    dim = 1
-    while True:
-        basis = PrimeBasis(dim)
-        try:
-            for n in f.frequencies:
-                factor_over_basis(n, basis)
-            return basis
-        except DimensionError:
-            if dim > 64:
-                raise
-            dim += 1
+    """Smallest prime basis over which every frequency of ``f`` factors.
+
+    Only the first 65 primes (up to 313) are tried; a frequency with a larger
+    prime factor raises :class:`DimensionError`.
+    """
+    top = 0
+    for n, (exponents, rest) in zip(f.frequencies, f._factored()):
+        if rest != 1:
+            raise DimensionError(
+                f"frequency {n} has a prime factor beyond the first {_REACH} "
+                f"primes (leftover {rest})"
+            )
+        top = max(top, *exponents, 0)
+    return PrimeBasis(top + 1)
 
 
 def bohr_lift(f: DirichletPolynomial, basis: PrimeBasis | None = None) -> TorusPolynomial:
@@ -331,10 +397,153 @@ def _damping(f: DirichletPolynomial, sigma: float) -> np.ndarray:
         return np.exp(-sigma * f._logs)
 
 
+class _Powers:
+    """Positive integer powers ``z_j^v`` of the flow phases
+    ``z_j = exp(-i t log p_j)`` of some primes, as the rows of one table with
+    a column per time.
+
+    ``values[j]`` lists the distinct powers wanted of prime ``j``, and
+    :attr:`rows` maps ``(j, v)`` to its row.  A power is the product of the
+    repeated squares ``z_j^(2^i)`` over the set bits of ``v``, lowest first:
+    its cost grows with the bit length of ``v``, and its bits depend on
+    ``z_j`` and ``v`` alone.
+    """
+
+    __slots__ = ("logs", "rows", "levels")
+
+    def __init__(self, logs, values):
+        self.logs = [float(log) for log in logs]
+        keys = [(j, v) for j, wanted in enumerate(values) for v in wanted]
+        self.rows = {key: row for row, key in enumerate(keys)}
+        # per prime and bit i: (row, whether i is the lowest set bit) of each
+        # power that has bit i
+        self.levels = [
+            [[(self.rows[j, v], v & -v == 1 << i) for v in wanted if v >> i & 1]
+             for i in range(max(wanted, default=0).bit_length())]
+            for j, wanted in enumerate(values)]
+
+    def __call__(self, times) -> np.ndarray:
+        """The table at ``times``: shape ``(len(rows), len(times))``."""
+        table = np.empty((len(self.rows), len(times)), dtype=np.complex128)
+        for log, levels in zip(self.logs, self.levels):
+            square = -1j * (log * times)
+            np.exp(square, out=square)
+            # no product is written over one of its factors: for a single
+            # time numpy would take another loop, with other bits
+            for i, hits in enumerate(levels):
+                if i:
+                    square = square * square
+                for row, lowest in hits:
+                    table[row] = square if lowest else table[row] * square
+        return table
+
+
+class _Lift:
+    """How :func:`eval_dirichlet` forms the phases ``exp(-i t log n)`` of a
+    polynomial's terms.
+
+    With no prime lifted, the phases are the per-term exponentials.  With
+    some primes ``p`` lifted, ``n = r_n * prod_p p^e_p`` and the phase is
+    ``exp(-i t log r_n) * prod_p z_p^e_p``: one complex exponential per time
+    for each lifted prime and each distinct ``r_n`` other than 1, the powers
+    ``z_p^e_p`` from :class:`_Powers`, and each term's factors multiplied into
+    its column, left to right.  :func:`_choose_lift` picks the primes.
+    """
+
+    __slots__ = ("residue_logs", "powers", "factors")
+
+    def __init__(self, f: DirichletPolynomial):
+        lifted, residues = _choose_lift(f)
+        self.powers = self.factors = None
+        if not lifted:
+            self.residue_logs = f._logs
+            return
+        distinct = sorted(set(residues) - {1})
+        self.residue_logs = np.array([math.log(r) for r in distinct])
+        exponents = [[e.get(j, 0) for j in lifted] for e, _ in f._factored()]
+        self.powers = _Powers(
+            [math.log(_PRIMES[j]) for j in lifted],
+            [sorted({row[k] for row in exponents} - {0}) for k in range(len(lifted))])
+        # per term: its residue's column (or None for 1), then its powers' rows
+        position = {r: i for i, r in enumerate(distinct)}
+        self.factors = [
+            (position.get(r), [self.powers.rows[k, e] for k, e in enumerate(row) if e])
+            for r, row in zip(residues, exponents)]
+
+    @property
+    def exponentials(self) -> int:
+        """Complex exponentials taken per time."""
+        return len(self.residue_logs) + (0 if self.powers is None else len(self.powers.logs))
+
+    def phases(self, times) -> np.ndarray:
+        """``exp(-i t log n)`` for each time (rows) and term (columns)."""
+        residues = -1j * np.multiply.outer(times, self.residue_logs)
+        np.exp(residues, out=residues)
+        if self.powers is None:
+            return residues
+        table = self.powers(times)
+        terms = np.empty((len(times), len(self.factors)), dtype=np.complex128)
+        for column, (residue, rows) in zip(terms.T, self.factors):
+            parts = [] if residue is None else [residues[:, residue]]
+            parts += [table[row] for row in rows]
+            product = parts[0] if parts else 1.0
+            for part in parts[1:]:
+                product = product * part
+            column[...] = product
+        return terms
+
+
+def _choose_lift(f: DirichletPolynomial) -> tuple[list[int], list[int]]:
+    """The primes to lift (indices into ``_PRIMES``, increasing) and what is
+    left of each frequency once they are divided out.
+
+    A lift costs, per time, ``_EXP_COST`` for each complex exponential plus
+    one pass over each term's column for each factor it multiplies (at least
+    one, a copy); no lift costs ``_EXP_COST`` per term.  Starting from no
+    lift, the prime that divides at least two frequencies and lowers the cost
+    most is lifted, while one lowers it.  Each step then takes fewer
+    exponentials than the one before, so a lift never takes more than the
+    polynomial has terms.  A lift that saves fewer than ``_MIN_SAVED``
+    exponentials is dropped.
+    """
+    frequencies = list(f.frequencies)
+    if len(frequencies) <= _MIN_SAVED:
+        return [], frequencies
+    factored = [exponents for exponents, _ in f._factored()]
+    shared = Counter(j for exponents in factored for j in exponents)
+    candidates = sorted(j for j, count in shared.items() if count > 1)
+
+    def exponentials(lifted, residues):
+        return len(lifted) + len(set(residues) - {1})
+
+    def cost(lifted, residues):
+        passes = sum(max(1, (r != 1) + sum(j in exponents for j in lifted))
+                     for r, exponents in zip(residues, factored))
+        return _EXP_COST * exponentials(lifted, residues) + passes
+
+    lifted, residues = [], frequencies
+    best = _EXP_COST * len(frequencies)
+    while True:
+        trials = []
+        for j in candidates:
+            if j not in lifted:
+                p = _PRIMES[j]
+                trial = [r // p ** exponents.get(j, 0)
+                         for r, exponents in zip(residues, factored)]
+                trials.append((cost(lifted + [j], trial), j, trial))
+        step = min(trials, key=lambda item: item[:2], default=None)
+        if step is None or step[0] >= best:
+            break
+        best, j, residues = step
+        lifted.append(j)
+    if lifted and len(frequencies) - exponentials(lifted, residues) < _MIN_SAVED:
+        return [], frequencies
+    return sorted(lifted), residues
+
+
 def _term_sums(f: DirichletPolynomial, amps, times):
     """``sum_n amps_n exp(-i t log n)`` for every ``t`` in ``times``."""
-    terms = -1j * np.multiply.outer(times, f._logs)
-    np.exp(terms, out=terms)
+    terms = f._lifted().phases(times)
     terms *= amps
     # each row summed along the term axis on its own (not matmul), so
     # scalar, batched and blocked calls agree bit for bit
@@ -346,7 +555,13 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
 
     Returns ``sum_n a_n n^{-sigma} exp(-i t log n)``; requires ``sigma >= 0``.
     The times are evaluated in blocks of ``max(1, _EVAL_VALUES // len(f))``
-    times.
+    times.  The phases ``exp(-i t log n)`` are one complex exponential per
+    term, or, where :func:`_choose_lift` finds it cheaper, powers of the
+    lifted primes' phases ``p^{-it}`` times the exponential of what is left
+    of ``n`` (:class:`_Lift`).  Either way each term's phase depends on its
+    own time alone, and each time's terms are summed on their own, so
+    scalar, batched and blocked calls agree bit for bit.  The lifted phases
+    carry the same rounding as the per-term ones, about ``t log n`` ulp.
     """
     if sigma < 0:
         raise DomainError(f"sigma must be >= 0, got {sigma}")

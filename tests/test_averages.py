@@ -355,6 +355,39 @@ class TestMoments:
             assert repr(got.reference) == repr(alone.reference)
 
 
+def assert_conjugates(a, b):
+    assert (a.real.hex(), a.imag.hex()) == (b.real.hex(), (-b.imag).hex())
+
+
+INDICES = [(a1, a2) for a1 in range(3) for a2 in range(3)]
+UNEQUAL_PAIRS = [(a, b) for a in INDICES for b in INDICES if a != b]
+
+
+class TestConjugatePairs:
+    """A pair and its swap have characters d and -d: conjugate means, bit for
+    bit, down to the sign of a zero imaginary part."""
+
+    @pytest.mark.parametrize("atomic", [True, False])
+    def test_swapped_pairs(self, delta_setup, atomic):
+        _, _, lam = delta_setup
+        source, T = (lam, float(lam.t[-1])) if atomic else (None, 37.5)
+        moments = recover_moments(source, PrimeBasis(2), UNEQUAL_PAIRS, T)
+        by_pair = {(m.alpha, m.beta): m.empirical for m in moments}
+        for m in moments:
+            assert_conjugates(m.empirical, by_pair[m.beta, m.alpha])
+
+    def test_zero_imaginary_parts_at_time_zero(self):
+        # one atom at t = 0: every character is 1, with an imaginary part of
+        # +0 or -0
+        lam = AtomicLineMeasure([0.0], [1.0], [1], [1], [1],
+                                level_boundaries=(1.0,), total_mass_by_level=(1.0,))
+        moments = recover_moments(lam, PrimeBasis(2), UNEQUAL_PAIRS, 1.0)
+        by_pair = {(m.alpha, m.beta): m.empirical for m in moments}
+        for m in moments:
+            assert m.empirical.real == 1.0 and m.empirical.imag == 0.0
+            assert_conjugates(m.empirical, by_pair[m.beta, m.alpha])
+
+
 class TestErrorBound:
     def test_bound_is_positive_and_shrinks(self, rng):
         mu = random_point_mass(rng, d=2, n_atoms=2)

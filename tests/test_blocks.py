@@ -27,6 +27,7 @@ from polytorus import (
 )
 from polytorus import _blocks, polynomials
 from polytorus._blocks import exact_sum
+from polytorus.averages import _characters
 from polytorus.polynomials import _mean_kernel, _upper_sum
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -192,6 +193,18 @@ class TestBlocksKeepTheBits:
         assert grid.tobytes() == flat.tobytes()
         assert repr(complex(flat[5])) == repr(scalar)
 
+    def test_eval_dirichlet_lifted(self):
+        # powers of the phases of 2 and 3, and the residues 5 and 7 left
+        f = DirichletPolynomial({2**a * 3**b * r: complex(1.0 / (a + 1), b - r)
+                                 for a in range(4) for b in range(3) for r in (1, 5, 7)})
+        assert f._lifted().powers is not None
+        t = np.linspace(-5e4, 3e7, 3 * 3640 + 7)
+        blocked = eval_dirichlet(f, 0.25, t)
+        scalar = np.array([eval_dirichlet(f, 0.25, float(x)) for x in t[::97]])
+        assert blocked[::97].tobytes() == scalar.tobytes()
+        grid = eval_dirichlet(f, 0.25, t.reshape(7, 1561))
+        assert grid.tobytes() == blocked.tobytes()
+
     # the blocked sum against every pair in the closed form, one row at a time
     @pytest.mark.parametrize("sigma, T", [(1.0, 1e8), (0.0, 0.5), (0.5, 1e3)])
     def test_lebesgue_line_mean(self, terms_2000, sigma, T):
@@ -219,15 +232,13 @@ class TestBlocksKeepTheBits:
         mu = TorusPointMassMeasure([((0.3, 2.0), 0.25), ((4.0, 1.0), 0.75)])
         T = float(long_measure.t[-200])
         moments = recover_moments(long_measure, basis, pairs, T, mu)
-        # the bits of the fsum form the moments had before exact_sum
+        # the bits of the fsum form of the same characters
         inside = long_measure.t <= T
         times, w = long_measure.t[inside], long_measure.w[inside]
         mass = math.fsum(w)
         for (alpha, beta), moment in zip(pairs, moments):
-            diff = np.zeros(2)
-            diff[:len(alpha)] += alpha
-            diff[:len(beta)] -= beta
-            phases = np.exp(-1j * float(diff @ basis.logs) * times)
+            diff = tuple(a - b for a, b in zip(alpha, beta))
+            phases, = _characters(times, basis.logs, [diff])
             assert repr(moment.empirical) == repr(complex(
                 math.fsum(phases.real * w) / mass, math.fsum(phases.imag * w) / mass))
 

@@ -8,6 +8,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -536,6 +537,27 @@ class TestHugeButFiniteInputs:
         worst = summary["key_metrics"]["worst_abs_error"]
         assert worst == abs(complex(row["reference_re"], row["reference_im"]))
         assert summary["pass"] is (worst < 0.2) and code == (0 if worst < 0.2 else 1)
+
+    @pytest.mark.parametrize("source", ["atoms", "lebesgue"])
+    def test_moment_exponents_near_2_53_finish_at_once(self, source, workdir, capsys):
+        # a power is taken by repeated squaring: 53 squarings for 2^53
+        chosen = ["--lebesgue"]
+        if source == "atoms":
+            atoms = workdir / "atoms.jsonl"
+            run_cli(["build-measure", "--mu", workdir / "mu.json",
+                     "--levels", "3", "--out", atoms], capsys)
+            chosen = ["--atoms", atoms]
+        top = 2**53
+        pairs = f"{top},1:0,{top - 1};0,{top - 1}:{top},1;{top - 1}:{top};0,{top}:{top},0"
+        started = time.perf_counter()
+        code, out, err = run_cli(
+            ["moments", *chosen, "--pairs", pairs, "--t-max", "1e9"], capsys)
+        assert time.perf_counter() - started < 0.5
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 0:
+            first, swapped = json.loads(out[0]), json.loads(out[1])
+            assert first["empirical_re"] == swapped["empirical_re"]
+            assert first["empirical_im"] == -swapped["empirical_im"]
 
     def test_a_nan_moment_error_fails(self, workdir, capsys, monkeypatch):
         # max(0.0, nan) is 0.0: the NaN after an exact pair used to pass

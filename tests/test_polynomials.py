@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -127,6 +128,23 @@ class TestBohrLift:
     def test_minimal_basis(self):
         assert minimal_basis(DirichletPolynomial({30: 1})).dimension == 3
 
+    def test_minimal_basis_reach(self):
+        # 313 is the 65th prime, the last that minimal_basis tries
+        assert minimal_basis(DirichletPolynomial({2: 1, 313: 1})).dimension == 65
+        assert minimal_basis(DirichletPolynomial({1: 1})).dimension == 1
+        assert minimal_basis(DirichletPolynomial({})).dimension == 1
+        with pytest.raises(DimensionError, match=r"frequency 634 has a prime factor "
+                           r"beyond the first 65 primes \(leftover 317\)"):
+            minimal_basis(DirichletPolynomial({2: 1, 634: 1, 2 * 331: 1}))
+
+    def test_minimal_basis_reads_the_one_factoring(self, monkeypatch):
+        # it used to factor every frequency again for each dimension up to 65
+        f = DirichletPolynomial({n: 1.0 for n in range(1, 301)})
+        f._factored()
+        monkeypatch.setattr(polynomials, "_factor", None)
+        assert minimal_basis(f) == PrimeBasis(62)  # 293, the 62nd prime
+        assert bohr_lift(f).basis == PrimeBasis(62)
+
     def test_round_trip_random(self, rng):
         for _ in range(50):
             f = random_dirichlet(rng, d=3, max_terms=10, max_exp=4)
@@ -208,6 +226,134 @@ class TestFlow:
             rhs = abs(eval_torus(bohr_lift(f, basis), flow_point(basis, t))) ** 2
             scale = f.sup_square_bound()
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12 * scale)
+
+    def test_bohr_consistency_up_to_3e7(self, rng):
+        # both routes carry a phase error of about t log n ulp per term
+        basis = PrimeBasis(3)
+        for _ in range(60):
+            f = random_dirichlet(rng, d=3, max_terms=30)
+            t = float(rng.uniform(0, 3e7))
+            lhs = eval_dirichlet(f, 0.0, t)
+            rhs = eval_torus(bohr_lift(f, basis), flow_point(basis, t))
+            assert abs(lhs - rhs) <= 2 * flow_error_bound(f, 0.0, t)
+
+
+EPS = 2.0**-52
+
+
+def flow_error_bound(f, sigma, t):
+    """Rounding bound for ``f(sigma + it)`` from float64 phases: per term, the
+    argument ``t log n`` is off by about ``t log n`` ulp, the powers' products
+    by about 2 ulp per bit of ``n``, and the coefficients and the sum by
+    about ``len(f)`` ulp."""
+    return 2 * EPS * sum(
+        abs(a) * n ** -sigma * (abs(t) * math.log(n) + 2 * n.bit_length() + len(f))
+        for n, a in f.terms.items())
+
+
+def per_term_values(f, sigma, ts):
+    """``sum_n a_n n^-sigma exp(-i t log n)``, one ``cmath.exp`` per term."""
+    return [sum(a * n ** -sigma * cmath.exp(-1j * (t * math.log(n)))
+                for n, a in f.terms.items()) for t in ts]
+
+
+def mpmath_values(f, sigma, ts):
+    """``f(sigma + it)`` summed with 40 digits at each float ``t``."""
+    with mpmath.workdps(40):
+        power = -mpmath.mpf(sigma)
+        return [complex(mpmath.fsum(
+            mpmath.mpc(a) * mpmath.power(n, power) * mpmath.expj(-mpmath.mpf(t) * mpmath.log(n))
+            for n, a in f.terms.items())) for t in ts]
+
+
+def coefficients(rng, frequencies):
+    return DirichletPolynomial({n: complex(*rng.uniform(-1.0, 1.0, 2)) for n in frequencies})
+
+
+# frequencies for the lift: 1, primes past 313, prime powers up to 2^62 and
+# 2^63 - 1, and products of small primes that share factors
+MAX_POWER = {p: max(e for e in range(1, 64) if p**e <= 2**63 - 1)
+             for p in first_primes(65)}
+FREQUENCY = st.one_of(
+    st.just(1),
+    st.integers(2, 10**6),
+    st.sampled_from([317, 331, 10007, 2**31 - 1, 2**61 - 1]),
+    st.sampled_from(sorted(MAX_POWER)).flatmap(
+        lambda p: st.integers(1, MAX_POWER[p]).map(lambda e: p**e)),
+    st.sampled_from([2**62, 2**63 - 1]),
+    st.builds(lambda a, b, c: 2**a * 3**b * 5**c,
+              st.integers(0, 20), st.integers(0, 12), st.integers(0, 8)),
+)
+SMOOTH_30 = {n: 1.0 - 0.5j for n in sorted(2**a * 3**b for a in range(6) for b in range(6))[:30]}
+
+
+class TestFlowLift:
+    """eval_dirichlet's phases: per-term exponentials, or powers of lifted
+    primes' phases times the exponential of what is left."""
+
+    @pytest.mark.parametrize("name, frequencies, lifted", [
+        ("smooth, every residue 1", sorted(SMOOTH_30), True),
+        ("residues past the lifted 2", [2**a * r for a in range(8) for r in (1, 3, 5, 7, 11)], True),
+        ("five terms", [1, 2, 6, 15, 45], False),
+        ("prime powers to 2^63 - 1", [1, 2**40, 2**41, 2**42, 2**43, 2**44, 2**45,
+                                      2**46, 2**61 * 3, 2**62, 3**39, 5**27, 2**63 - 1], True),
+        ("large primes", [p * q for p in (2, 3, 5) for q in (317, 331, 337, 347, 349)], False),
+    ])
+    def test_matches_mpmath_up_to_3e7(self, rng, name, frequencies, lifted):
+        f = coefficients(rng, frequencies)
+        assert (f._lifted().powers is not None) is lifted
+        ts = np.concatenate([[0.0, 1.0, 50.0], rng.uniform(0.0, 3e7, 10), [3e7]])
+        for sigma in (0.0, 0.25):
+            values = eval_dirichlet(f, sigma, ts)
+            for t, value, exact in zip(ts, values, mpmath_values(f, sigma, ts)):
+                assert abs(value - exact) <= flow_error_bound(f, sigma, t), (name, t)
+
+    @given(st.dictionaries(FREQUENCY, st.complex_numbers(min_magnitude=0.1, max_magnitude=10),
+                           min_size=1, max_size=40),
+           st.floats(0.0, 3e7), st.floats(0.0, 2.0))
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_per_term_exponentials(self, terms, t, sigma):
+        f = DirichletPolynomial(terms)
+        assert f._lifted().exponentials <= len(f)
+        ts = [t, 0.5 * t, 0.0]
+        values = eval_dirichlet(f, sigma, np.array(ts))
+        for s, value, reference in zip(ts, values, per_term_values(f, sigma, ts)):
+            assert abs(value - reference) <= 2 * flow_error_bound(f, sigma, s)
+
+    def test_smooth_polynomial_lifts_2_and_3(self):
+        lift = DirichletPolynomial(SMOOTH_30)._lifted()
+        assert lift.powers.logs == [math.log(2), math.log(3)]
+        assert lift.exponentials == 2
+
+    @pytest.mark.parametrize("frequencies", [
+        [2, 4, 8], [1, 2, 4, 8, 16, 32, 64, 128], [1, 2, 3, 6, 12],
+        [p * q for p in (2, 3, 5) for q in (317, 331, 337, 347, 349)]])
+    def test_unlifted_form_is_the_per_term_formula(self, rng, frequencies):
+        # at most 8 terms, or no prime that pays: the bits of one np.exp per term
+        f = coefficients(rng, frequencies)
+        assert f._lifted().powers is None
+        assert f._lifted().exponentials == len(f)
+        t = rng.uniform(0.0, 3e7, 100)
+        amps = f._coeffs * np.exp(-0.25 * f._logs)
+        terms = -1j * np.multiply.outer(t, f._logs)
+        np.exp(terms, out=terms)
+        terms *= amps
+        assert eval_dirichlet(f, 0.25, t).tobytes() == terms.sum(axis=-1).tobytes()
+
+    def test_powers_up_to_2_53_by_squaring(self):
+        # 53 squarings for 2^53, not 2^53 products; each squaring doubles the
+        # error in phase and modulus, so z^e is off by about e ulp: at 2^53
+        # by about 1, as the float phase e * t * log 2 already is
+        t = np.array([0.0, 1e-9, 3.0])
+        values = [1, 3, 2**20, 2**53 - 1, 2**53]
+        powers = polynomials._Powers([math.log(2)], [values])
+        table = powers(t)
+        assert table[powers.rows[0, 1]].tobytes() == np.exp(-1j * (math.log(2) * t)).tobytes()
+        for e in values[:3]:
+            exact = [cmath.exp(-1j * e * s * math.log(2)) for s in t]
+            error = abs(table[powers.rows[0, e]] - exact)
+            assert (error <= 8 * EPS * e * (1 + t * math.log(2))).all()
+        assert np.isfinite(table).all()
 
 
 class TestExpansionIdentity:
