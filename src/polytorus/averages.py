@@ -135,16 +135,7 @@ def _characters(times, logs, keys):
                                   for j in used])
     table = powers(times)
     for key in keys:
-        phases = np.ones(len(times), dtype=np.complex128)
-        for k, j in enumerate(used):
-            if key[j]:
-                # times conj(power), as conj(conj(phases) * power): in place
-                if key[j] < 0:
-                    np.conjugate(phases, out=phases)
-                phases *= table[powers.rows[k, abs(key[j])]]
-                if key[j] < 0:
-                    np.conjugate(phases, out=phases)
-        yield phases
+        yield powers.product(table, [key[j] for j in used])
 
 
 @dataclass(frozen=True)

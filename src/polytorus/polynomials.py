@@ -21,6 +21,7 @@ factoring.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -53,12 +54,6 @@ _EVAL_VALUES = 1 << 17
 # and eval_dirichlet lifts none but these.
 _REACH = 65
 _PRIMES = first_primes(_REACH)
-_PRIME_INDEX = {p: j for j, p in enumerate(_PRIMES)}
-
-# The cost of a complex exponential in _choose_lift's units, one pass of a
-# complex product or copy over a term's column: about 35 ns against about
-# 2 ns a value, measured on a 2-vCPU x86-64 host at 4,096 times by 30 terms.
-_EXP_COST = 17
 
 # A lift is taken only if it saves at least this many complex exponentials
 # per time.  Its numpy calls cost about 1.5 us per term and block: 45 us for
@@ -296,28 +291,21 @@ def factor_over_basis(n: int, basis: PrimeBasis) -> MultiIndex:
     n = int(n)
     if n < 1:
         raise DomainError(f"frequency must be >= 1, got {n}")
-    exps = []
-    rest = n
-    for p in basis.primes:
-        e = 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        exps.append(e)
+    exponents, rest = _factor(n, basis.primes)
     if rest != 1:
         raise DimensionError(
             f"frequency {n} has a prime factor beyond the first "
             f"{basis.dimension} primes (leftover {rest})"
         )
-    return MultiIndex(exps)
+    return MultiIndex(exponents.get(j, 0) for j in range(max(exponents, default=-1) + 1))
 
 
-def _factor(n: int) -> tuple[dict[int, int], int]:
-    """``({j: e}, rest)``: the exponent ``e >= 1`` of each ``_PRIMES[j]`` that
+def _factor(n: int, primes=_PRIMES) -> tuple[dict[int, int], int]:
+    """``({j: e}, rest)``: the exponent ``e >= 1`` of each ``primes[j]`` that
     divides ``n``, in increasing ``j``, and what is left of ``n`` once they
-    are divided out."""
+    are divided out.  ``primes`` are the first primes, in order."""
     exponents = {}
-    for j, p in enumerate(_PRIMES):
+    for j, p in enumerate(primes):
         if p * p > n:
             break
         if n % p == 0:
@@ -326,9 +314,10 @@ def _factor(n: int) -> tuple[dict[int, int], int]:
                 n //= p
                 e += 1
             exponents[j] = e
-    # n is now 1, a prime, or has no prime factor up to _PRIMES[-1]
-    if n in _PRIME_INDEX:
-        exponents[_PRIME_INDEX[n]] = 1
+    # n is now 1, a prime, or has no prime factor up to primes[-1]; a prime
+    # up to primes[-1] is one of them
+    if 1 < n <= primes[-1]:
+        exponents[bisect_left(primes, n)] = 1
         n = 1
     return exponents, n
 
@@ -403,10 +392,10 @@ class _Powers:
     a column per time.
 
     ``values[j]`` lists the distinct powers wanted of prime ``j``, and
-    :attr:`rows` maps ``(j, v)`` to its row.  A power is the product of the
-    repeated squares ``z_j^(2^i)`` over the set bits of ``v``, lowest first:
-    its cost grows with the bit length of ``v``, and its bits depend on
-    ``z_j`` and ``v`` alone.
+    :meth:`product` multiplies them.  A power is the product of the repeated
+    squares ``z_j^(2^i)`` over the set bits of ``v``, lowest first: its cost
+    grows with the bit length of ``v``, and its bits depend on ``z_j`` and
+    ``v`` alone.
     """
 
     __slots__ = ("logs", "rows", "levels")
@@ -437,6 +426,27 @@ class _Powers:
                     table[row] = square if lowest else table[row] * square
         return table
 
+    def product(self, table, exponents, first=None) -> np.ndarray:
+        """``first`` times ``prod_j z_j^exponents[j]``, the powers read from
+        ``table``; the power of a negative exponent is the conjugate of the
+        positive one's.
+
+        The factors are multiplied left to right, each product a new array
+        (a single factor is returned itself, no factor gives ones), so the
+        bits of a time depend on that time alone.
+        """
+        parts = [] if first is None else [first]
+        for j, e in enumerate(exponents):
+            if e:
+                row = table[self.rows[j, abs(e)]]
+                parts.append(row if e > 0 else row.conjugate())
+        if not parts:
+            return np.ones(table.shape[1], dtype=np.complex128)
+        product = parts[0]
+        for part in parts[1:]:
+            product = product * part
+        return product
+
 
 class _Lift:
     """How :func:`eval_dirichlet` forms the phases ``exp(-i t log n)`` of a
@@ -446,29 +456,38 @@ class _Lift:
     some primes ``p`` lifted, ``n = r_n * prod_p p^e_p`` and the phase is
     ``exp(-i t log r_n) * prod_p z_p^e_p``: one complex exponential per time
     for each lifted prime and each distinct ``r_n`` other than 1, the powers
-    ``z_p^e_p`` from :class:`_Powers`, and each term's factors multiplied into
-    its column, left to right.  :func:`_choose_lift` picks the primes.
+    ``z_p^e_p`` from :class:`_Powers`, and each term's factors multiplied left
+    to right by :meth:`_Powers.product`.
+
+    Every prime that divides two or more frequencies is lifted, if that saves
+    at least ``_MIN_SAVED`` complex exponentials per time; otherwise none is.
+    So a lift always takes fewer exponentials than the polynomial has terms.
     """
 
     __slots__ = ("residue_logs", "powers", "factors")
 
     def __init__(self, f: DirichletPolynomial):
-        lifted, residues = _choose_lift(f)
+        self.residue_logs = f._logs
         self.powers = self.factors = None
-        if not lifted:
-            self.residue_logs = f._logs
+        # fewer terms cannot save _MIN_SAVED exponentials: they are not factored
+        if len(f) <= _MIN_SAVED:
             return
+        factored = [exponents for exponents, _ in f._factored()]
+        shared = Counter(j for exponents in factored for j in exponents)
+        lifted = sorted(j for j, count in shared.items() if count > 1)
+        exponents = [[e.get(j, 0) for j in lifted] for e in factored]
+        residues = [n // math.prod(_PRIMES[j] ** e for j, e in zip(lifted, row))
+                    for n, row in zip(f.frequencies, exponents)]
         distinct = sorted(set(residues) - {1})
+        if len(f) - len(lifted) - len(distinct) < _MIN_SAVED:
+            return
         self.residue_logs = np.array([math.log(r) for r in distinct])
-        exponents = [[e.get(j, 0) for j in lifted] for e, _ in f._factored()]
         self.powers = _Powers(
             [math.log(_PRIMES[j]) for j in lifted],
             [sorted({row[k] for row in exponents} - {0}) for k in range(len(lifted))])
-        # per term: its residue's column (or None for 1), then its powers' rows
         position = {r: i for i, r in enumerate(distinct)}
-        self.factors = [
-            (position.get(r), [self.powers.rows[k, e] for k, e in enumerate(row) if e])
-            for r, row in zip(residues, exponents)]
+        # per term: its residue's column (or None for 1), then its exponents
+        self.factors = [(position.get(r), row) for r, row in zip(residues, exponents)]
 
     @property
     def exponentials(self) -> int:
@@ -483,62 +502,10 @@ class _Lift:
             return residues
         table = self.powers(times)
         terms = np.empty((len(times), len(self.factors)), dtype=np.complex128)
-        for column, (residue, rows) in zip(terms.T, self.factors):
-            parts = [] if residue is None else [residues[:, residue]]
-            parts += [table[row] for row in rows]
-            product = parts[0] if parts else 1.0
-            for part in parts[1:]:
-                product = product * part
-            column[...] = product
+        for column, (residue, exponents) in zip(terms.T, self.factors):
+            first = None if residue is None else residues[:, residue]
+            column[...] = self.powers.product(table, exponents, first)
         return terms
-
-
-def _choose_lift(f: DirichletPolynomial) -> tuple[list[int], list[int]]:
-    """The primes to lift (indices into ``_PRIMES``, increasing) and what is
-    left of each frequency once they are divided out.
-
-    A lift costs, per time, ``_EXP_COST`` for each complex exponential plus
-    one pass over each term's column for each factor it multiplies (at least
-    one, a copy); no lift costs ``_EXP_COST`` per term.  Starting from no
-    lift, the prime that divides at least two frequencies and lowers the cost
-    most is lifted, while one lowers it.  Each step then takes fewer
-    exponentials than the one before, so a lift never takes more than the
-    polynomial has terms.  A lift that saves fewer than ``_MIN_SAVED``
-    exponentials is dropped.
-    """
-    frequencies = list(f.frequencies)
-    if len(frequencies) <= _MIN_SAVED:
-        return [], frequencies
-    factored = [exponents for exponents, _ in f._factored()]
-    shared = Counter(j for exponents in factored for j in exponents)
-    candidates = sorted(j for j, count in shared.items() if count > 1)
-
-    def exponentials(lifted, residues):
-        return len(lifted) + len(set(residues) - {1})
-
-    def cost(lifted, residues):
-        passes = sum(max(1, (r != 1) + sum(j in exponents for j in lifted))
-                     for r, exponents in zip(residues, factored))
-        return _EXP_COST * exponentials(lifted, residues) + passes
-
-    lifted, residues = [], frequencies
-    best = _EXP_COST * len(frequencies)
-    while True:
-        trials = []
-        for j in candidates:
-            if j not in lifted:
-                p = _PRIMES[j]
-                trial = [r // p ** exponents.get(j, 0)
-                         for r, exponents in zip(residues, factored)]
-                trials.append((cost(lifted + [j], trial), j, trial))
-        step = min(trials, key=lambda item: item[:2], default=None)
-        if step is None or step[0] >= best:
-            break
-        best, j, residues = step
-        lifted.append(j)
-    if lifted and len(frequencies) - exponentials(lifted, residues) < _MIN_SAVED:
-        return [], frequencies
-    return sorted(lifted), residues
 
 
 def _term_sums(f: DirichletPolynomial, amps, times):
@@ -556,9 +523,9 @@ def eval_dirichlet(f: DirichletPolynomial, sigma: float, t):
     Returns ``sum_n a_n n^{-sigma} exp(-i t log n)``; requires ``sigma >= 0``.
     The times are evaluated in blocks of ``max(1, _EVAL_VALUES // len(f))``
     times.  The phases ``exp(-i t log n)`` are one complex exponential per
-    term, or, where :func:`_choose_lift` finds it cheaper, powers of the
-    lifted primes' phases ``p^{-it}`` times the exponential of what is left
-    of ``n`` (:class:`_Lift`).  Either way each term's phase depends on its
+    term or, where the primes shared by the frequencies save at least
+    ``_MIN_SAVED`` of them, powers of those primes' phases ``p^{-it}`` times
+    the exponential of what is left of ``n`` (:class:`_Lift`).  Either way each term's phase depends on its
     own time alone, and each time's terms are summed on their own, so
     scalar, batched and blocked calls agree bit for bit.  The lifted phases
     carry the same rounding as the per-term ones, about ``t log n`` ulp.

@@ -37,6 +37,7 @@ if str(REPO_ROOT) not in sys.path:
 from bench.tracing import Tracer  # noqa: E402
 
 SMALLEST_NORMAL = 2.2250738585072014e-308
+EPS = 2.0**-52
 
 
 def bits(value):
@@ -232,15 +233,22 @@ class TestBlocksKeepTheBits:
         mu = TorusPointMassMeasure([((0.3, 2.0), 0.25), ((4.0, 1.0), 0.75)])
         T = float(long_measure.t[-200])
         moments = recover_moments(long_measure, basis, pairs, T, mu)
-        # the bits of the fsum form of the same characters
         inside = long_measure.t <= T
         times, w = long_measure.t[inside], long_measure.w[inside]
         mass = math.fsum(w)
         for (alpha, beta), moment in zip(pairs, moments):
             diff = tuple(a - b for a, b in zip(alpha, beta))
+            # the bits of the fsum form of the same characters
             phases, = _characters(times, basis.logs, [diff])
             assert repr(moment.empirical) == repr(complex(
                 math.fsum(phases.real * w) / mass, math.fsum(phases.imag * w) / mass))
+            # one exponential of the whole log ratio per atom: the phase of
+            # p^(-i t d) carries about t |d| log p ulp, each squaring one more
+            reference = np.exp(-1j * float(np.dot(diff, basis.logs)) * times)
+            expected = complex(math.fsum(reference.real * w) / mass,
+                               math.fsum(reference.imag * w) / mass)
+            bound = 4 * EPS * (1 + T * float(np.dot(np.abs(diff), basis.logs)))
+            assert abs(moment.empirical - expected) <= bound, (alpha, beta)
 
     def test_convergence_sweep(self, terms_32, long_measure):
         t = long_measure.t

@@ -143,6 +143,7 @@ class TestBohrLift:
         f._factored()
         monkeypatch.setattr(polynomials, "_factor", None)
         assert minimal_basis(f) == PrimeBasis(62)  # 293, the 62nd prime
+        monkeypatch.undo()
         assert bohr_lift(f).basis == PrimeBasis(62)
 
     def test_round_trip_random(self, rng):
