@@ -144,8 +144,13 @@ def dirichlet_from_json(text) -> tuple[DirichletPolynomial, PrimeBasis]:
         if n in terms:
             raise ParseError(f"duplicate frequency {n}")
         terms[n] = _term_coefficient(entry, f"frequency {n}")
-        factor_over_basis(n, basis)  # raises if n needs a larger basis
-    return DirichletPolynomial(terms), basis
+    f = DirichletPolynomial(terms)
+    # f's own factoring (first 65 primes) settles a term within the basis;
+    # factor_over_basis decides, and names, any other
+    for n, (exponents, rest) in zip(f.frequencies, f._factored()):
+        if rest != 1 or max(exponents, default=-1) >= basis.dimension:
+            factor_over_basis(n, basis)
+    return f, basis
 
 
 def torus_to_json(F: TorusPolynomial) -> str:

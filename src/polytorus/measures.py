@@ -49,6 +49,14 @@ class GrowthSchedule:
     name: str
     factors: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        # Refused before any build.  The level plan counts in Python ints, but
+        # an atom file stores the cumulative masses as float64, exact to 2^53.
+        factor = self.factors[0] if len(self.factors) == 1 else None
+        if self.name != "2^k" and not (isinstance(factor, int) and 1 <= factor <= 2**53):
+            raise DomainError(
+                f"growth factor must be an integer in [1, 2^53], got {self.factors!r}")
+
     def __call__(self, k: int) -> int:
         if self.name == "2^k":
             return 2**k
@@ -60,10 +68,6 @@ class GrowthSchedule:
 
     @staticmethod
     def constant(factor: int) -> "GrowthSchedule":
-        factor = int(factor)
-        # The level plan counts repetitions in float64, exact up to 2^53.
-        if not 1 <= factor <= 2**53:
-            raise DomainError(f"growth factor must lie in [1, 2^53], got {factor}")
         return GrowthSchedule(f"const:{factor}", (factor,))
 
     @staticmethod
@@ -216,22 +220,13 @@ class AtomicLineMeasure:
 
 
 def _level_plan(levels: int, growth: GrowthSchedule):
-    """Repetition counts ``M_k`` and cumulative masses; mass of level 0 is 1."""
-    reps = []
-    masses = []
-    prev = 1.0
+    """Repetition counts ``M_k = growth(k) * ||lambda_{k-1}||`` and cumulative
+    masses, in exact ints; the mass of level 0 is 1."""
+    reps, masses = [], []
     for k in range(1, levels + 1):
-        m_k = growth(k) * prev
-        m_int = int(round(m_k))
-        if abs(m_k - m_int) > 1e-9 or m_int < 1:
-            raise ConstructionError(
-                f"repetition count {m_k} at level {k} is not a positive integer",
-                level=k,
-            )
-        reps.append(m_int)
-        total = (prev if k > 1 else 0.0) + m_int
-        masses.append(total)
-        prev = total
+        previous = masses[-1] if masses else 1
+        reps.append(growth(k) * previous)
+        masses.append(reps[-1] + (previous if masses else 0))
     return reps, masses
 
 
@@ -245,11 +240,33 @@ def atom_search(basis: PrimeBasis, depth: int, omega: TorusPoint,
     """The search whose call with ``t_min`` returns the first ``t > t_min``
     within ``2^-depth`` of ``omega`` on the first ``min(depth, d)`` primes.
     Bad input, a ``t_min`` included, raises :class:`DomainError`; a call
-    whose budget runs out raises :class:`BudgetExhaustedError`, which the
-    builders re-raise as a :class:`ConstructionError` naming the atom."""
+    whose budget runs out raises :class:`BudgetExhaustedError`, which
+    :func:`place_repetitions`, the one loop both builders place atoms with,
+    re-raises as a :class:`ConstructionError` naming the atom."""
     active = min(depth, basis.dimension)
     return LatticeSearch(KroneckerProblem(basis, active, omega.angles[:active],
                                           2.0**-depth), budget)
+
+
+def place_repetitions(sources, reps: range, t: float, step: float, level: int):
+    """Place the repetitions ``reps`` of one level from time ``t``: each
+    calls every ``(search, j)`` of ``sources`` in turn, each from the time
+    the previous call returned, and ends one ``step`` past its last atom.
+    Returns the atom times and the next repetition's start.  A search whose
+    budget runs out raises a :class:`ConstructionError` naming the atom."""
+    times = np.empty(len(reps) * len(sources))
+    i = 0
+    for m in reps:
+        for search, j in sources:
+            try:
+                t = search(t)
+            except BudgetExhaustedError as exc:
+                raise ConstructionError(f"solver failed: {exc}", level=level, source=j,
+                                        repetition=m) from exc
+            times[i] = t
+            i += 1
+        t += step
+    return times, t
 
 
 def build_point_mass_lambda(
@@ -276,44 +293,33 @@ def build_point_mass_lambda(
     growth = growth or GrowthSchedule.default()
     basis = PrimeBasis(mu.dimension)
     reps_per_level, masses = _level_plan(levels, growth)
-    total_atoms = len(mu) * sum(reps_per_level)
+    repetitions = sum(reps_per_level)
+    total_atoms = len(mu) * repetitions
     if total_atoms > atom_cap:
         raise CapacityError(
             f"construction would place {total_atoms} atoms, exceeding the cap "
             f"of {atom_cap}; lower the level count or raise the cap"
         )
 
-    t_out = np.empty(total_atoms)
-    w_out = np.empty(total_atoms)
-    lvl_out = np.empty(total_atoms, dtype=np.int64)
-    src_out = np.empty(total_atoms, dtype=np.int64)
-    rep_out = np.empty(total_atoms, dtype=np.int64)
-
+    times = []
     boundaries = []
     t_cursor = 0.0
-    pos = 0
-    for k in range(1, levels + 1):
-        step = scan_step(basis, k)
-        sources = [(j, atom_search(basis, k, omega, solver_budget), c_j)
-                   for j, (omega, c_j) in enumerate(mu.atoms, start=1)]
-        for m in range(1, reps_per_level[k - 1] + 1):
-            for j, search, c_j in sources:
-                try:
-                    t_cursor = search(t_cursor)
-                except BudgetExhaustedError as exc:
-                    raise ConstructionError(f"solver failed: {exc}", level=k, source=j,
-                                            repetition=m) from exc
-                t_out[pos] = t_cursor
-                w_out[pos] = c_j
-                lvl_out[pos] = k
-                src_out[pos] = j
-                rep_out[pos] = m
-                pos += 1
-            t_cursor += step
+    for k, reps in enumerate(reps_per_level, start=1):
+        sources = [(atom_search(basis, k, omega, solver_budget), j)
+                   for j, omega in enumerate(mu.points, start=1)]
+        level_times, t_cursor = place_repetitions(sources, range(1, reps + 1), t_cursor,
+                                                  scan_step(basis, k), k)
+        times.append(level_times)
         boundaries.append(t_cursor)
 
+    # the atoms in order: level k, then repetition m, then source j
+    n = len(mu)
     return AtomicLineMeasure(
-        t_out, w_out, lvl_out, src_out, rep_out,
+        np.concatenate(times),
+        np.tile(mu.weights, repetitions),
+        np.repeat(np.arange(1, levels + 1), [n * reps for reps in reps_per_level]),
+        np.tile(np.arange(1, n + 1), repetitions),
+        np.concatenate([np.repeat(np.arange(1, reps + 1), n) for reps in reps_per_level]),
         level_boundaries=boundaries,
         total_mass_by_level=masses,
         growth_name=growth.name,

@@ -23,13 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .averages import point_mass_space_average
-from .errors import (
-    BudgetExhaustedError,
-    CapacityError,
-    ConstructionError,
-    DomainError,
-    PlanError,
-)
+from .errors import CapacityError, ConstructionError, DomainError, PlanError
 from .kronecker import solve  # unused here; a name bench/tracing.py rebinds
 from .measures import (
     DEFAULT_ATOM_CAP,
@@ -38,6 +32,7 @@ from .measures import (
     TorusPointMassMeasure,
     _level_plan,
     atom_search,
+    place_repetitions,
     scan_step,
     weighted_mean_square,
 )
@@ -95,22 +90,24 @@ def _depth_margin(polys, dimension: int) -> int:
 
 
 class _SourceBlock:
-    """Atoms placed for one source measure inside the current window.
+    """Atoms placed for one source measure inside the current window, one
+    array of times per round.  ``error`` is the worst deviation as of the last
+    :meth:`measure`; a block that meets the tolerance gets no more atoms, so
+    its error is then final."""
 
-    ``error`` is the worst deviation as of the last :meth:`measure`; a block
-    that meets the tolerance gets no more atoms, so its error is then final.
-    """
+    __slots__ = ("times", "weights", "error")
 
-    __slots__ = ("times", "weights", "reps", "error")
-
-    def __init__(self):
-        self.times: list[float] = []
-        self.weights: list[float] = []
-        self.reps: list[int] = []
+    def __init__(self, weights):
+        self.times: list[np.ndarray] = []
+        self.weights = weights
         self.error = math.inf
 
+    def columns(self):
+        """The block's atom times and weights, in order of ``t``."""
+        return np.concatenate(self.times), np.tile(self.weights, len(self.times))
+
     def measure(self, dirichlet_polys, targets) -> float:
-        times, w = np.asarray(self.times), np.asarray(self.weights)
+        times, w = self.columns()
         self.error = max(
             abs(weighted_mean_square(f, times, w) - target)
             for f, target in zip(dirichlet_polys, targets)
@@ -133,7 +130,7 @@ def build_nested_lambda(
     space average for every test polynomial; the realized grid and estimates
     are recorded on the returned plan copy.  Each atom of a source measure
     has one :func:`~polytorus.measures.atom_search` per depth, called once
-    per repetition.
+    per repetition by :func:`~polytorus.measures.place_repetitions`.
     """
     if levels < 1:
         raise DomainError(f"levels must be >= 1, got {levels}")
@@ -160,7 +157,7 @@ def build_nested_lambda(
     ]
     margin = _depth_margin(polys, dimension)
 
-    atoms: list[tuple] = []  # (t, w, level, source, rep), in order of t
+    merged: list[tuple] = []  # per window: t, w, level, source, rep, in order of t
     grid_by_level: list[tuple[float, ...]] = []
     estimates_by_level: list[tuple[float, ...]] = []
     level_end: list[float] = []
@@ -170,7 +167,7 @@ def build_nested_lambda(
 
     t_cursor = 0.0
     placed = 0  # atoms solved so far, merged or still in an open window
-    searches = {}  # (depth, source index) -> one search per atom of the source
+    searches = {}  # (depth, source index) -> one (search, j) per atom of the source
     for k in range(1, levels + 1):
         n_sources = growth(k)
         n_windows = reps_per_level[k - 1] // n_sources
@@ -180,7 +177,8 @@ def build_nested_lambda(
         grid = [t_cursor]
         estimates = []
         for _ in range(n_windows):
-            blocks = [_SourceBlock() for _ in range(n_sources)]
+            blocks = [_SourceBlock(plan.mu_sequence[j].weights) for j in range(n_sources)]
+            placements = []  # (times, source index, round), in order of t
             pending = list(range(n_sources))
             rounds = 0
             while pending:
@@ -194,44 +192,33 @@ def build_nested_lambda(
                 if rounds > 1 and rounds % 4 == 0:
                     depth += 1
                 for j in pending:
-                    block = blocks[j]
                     if (depth, j) not in searches:
                         searches[depth, j] = [
-                            (atom_search(basis, depth, omega, solver_budget), c)
-                            for omega, c in plan.mu_sequence[j].atoms
+                            (atom_search(basis, depth, omega, solver_budget), j + 1)
+                            for omega in plan.mu_sequence[j].points
                         ]
-                    for search, c in searches[depth, j]:
-                        try:
-                            t_cursor = search(t_cursor)
-                        except BudgetExhaustedError as exc:
-                            raise ConstructionError(
-                                f"solver failed: {exc}",
-                                level=k, source=j + 1, repetition=rounds,
-                            ) from exc
-                        block.times.append(t_cursor)
-                        block.weights.append(c)
-                        block.reps.append(rounds)
-                        placed += 1
-                        if placed > atom_cap:
-                            raise CapacityError(
-                                f"nested construction exceeded the atom cap of {atom_cap}"
-                            )
-                    t_cursor += step
+                    times, t_cursor = place_repetitions(
+                        searches[depth, j], range(rounds, rounds + 1), t_cursor, step, k)
+                    blocks[j].times.append(times)
+                    placements.append((times, j, rounds))
+                    placed += len(times)
+                    if placed > atom_cap:
+                        raise CapacityError(
+                            f"nested construction exceeded the atom cap of {atom_cap}"
+                        )
                 pending = [
                     j for j in pending
                     if blocks[j].measure(dirichlet_polys, space_averages[j])
                     >= tolerance
                 ]
-            # close the window: record the estimate and merge normalized blocks
-            merged = []
-            for j, block in enumerate(blocks, start=1):
-                mass = math.fsum(block.weights)
-                merged.extend(
-                    (t_i, w_i / mass, k, j, m_i)
-                    for t_i, w_i, m_i in zip(block.times, block.weights, block.reps)
-                )
-            merged.sort(key=lambda item: item[0])
-            atoms.extend(merged)
+            # close the window: record the estimate and merge the placements,
+            # each block's weights normalized to unit mass
+            unit = [np.divide(block.weights, math.fsum(block.columns()[1])) for block in blocks]
+            times, sources, reps = zip(*placements)
+            counts = [len(t) for t in times]
+            merged.append((np.concatenate(times), np.concatenate([unit[j] for j in sources]),
+                            np.full(sum(counts), k), np.repeat(np.add(sources, 1), counts),
+                            np.repeat(reps, counts)))
             estimates.append(max(block.error for block in blocks))
             grid.append(t_cursor)
         grid_by_level.append(tuple(grid))
@@ -239,7 +226,7 @@ def build_nested_lambda(
         level_end.append(t_cursor)
 
     measure = AtomicLineMeasure(
-        *zip(*atoms),
+        *(np.concatenate(column) for column in zip(*merged)),
         level_boundaries=level_end,
         total_mass_by_level=masses,
         growth_name=growth.name,

@@ -510,10 +510,10 @@ class _Lift:
 
 def _term_sums(f: DirichletPolynomial, amps, times):
     """``sum_n amps_n exp(-i t log n)`` for every ``t`` in ``times``."""
-    terms = f._lifted().phases(times)
-    terms *= amps
-    # each row summed along the term axis on its own (not matmul), so
-    # scalar, batched and blocked calls agree bit for bit
+    # a new product with a (1, terms) row (in place, one time of one term
+    # rounds otherwise), and each row summed along the term axis on its own
+    # (not matmul), so scalar, batched and blocked calls agree bit for bit
+    terms = f._lifted().phases(times) * amps[None, :]
     return terms.sum(axis=-1)
 
 

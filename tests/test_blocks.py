@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polytorus import (
@@ -193,6 +193,27 @@ class TestBlocksKeepTheBits:
         flat = eval_dirichlet(terms_32, 0.25, t)
         assert grid.tobytes() == flat.tobytes()
         assert repr(complex(flat[5])) == repr(scalar)
+
+    @given(st.dictionaries(
+               st.integers(1, 10**6),
+               st.one_of(st.complex_numbers(min_magnitude=1e-3, max_magnitude=10.0),
+                         st.sampled_from([1.0, -1.5, 1j, -0.5j])),
+               min_size=1, max_size=3),
+           st.lists(st.one_of(st.floats(-1e7, 1e7), st.sampled_from([0.0, -0.0])),
+                    min_size=1, max_size=4),
+           st.sampled_from([0.0, 0.5]))
+    @example({25: 1.5 + 1j}, [1.0, 2.0], 0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_eval_dirichlet_few_terms_scalar_equals_batched(self, terms, times, sigma):
+        # a polynomial of one term multiplies a single time's phase by its
+        # amplitude in another numpy loop than a column of times, unless both
+        # are new products with a (1, terms) row
+        f = DirichletPolynomial(terms)
+        batched = eval_dirichlet(f, sigma, np.array(times))
+        for t, value in zip(times, batched.tolist()):
+            scalar = eval_dirichlet(f, sigma, t)
+            assert [bits(scalar.real), bits(scalar.imag)] == \
+                [bits(value.real), bits(value.imag)], (t, scalar, value)
 
     def test_eval_dirichlet_lifted(self):
         # powers of the phases of 2 and 3, and the residues 5 and 7 left

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polytorus import DirichletPolynomial, DomainError, MultiIndex, ParseError, PrimeBasis
+from polytorus import (DimensionError, DirichletPolynomial, DomainError, MultiIndex,
+                       ParseError, PrimeBasis)
 from polytorus.formats import (
     MAX_BASIS_DIM,
     dirichlet_from_json,
@@ -141,6 +142,27 @@ class TestDirichletFormat:
             dirichlet_from_json(
                 '{"basis_dim": 1, "terms": [{"n": 3, "re": 1.0}]}'
             )
+
+    # the basis check reads the polynomial's own factoring over the first 65
+    # primes (up to 313); past them the basis decides
+    @pytest.mark.parametrize("n, dim", [
+        (313, 65), (2 * 313, 65), (3**39, 2), (317, 66), (2 * 317 * 331, 67),
+        (317**2, 66)])
+    def test_accepts_frequency_within_basis(self, n, dim):
+        f, basis = dirichlet_from_json(json.dumps(
+            {"basis_dim": dim, "terms": [{"n": 1, "re": 1.0}, {"n": n, "re": 0.5}]}))
+        assert f.frequencies == (1, n) and basis.dimension == dim
+
+    @pytest.mark.parametrize("n, dim, leftover", [
+        (5, 2, 5), (12 * 7, 3, 7), (313, 64, 313), (2 * 313, 64, 313),
+        (317, 65, 317), (317 * 331, 66, 331)])
+    def test_frequency_past_the_basis_names_its_leftover(self, n, dim, leftover):
+        text = json.dumps({"basis_dim": dim, "terms": [{"n": 2, "re": 1.0},
+                                                        {"n": n, "re": 0.5}]})
+        with pytest.raises(DimensionError) as info:
+            dirichlet_from_json(text)
+        assert str(info.value) == (f"frequency {n} has a prime factor beyond the "
+                                   f"first {dim} primes (leftover {leftover})")
 
 
 class TestTorusFormat:

@@ -14,6 +14,7 @@ from polytorus import (
     GrowthSchedule,
     NestedConstructionPlan,
     ParseError,
+    PolytorusError,
     PrimeBasis,
     DirichletPolynomial,
     TorusPoint,
@@ -58,13 +59,41 @@ class TestGrowthSchedule:
     def test_parse_rejects_junk(self):
         with pytest.raises(DomainError):
             GrowthSchedule.parse("fibonacci")
-        with pytest.raises(DomainError):
-            GrowthSchedule.constant(0)
+        for factor in (0, 2.5):
+            with pytest.raises(DomainError, match=r"\[1, 2\^53\]"):
+                GrowthSchedule.constant(factor)
         for text in ("const:abc", "const:2.5", "const:", "const:1e3", "const:٣"):
             with pytest.raises(DomainError, match="decimal integer"):
                 GrowthSchedule.parse(text)
         with pytest.raises(DomainError, match=r"\[1, 2\^53\]"):
             GrowthSchedule.parse("const:" + "9" * 400)
+
+
+    @pytest.mark.parametrize("factors", [(0,), (2.5,), (-1,), (2**53 + 1,), (2, 3), ()])
+    def test_built_directly_with_a_bad_factor_refused_before_any_solve(
+            self, factors, delta_measure, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("a search was made")
+
+        monkeypatch.setattr(measures, "atom_search", no_search)
+        with pytest.raises(PolytorusError):
+            build_point_mass_lambda(delta_measure, 2, GrowthSchedule("const:x", factors))
+
+
+class TestLevelPlan:
+    @given(st.one_of(st.just(GrowthSchedule.default()),
+                     st.integers(1, 2**53).map(GrowthSchedule.constant),
+                     st.sampled_from([1, 2, 2**26, 2**53]).map(GrowthSchedule.constant)),
+           st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_in_exact_ints(self, growth, levels):
+        reps, masses = measures._level_plan(levels, growth)
+        assert all(type(x) is int for x in reps + masses)
+        assert len(reps) == len(masses) == levels
+        assert reps[0] == masses[0] == growth(1)
+        for k in range(1, levels):
+            assert reps[k] == growth(k + 1) * masses[k - 1]
+            assert masses[k] == (growth(k + 1) + 1) * masses[k - 1]
 
 
 class TestPointMassMeasure:
@@ -176,6 +205,25 @@ class TestPointMassConstruction:
         )
         assert lam.total_mass_by_level == (2.0, 6.0, 18.0)
         assert lam.growth_name == "const:2"
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4),
+           st.sampled_from(["2^k", "const:1", "const:3"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_columns_equal_a_per_atom_listing(self, n_atoms, d, levels, growth, seed):
+        mu = random_point_mass(np.random.default_rng(seed), d=d, n_atoms=n_atoms)
+        growth = GrowthSchedule.parse(growth)
+        lam = build_point_mass_lambda(mu, levels, growth)
+        rows = []
+        mass = 1
+        for k in range(1, levels + 1):
+            reps = growth(k) * mass
+            mass = reps + (mass if k > 1 else 0)
+            rows += [(k, j, m, c) for m in range(1, reps + 1)
+                     for j, c in enumerate(mu.weights, start=1)]
+        assert lam.level.tolist() == [k for k, _, _, _ in rows]
+        assert lam.source.tolist() == [j for _, j, _, _ in rows]
+        assert lam.rep.tolist() == [m for _, _, m, _ in rows]
+        assert lam.w.tolist() == [c for _, _, _, c in rows]
 
     def test_determinism(self, rng):
         mu = random_point_mass(rng, d=2, n_atoms=2)
