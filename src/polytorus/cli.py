@@ -33,7 +33,7 @@ from .averages import (
     point_mass_space_average,
     recover_moments,
 )
-from .errors import BudgetExhaustedError, ConstructionError, PolytorusError
+from .errors import BudgetExhaustedError, ConstructionError, DomainError, PolytorusError
 from .formats import (
     dirichlet_from_json,
     loads_strict,
@@ -136,6 +136,15 @@ def _load_atoms(path: str):
         return load_atoms(path)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+
+
+def _check_sources(lam, mu) -> None:
+    """Refuse an atom whose source ``j`` names no point of ``mu``: an atom
+    file does not record how many points its builder chased."""
+    if len(lam) and lam.source.max() > len(mu):
+        i = int((lam.source > len(mu)).argmax())
+        raise DomainError(f"atom {i + 1} (t={lam.t[i].item()!r}) has source "
+                          f"j={lam.source[i].item()}, but mu has N={len(mu)} points")
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -286,6 +295,7 @@ def _run_verify_boundary(config):
     f, _basis = dirichlet_from_json(_read(config["poly"]))
     lam = _load_atoms(config["atoms"])
     mu = point_mass_from_json(_read(config["mu"]))
+    _check_sources(lam, mu)
     F = bohr_lift(f, PrimeBasis(mu.dimension))
     target = point_mass_space_average(F, mu)
     grid = (_parse_floats(config["t_grid"]) if "t_grid" in config
@@ -336,6 +346,8 @@ def _run_moments(config):
     basis = PrimeBasis(max(dim, 1))
     lam = None if use_lebesgue else _load_atoms(config["atoms"])
     mu = point_mass_from_json(_read(config["mu"])) if "mu" in config else None
+    if lam is not None and mu is not None:
+        _check_sources(lam, mu)
     moments = recover_moments(lam, basis, pairs, float(config["t_max"]), mu=mu)
     rows, errors = [], []
     for pair in moments:

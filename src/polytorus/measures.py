@@ -12,9 +12,11 @@ of ``|f(it)|^2`` against the result converges to the space average of
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -458,17 +460,47 @@ _ATOM_LINE = re.compile(
 def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     """Parse an atom stream, strictly.
 
-    The stream must be UTF-8 text; a byte that is not is refused with its
-    line.  An atom line of the encoder's exact shape is read by one regular
-    expression; any other line goes through :func:`formats.loads_strict`,
-    which refuses repeated keys and non-finite numbers, and ``t``/``w``
-    must then be JSON numbers and ``k``/``j``/``m`` JSON integers.  Both
-    paths give a line the values ``json.loads`` would.  The stream must
-    then have the structure both builders give: one boundary and one
-    cumulative mass per level, each level-k atom above ``T_{k-1}`` and
-    below ``T_k``, at least one atom per level, and the weights through
+    A stream whose every atom line has the encoder's exact shape,
+    ``{"t": X, "w": Y, "k": A, "j": B, "m": C}``, in ASCII between a header
+    and a trailer line, is read by :func:`_read_fast`: about 128 KiB of
+    lines at a time, whose numbers are checked against the JSON number
+    grammar and parsed by one ``np.loadtxt`` call.  Any other stream, and
+    any doubt, goes to :func:`_read_lines`, which alone names a line in an
+    error.  It reads UTF-8 text line by line: a line of the encoder's shape
+    by one regular expression, any other through
+    :func:`formats.loads_strict`, which refuses repeated keys and
+    non-finite numbers, and ``t``/``w`` must then be JSON numbers and
+    ``k``/``j``/``m`` JSON integers.  Every path gives an atom the values
+    ``json.loads`` would.  The stream must then have the structure both
+    builders give: one boundary and one cumulative mass per level, each
+    level-k atom above ``T_{k-1}`` and below ``T_k``, at least one atom per
+    level, sources and repetitions numbered from 1, and the weights through
     level k summing, within float64, to its mass.
     """
+    return _checked(*(_read_fast(data) or _read_lines(data)))
+
+
+def _header(line: str) -> dict:
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad header: {exc}", 1) from exc
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+        raise ParseError(f"not a {FORMAT_NAME} stream", 1)
+    if header.get("version") != FORMAT_VERSION:
+        raise ParseError(f"unsupported version {header.get('version')!r}", 1)
+    return header
+
+
+def _trailer(record: dict) -> tuple[list[float], list[float]]:
+    from .formats import _number  # formats imports us
+
+    return ([_number(b, "boundary") for b in record["boundaries"]],
+            [_number(m, "mass") for m in record.get("masses", [])])
+
+
+def _read_lines(data: bytes):
+    """The measure of the stream ``data``, read line by line, and its header."""
     from .formats import _integer, _number, loads_strict  # formats imports us
 
     try:
@@ -478,14 +510,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
                          data.count(b"\n", 0, exc.start) + 1) from exc
     if not lines:
         raise ParseError("empty atom stream, expected a header line", 1)
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad header: {exc}", 1) from exc
-    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
-        raise ParseError(f"not a {FORMAT_NAME} stream", 1)
-    if header.get("version") != FORMAT_VERSION:
-        raise ParseError(f"unsupported version {header.get('version')!r}", 1)
+    header = _header(lines[0])
 
     t, w, level, source, rep = [], [], [], [], []
     boundaries: list[float] = []
@@ -518,8 +543,7 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
                 raise ParseError("expected a JSON object", number)
             try:
                 if "boundaries" in record:
-                    boundaries = [_number(b, "boundary") for b in record["boundaries"]]
-                    masses = [_number(m, "mass") for m in record.get("masses", [])]
+                    boundaries, masses = _trailer(record)
                     saw_trailer = True
                     continue
                 t_i = _number(record["t"], "position t")
@@ -553,9 +577,18 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
         )
     except (DomainError, OverflowError) as exc:  # an integer beyond int64
         raise _overflow(data, number) or ParseError(str(exc)) from exc
-    # The structure both builders give: one boundary and one cumulative mass
-    # per level, and each level-k atom above T_{k-1} and below T_k.
+    return lam, header
+
+
+def _checked(lam: AtomicLineMeasure, header: dict) -> AtomicLineMeasure:
+    """``lam`` when it has the structure both builders give; its numbers
+    enter messages as Python scalars, as either reader gives them."""
+    from .formats import _integer  # formats imports us
+
+    # One boundary and one cumulative mass per level, and each level-k atom
+    # above T_{k-1} and below T_k.
     levels = _integer(header.get("levels"), "header levels")
+    boundaries, masses = lam.level_boundaries, lam.total_mass_by_level
     if not len(boundaries) == len(masses) == levels:
         raise ParseError(f"header says {levels} levels, but the trailer has "
                          f"{len(boundaries)} boundaries and {len(masses)} masses")
@@ -570,16 +603,25 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
         block = lam.level[cuts[k - 1]:cuts[k]]
         if block.size and not block.min() == k == block.max():
             i = cuts[k - 1] + int(np.flatnonzero(block != k)[0])
-            raise ParseError(f"atom {i + 1} (t={t[i]!r}) has level k={level[i]}, "
-                             f"but its position lies in level {k} of {levels}")
-    if cuts[-1] < len(t):
+            raise ParseError(f"atom {i + 1} (t={lam.t[i].item()!r}) has level "
+                             f"k={lam.level[i].item()}, but its position lies in "
+                             f"level {k} of {levels}")
+    if cuts[-1] < len(lam):
         i = cuts[-1]
-        raise ParseError(f"atom {i + 1} (t={t[i]!r}) has level k={level[i]}, "
-                         f"but its position lies past level {levels}")
-    # Both builders place at least one repetition of every source per level.
+        raise ParseError(f"atom {i + 1} (t={lam.t[i].item()!r}) has level "
+                         f"k={lam.level[i].item()}, but its position lies past "
+                         f"level {levels}")
+    # Both builders place at least one repetition of every source per level,
+    # and number sources and repetitions from 1.
     for k in range(1, levels + 1):
         if cuts[k - 1] == cuts[k]:
             raise ParseError(f"level {k} of {levels} holds no atom")
+    for name, numbers, column in (("source j", "sources", lam.source),
+                                  ("repetition m", "repetitions", lam.rep)):
+        if len(column) and column.min() < 1:
+            i = int(np.argmax(column < 1))
+            raise ParseError(f"atom {i + 1} (t={lam.t[i].item()!r}) has {name}="
+                             f"{column[i].item()}, but {numbers} are numbered from 1")
     # Both builders give level k the mass masses[k-1] exactly, up to the
     # point-mass weights' own tolerance and rounding.
     try:
@@ -591,6 +633,127 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
             raise ParseError(f"the atoms through level {k} weigh {total!r}, "
                              f"but the trailer gives mass {mass!r}")
     return lam
+
+
+# The encoder's atom line with its numbers deleted, the bytes its numbers are
+# made of, and the columns np.loadtxt reads them into, a chunk of about
+# _CHUNK bytes of lines at a time.
+_TEMPLATE = b'{"t": , "w": , "k": , "j": , "m": }\n'
+_NUMBER_BYTES = b"0123456789.+-eE"
+_COLUMNS = np.dtype([("t", "f8"), ("w", "f8"), ("k", "i8"), ("j", "i8"), ("m", "i8")])
+_CHUNK = 1 << 17  # larger chunks raise the peak resident size, not the speed
+_KEYS = _TEMPLATE.translate(None, b",\n")  # deleted, they leave "X,Y,A,B,C" rows
+# Byte classes of a templated line; 0 is any other byte of the template.
+_SPACE, _COMMA, _CLOSE, _ZERO, _DIGIT, _MINUS, _PLUS, _POINT, _EXP = range(1, 10)
+
+
+def _grammar() -> tuple[bytes, bytes]:
+    """The ``bytes.translate`` tables from a byte to its class, and from a
+    pair of classes, ``16 * before + after``, to 1 where the pair breaks
+    the JSON number grammar or puts a number byte outside a slot (after
+    ": ", before "," or "}"), and to 2, 3, 4 and 5 for the pairs " 0",
+    " -", "-0" and a "0" before a digit, whose runs spell a leading zero.
+    Built without numpy, whose calls here would map pages of its code."""
+    classes = bytearray(256)
+    for code, members in enumerate(
+            [b" ", b",", b"}", b"0", b"123456789", b"-", b"+", b".", b"eE"], start=1):
+        for byte in members:
+            classes[byte] = code
+    digits = (_ZERO, _DIGIT)
+    allowed = {(before, after) for befores, afters in (
+                   ([_SPACE], [_MINUS, *digits]),  # a number's first byte
+                   (digits, [_COMMA, _CLOSE]),  # its last
+                   (range(_ZERO, _EXP + 1), digits),
+                   (digits, [_POINT, _EXP]),
+                   ([_EXP], [_MINUS, _PLUS]))
+               for before in befores for after in afters}
+    pairs = bytearray(256)
+    for code in range(256):
+        before, after = divmod(code, 16)
+        pairs[code] = max(before, after) >= _ZERO and (before, after) not in allowed
+    for before, after, flag in ((_SPACE, _ZERO, 2), (_SPACE, _MINUS, 3), (_MINUS, _ZERO, 4),
+                                (_ZERO, _ZERO, 5), (_ZERO, _DIGIT, 5)):
+        pairs[16 * before + after] = flag
+    return bytes(classes), bytes(pairs)
+
+
+_CLASSES, _PAIRS = _grammar()
+
+
+def _templated_rows(chunk: bytes) -> int | None:
+    """The number of lines of ``chunk`` when each is the encoder's template
+    with a JSON number in each slot (after ": ", before "," or "}"), else
+    ``None``: np.loadtxt would also read ``+1``, ``01``, ``1.``, ``.5`` and
+    ``1.e5``, and a digit left inside a key.  Each temporary is dropped once
+    used, so that the peak stays near three times the chunk."""
+    left = chunk.translate(None, _NUMBER_BYTES)
+    rows = len(left) // len(_TEMPLATE)
+    if not rows or len(left) != rows * len(_TEMPLATE) or left.count(_TEMPLATE) != rows:
+        return None
+    del left
+    classes = np.frombuffer(chunk.translate(_CLASSES), np.uint8)
+    pairs = bytearray(len(classes) - 1)
+    codes = np.frombuffer(pairs, np.uint8)
+    np.left_shift(classes[:-1], 4, out=codes)
+    codes |= classes[1:]
+    del classes, codes
+    flags = pairs.translate(_PAIRS)
+    del pairs
+    # a byte is found by memchr, a run of them by a slower search
+    if (1 in flags or (2 in flags and b"\2\5" in flags)
+            or (3 in flags and b"\3\4\5" in flags)):
+        return None
+    return rows
+
+
+def _read_fast(data: bytes):
+    """``_read_lines(data)`` when every atom line of the ASCII stream
+    ``data`` has the encoder's exact shape, read by np.loadtxt; ``None`` on
+    any doubt, which :func:`_read_lines` then settles."""
+    from .formats import loads_strict  # formats imports us
+
+    head_end = data.find(b"\n") + 1
+    tail = data.rfind(b"\n", 0, len(data) - 1) + 1
+    if not (data.isascii() and data.endswith(b"\n") and 0 < head_end < tail):
+        return None
+    head, last = data[:head_end - 1].decode(), data[tail:-1].decode()
+    if not (head.isprintable() and last.isprintable()):  # no other line break
+        return None
+    try:
+        header, trailer = _header(head), loads_strict(last)
+        if not (isinstance(trailer, dict) and "boundaries" in trailer):
+            return None
+        boundaries, masses = _trailer(trailer)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    n = data.count(b"\n", head_end, tail)
+    columns = [np.empty(n, _COLUMNS[name]) for name in _COLUMNS.names]
+    start, done = head_end, 0
+    while start < tail:
+        end = data.rfind(b"\n", start, min(start + _CHUNK, tail)) + 1
+        chunk = data[start:end]  # empty if a line is longer than a chunk
+        rows = _templated_rows(chunk)
+        if rows is None:
+            return None
+        try:
+            with warnings.catch_warnings():
+                # older numpy reads "1.0" as an integer, with a DeprecationWarning
+                warnings.simplefilter("error")
+                parsed = np.loadtxt(io.BytesIO(chunk.translate(None, _KEYS)), _COLUMNS,
+                                    delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+        for column, name in zip(columns, _COLUMNS.names):
+            column[done:done + rows] = parsed[name]
+        done += rows
+        start = end
+    try:
+        lam = AtomicLineMeasure(*columns, level_boundaries=boundaries,
+                                total_mass_by_level=masses,
+                                growth_name=header.get("growth", "2^k"))
+    except DomainError:  # the per-line reader names the line
+        return None
+    return lam, header
 
 
 def _overflow(data: bytes, stop: int) -> ParseError | None:

@@ -388,6 +388,29 @@ class TestVerifyCommands:
         assert (f"line 4: {name} 9999999999999999999 exceeds int64"
                 in json.loads(err)["error"])
 
+    @pytest.mark.parametrize("kind, args", [
+        ("verify-boundary", ["--poly", "f.json", "--out", "boundary.csv"]),
+        ("moments", ["--pairs", "1,0:0,0", "--t-max", "1e9"]),
+    ])
+    def test_a_source_past_mu_exits_2(self, kind, args, workdir, capsys):
+        # an atom file does not say how many points mu had: a "j": 7 in a
+        # file built for the 2-point mu used to load and be checked
+        atoms = workdir / "atoms.jsonl"
+        run_cli(["build-measure", "--mu", workdir / "mu.json",
+                 "--levels", "2", "--out", atoms], capsys)
+        lines = atoms.read_text().splitlines()
+        atom = json.loads(lines[3])
+        lines[3] = lines[3].replace(f'"j": {atom["j"]}', '"j": 7')
+        atoms.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(
+            [kind, "--atoms", atoms, "--mu", workdir / "mu.json",
+             *[workdir / a if a.endswith((".json", ".csv")) else a for a in args]],
+            capsys,
+        )
+        assert code == 2 and out == []
+        assert (f"atom 3 (t={atom['t']!r}) has source j=7, but mu has N=2 points"
+                in json.loads(err)["error"])
+
     def test_verify_sigma_refuses_a_huge_basis(self, workdir, capsys):
         # basis_dim 10^6 used to stall in trial division for the primes
         bad = workdir / "huge.json"

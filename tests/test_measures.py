@@ -1,6 +1,11 @@
+import contextlib
 import json
 import math
 import re
+import sys
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +41,7 @@ from polytorus import (
 from polytorus import measures
 
 from conftest import random_dirichlet, random_point_mass
+from test_cli import mutate
 
 TWO_PI = 2.0 * math.pi
 
@@ -341,7 +347,10 @@ class TestAtomFiles:
     def test_empty_measure_header_only(self):
         blob = atoms_to_bytes(empty_measure())
         assert blob.decode().strip().count("\n") == 0
-        loaded = atoms_from_bytes(blob)
+        with warnings.catch_warnings():
+            # np.loadtxt warns on empty input: an empty body never reaches it
+            warnings.simplefilter("error")
+            loaded = atoms_from_bytes(blob)
         assert len(loaded) == 0
         assert loaded.level_boundaries == ()
 
@@ -507,6 +516,17 @@ class TestAtomFiles:
             lam = atoms_from_bytes(self._two_level_stream(masses=masses))
             assert lam.total_mass_by_level == masses
 
+    @pytest.mark.parametrize("fast", [True, False])
+    @pytest.mark.parametrize("field, value", [("j", 0), ("j", -3), ("m", 0), ("m", -2)])
+    def test_sources_and_repetitions_count_from_1(self, field, value, fast):
+        # both builders give j >= 1 and m >= 1; each of these used to load
+        blob = self._two_level_stream().replace(f'"{field}": 1'.encode(),
+                                                f'"{field}": {value}'.encode(), 1)
+        assert measures._read_fast(blob) is not None
+        name, numbers = {"j": ("source j", "sources"), "m": ("repetition m", "repetitions")}[field]
+        assert outcome(blob, fast) == (f"atom 1 (t=1.5) has {name}={value}, "
+                                       f"but {numbers} are numbered from 1")
+
     @pytest.mark.parametrize("line, message", [
         # a repeated key used to keep its last value: this loaded as level 1
         ('{"t": 1.0, "w": 0.5, "k": 5, "k": 1, "j": 1, "m": 1}', "duplicate key 'k'"),
@@ -560,15 +580,16 @@ class TestAtomFiles:
     @given(
         st.lists(st.floats(0.0, 1e300), unique=True, min_size=1, max_size=12).map(sorted),
         st.lists(st.floats(5e-324, 1e300), min_size=12, max_size=12),
-        st.lists(st.integers(-2**63, 2**63 - 1), min_size=24, max_size=24),
+        st.lists(st.integers(1, 2**63 - 1), min_size=24, max_size=24),
     )
     @example([0.0, 1e-300, 12.5], [5e-324, 1e300, 1.0], [2**63 - 1] * 24)
-    @example([1e22, 1e23], [1e-7, 123456789.0], [-(2**63)] * 24)
+    @example([1e22, 1e23], [1e-7, 123456789.0], [1] * 24)
     @settings(max_examples=200, deadline=None)
     def test_encoder_lines_and_strict_lines_agree(self, t, w, ints):
-        # the encoder's lines take the regular-expression path; the same atoms
-        # written compactly and with reordered keys take the strict JSON
-        # path; both give the measure that was written
+        # the encoder's lines take the np.loadtxt path; the same atoms written
+        # compactly and with reordered keys take the strict JSON path, and
+        # mixed with encoder lines the regular-expression one; all give the
+        # measure that was written (sources and repetitions count from 1)
         n = len(t)
         lam = AtomicLineMeasure(t, w[:n], [1] * n, ints[:n], ints[12:12 + n],
                                 level_boundaries=[t[-1] * 2.0 + 1.0],
@@ -583,8 +604,30 @@ class TestAtomFiles:
             assert atoms_from_bytes(text.encode()) == lam
 
 
+@pytest.fixture(scope="module")
+def synthetic():
+    """A 50,490-atom measure shaped like the K=5 single-point build (levels
+    of 2, 8, 80, 1,440 and 48,960 atoms of weight 1), and its bytes."""
+    reps, masses = measures._level_plan(5, GrowthSchedule.default())
+    t = np.cumsum(np.random.default_rng(50490).uniform(1.0, 1000.0, sum(reps)))
+    lam = AtomicLineMeasure(t, np.ones(len(t)), np.repeat(np.arange(1, 6), reps),
+                            np.ones(len(t), dtype=np.int64),
+                            np.concatenate([np.arange(1, r + 1) for r in reps]),
+                            level_boundaries=t[np.cumsum(reps) - 1] + 0.5,
+                            total_mass_by_level=masses)
+    return lam, atoms_to_bytes(lam)
+
+
 class TestBuiltFilesLoad:
-    """Both builders' files pass the load-time checks, the level masses too."""
+    """Both builders' files pass the load-time checks, the level masses too,
+    and np.loadtxt reads them whole: the per-line reader is patched to raise."""
+
+    @pytest.fixture(autouse=True)
+    def no_per_line_reader(self, monkeypatch):
+        def refuse(data):
+            raise AssertionError("the stream fell off the np.loadtxt reader")
+
+        monkeypatch.setattr(measures, "_read_lines", refuse)
 
     @pytest.mark.parametrize("atoms, levels", [
         ([((0.7, 2.9, 5.1), 1.0)], 4),
@@ -604,6 +647,148 @@ class TestBuiltFilesLoad:
         lam, _ = build_nested_lambda(NestedConstructionPlan([mu] * 2, polys), 3,
                                      GrowthSchedule.constant(2))
         assert atoms_from_bytes(atoms_to_bytes(lam)) == lam
+
+    def test_50490_atoms(self, synthetic):
+        lam, data = synthetic
+        assert atoms_from_bytes(data) == lam
+
+    def test_decode_peak_is_bounded_by_the_stream(self, synthetic):
+        # the per-line reader peaked at 3.0 times the stream's size
+        lam, data = synthetic
+        atoms_from_bytes(TestAtomFiles._two_level_stream())  # numpy's first calls
+        tracemalloc.start()
+        try:
+            decoded = atoms_from_bytes(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert decoded == lam
+        assert peak <= 1.5 * len(data), (peak, len(data))
+
+
+def outcome(data, fast=True):
+    """What ``atoms_from_bytes`` makes of ``data``: the measure's columns as
+    dtype, contiguity and bytes, with its trailer and growth, or the text of
+    its ParseError; with ``fast=False``, the per-line reader's alone."""
+    with (contextlib.nullcontext() if fast
+          else mock.patch.object(measures, "_read_fast", lambda data: None)):
+        try:
+            lam = atoms_from_bytes(data)
+        except ParseError as exc:
+            return str(exc)
+    columns = (lam.t, lam.w, lam.level, lam.source, lam.rep)
+    return ([(c.dtype.str, c.flags.c_contiguous, c.tobytes()) for c in columns],
+            lam.level_boundaries, lam.total_mass_by_level, lam.growth_name)
+
+
+def paths_agree(data) -> bool:
+    """Assert that both readers make the same of ``data``; whether the
+    np.loadtxt reader read it."""
+    assert outcome(data) == outcome(data, fast=False)
+    return measures._read_fast(data) is not None
+
+
+class TestFastAndPerLineReadersAgree:
+    """The np.loadtxt reader reads only what the per-line reader reads the
+    same way; everything else falls to the per-line reader."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        mu = TorusPointMassMeasure([((0.9, 2.2), 0.6), ((4.0, 1.1), 0.4)])
+        return atoms_to_bytes(build_point_mass_lambda(mu, 3))
+
+    @given(how=st.sampled_from(["flip", "delete", "repeat", "number"]),
+           i=st.integers(0, 1 << 20), j=st.integers(0, 1 << 10))
+    @settings(max_examples=500, deadline=None)
+    def test_line_mutations(self, built, how, i, j):
+        # the mutations of TestInputFileFuzz in test_cli.py
+        paths_agree(mutate(built, how, i, j))
+
+    @pytest.mark.parametrize("field", ["t", "w", "k", "j", "m"])
+    @pytest.mark.parametrize("value, json_number", [
+        # np.loadtxt reads each of these; JSON reads none
+        ("+1", False), ("01", False), ("-01", False), ("00", False), ("1.", False),
+        (".5", False), ("1.e5", False), ("-.5", False), ("1.5.3", False), ("--1", False),
+        ("1e", False), ("-", False), ("1-", False), ("", False),
+        # past float64 (np.loadtxt reads inf) or int64 (it refuses)
+        ("1e400", True), ("-1e400", True), ("9223372036854775808", True),
+        ("-9223372036854775809", True), ("9223372036854775807", True),
+        ("-9223372036854775808", True),
+        # JSON numbers, which np.loadtxt refuses in an integer column
+        ("1e0", True), ("1.0", True), ("1E0", True), ("1e+0", True), ("1e-05", True),
+        ("-0", True), ("0", True), ("1e-400", True), ("-0.0", True),
+    ])
+    def test_leniencies(self, field, value, json_number):
+        blob = TestAtomFiles._two_level_stream()
+        assert paths_agree(blob)
+        mutated = re.sub(rb'"%s": [^,}]*' % field.encode(),
+                         f'"{field}": {value}'.encode(), blob, count=1)
+        read_fast = paths_agree(mutated)
+        if not json_number:
+            assert not read_fast and outcome(mutated).startswith("line 2: ")
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=2, max_size=24))
+    @example([1, 2, 3, 4, 0x000FFFFFFFFFFFFF, 0x0010000000000000])  # subnormals
+    @example([0x7FEFFFFFFFFFFFFE, 0x7FEFFFFFFFFFFFFF, 0x8000000000000000, 1])
+    @settings(max_examples=300, deadline=None)
+    def test_float64_bit_patterns_the_encoder_writes(self, bits):
+        values = np.abs(np.array(bits, dtype=np.uint64).view(np.float64))
+        t = np.unique(values[0::2][np.isfinite(values[0::2])])
+        w = values[1::2][np.isfinite(values[1::2]) & (values[1::2] > 0)]
+        n = min(len(t), len(w))
+        if n == 0 or t[n - 1] == sys.float_info.max:
+            return
+        try:
+            mass = math.fsum(w[:n])
+        except OverflowError:  # refused by both readers, with one message
+            mass = 1.0
+        lam = AtomicLineMeasure(t[:n], w[:n], [1] * n, range(1, n + 1), [1] * n,
+                                level_boundaries=[math.nextafter(t[n - 1], math.inf)],
+                                total_mass_by_level=[mass])
+        assert paths_agree(atoms_to_bytes(lam))
+
+    @pytest.mark.parametrize("variant", [
+        "crlf", "blank after the header", "blank between atoms", "blank at the end",
+        "reordered keys", "compact line", "a line longer than a chunk"])
+    def test_other_line_shapes_take_the_per_line_reader(self, built, variant):
+        lines = built.split(b"\n")
+        if variant == "crlf":
+            data = built.replace(b"\n", b"\r\n")
+        elif variant.startswith("blank"):
+            at = {"blank after the header": 1, "blank between atoms": 3,
+                  "blank at the end": len(lines) - 1}[variant]
+            data = b"\n".join([*lines[:at], b"", *lines[at:]])
+        elif variant == "a line longer than a chunk":
+            t = repr(json.loads(lines[2])["t"]).encode()
+            assert b"." in t and b"e" not in t
+            lines[2] = lines[2].replace(t, t + b"0" * measures._CHUNK)
+            data = b"\n".join(lines)
+        else:
+            atom = json.loads(lines[2])
+            lines[2] = (json.dumps(dict(reversed(atom.items()))) if variant == "reordered keys"
+                        else json.dumps(atom, separators=(",", ":"))).encode()
+            data = b"\n".join(lines)
+        assert paths_agree(data) is False
+        assert outcome(data) == outcome(built)
+
+    @pytest.mark.parametrize("end", [b"", b"x", b" "])
+    def test_a_stream_without_its_last_newline(self, built, end):
+        data = built[:-1] + end
+        assert paths_agree(data) is False
+        if end == b"x":
+            assert outcome(data).startswith("line ")
+        else:
+            assert outcome(data) == outcome(built)
+
+    @pytest.mark.parametrize("line", [0, -2])
+    @pytest.mark.parametrize("brk", [b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1e"])
+    def test_a_line_break_inside_the_header_or_trailer(self, built, line, brk):
+        # str.splitlines breaks a line there, so the per-line reader refuses
+        lines = built.split(b"\n")
+        lines[line] = lines[line].replace(b", ", b"," + brk, 1)
+        data = b"\n".join(lines)
+        assert paths_agree(data) is False
+        assert outcome(data).startswith("line ")
 
 
 class TestAtomicLineMeasureValidation:
