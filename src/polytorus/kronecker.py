@@ -13,17 +13,18 @@ candidates spaced ``2*pi / log p_k`` apart instead of a fraction of ``eps``,
 which is what makes deep constructions affordable.
 
 Its candidate angles are linear in the candidate index ``i``, so each
-filtered coordinate's pre-filter is one comparison, ``frac(c - i*s) < w`` in
-units of full turns, against a slack-widened window that is a strict superset
-of the true acceptance set.  The search does not stream every candidate
-through it.  It walks only the hits of the first filtered coordinate's
-window: that coordinate is an irrational rotation in ``i``, and by the
-three-distance theorem (Sos 1958; Slater 1967, "Gaps and steps for the
-sequence n theta mod 1") its returns to a window of width ``W`` are ``n1``,
-``n2`` or ``n1 + n2`` indices apart, with ``n1, n2`` read off the continued
-fraction of the step.  A solve therefore touches about ``candidates * W``
-hits, ``W ~ eps/pi``, instead of every candidate.  (At ``k = 1`` there is no
-filtered coordinate, and the candidates are visited in order.)
+filtered coordinate has a float window, ``frac(c - i*s) < w`` in units of
+full turns, widened by a slack that keeps every candidate the residual
+recheck accepts inside it (the bound is in :meth:`LatticeSearch.tests`).
+The search does not test every candidate.  It walks only the hits of the
+first filtered coordinate's window: that coordinate is an irrational
+rotation in ``i``, and by the three-distance theorem (Sos 1958; Slater 1967,
+"Gaps and steps for the sequence n theta mod 1") its returns to a window of
+width ``W`` are ``n1``, ``n2`` or ``n1 + n2`` indices apart, with ``n1, n2``
+read off the continued fraction of the step.  A solve therefore touches
+about ``candidates * W`` hits, ``W ~ eps/pi``, instead of every candidate.
+(At ``k = 1`` there is no filtered coordinate, and the candidates are
+visited in order.)
 
 From a known joint hit, a hit of every filtered window at once, a second
 walk steps between joint hits.  Two joint hits ``n`` indices apart move each
@@ -45,23 +46,21 @@ whatever ``t_min`` (logs, reduced targets, the filtered coordinates' lines),
 and it holds a walk cursor, left at its last solution.  A call whose first
 candidate lies above the cursor, within the span and within one budget of
 where the cursor's windows start, computes only its first candidate and
-pre-filter and walks on from the cursor: by the first window's jumps with
-one filtered window, by joint gaps with more.  The cursor's windows were
-widened once to contain the own widened window of every such call.  Any
-other call sets up its windows, walks from its first candidate and leaves a
-new cursor.  The walks' tables depend only on the grid steps and on the
+walks on from the cursor: by the first window's jumps with one filtered
+window, by joint gaps with more.  The cursor's windows were widened once to
+contain the own widened window of every such call.  Any other call sets up
+its windows, walks from its first candidate and leaves a new cursor.  The walks' tables depend only on the grid steps and on the
 window widths rounded up to their leading bits, so the searches of a build
 level share them through the module's one cache, :func:`_tables`.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
-and every window they use is wider than the pre-filter's by a bound on the
-float64 rounding and the grid's drift.  A candidate inside every widened
-window gets the pre-filter in Python floats, with the IEEE operations of a
-vectorized pass, and then the :func:`residuals` recheck; the set-up and this
-accept path run in Python floats, one coordinate at a time.  The returned
-solution is exactly the first lattice candidate that passes the pre-filter
-and whose true residuals all pass, bit for bit, wherever the walk starts;
-``steps`` is its index plus one.
+and every window they use is wider than the float window by a bound on the
+float64 rounding and the grid's drift.  A walked candidate above ``t_min``
+is accepted on the :func:`residuals` recheck alone, run like the set-up in
+Python floats, one coordinate at a time.  As the recheck's acceptances lie
+in the float windows, and those in the walked grid windows, the returned
+solution is exactly the first lattice candidate whose residuals all pass,
+bit for bit, wherever the walk starts; ``steps`` is its index plus one.
 
 The reference, :func:`scan_solve`, shares none of this: it evaluates the
 candidates ``t_min + (i + 1) * eps / (2 log p_k)`` with :func:`residuals`,
@@ -104,9 +103,8 @@ _GRID_MASK = _GRID - 1
 _JOINT_SPAN = 8.0
 _JOINT_MAX = 1 << 21
 
-# Width added to the pre-filter window to cover the float discrepancy between
-# the linear-recurrence angles and the canonical residual arithmetic; scaled
-# per solve with the magnitudes involved.
+# The unit of the float windows' slack (see LatticeSearch.tests) and of the grid
+# windows' margins, scaled per solve with the magnitudes involved.
 _EPS64 = float(np.finfo(np.float64).eps)
 
 
@@ -268,7 +266,7 @@ def _grid_advance(step: float) -> int:
 
 
 def _on_grid(base: float, step: float, width: float, advance: int, budget: int):
-    """One pre-filter ``frac(base - i*step) < width`` on the 2^-64 grid, where
+    """One float window ``frac(base - i*step) < width`` on the 2^-64 grid, where
     ``advance`` is ``-step`` on the grid.
 
     Returns ``(origin, advance, wide)``: candidate ``i`` sits at ``(origin +
@@ -500,7 +498,7 @@ class LatticeSearch:
     argument.  ``coordinates`` holds, per filtered coordinate, its lattice
     line ``(origin, slope, step, turns, advance)``: the flow angle of
     candidate ``i`` is ``origin - 2*pi*q0*slope - i*step`` modulo 2*pi up to
-    rounding, which the pre-filter absorbs into its slack; ``turns`` is
+    rounding, which the float windows absorb into their slack; ``turns`` is
     ``step`` in turns and ``advance`` its negation on the 2^-64 grid;
     ``advances`` lists the advances.  The nailed coordinate ``k`` is not
     filtered; the exact recheck covers it.
@@ -534,8 +532,9 @@ class LatticeSearch:
         self.q0 = None
 
     def __call__(self, t_min: float) -> float:
-        """The time of the first candidate that passes the pre-filter and
-        the recheck, walked on from the cursor when the call's first
+        """The time of the first walked candidate above ``t_min`` that
+        passes the recheck (the walks visit all it accepts: see
+        :meth:`tests`), walked on from the cursor when the call's first
         candidate lies above it within the span and one budget of its ``q0``
         (see the module docstring), and from 0 otherwise."""
         eps, budget = self.problem.eps, self.budget
@@ -544,13 +543,12 @@ class LatticeSearch:
         low = q0 - self.q0 if self.q0 is not None else 0
         if self.q0 is not None and budget >= low and \
                 self.i < low <= self.i + self.tables.span:
-            cursor = self.q0, self.rotations, self.tables
-            tests, at = self.tests(q0), list(self.at)
+            cursor, at = (self.q0, self.rotations, self.tables), list(self.at)
             walk = _rotation_hits if len(at) == 1 else _joint_hits
             hits = walk(self.rotations, self.i, low + budget, self.tables, low, at)
         else:
             low = 0
-            tests, rotations, tables = self.windows(q0, budget)
+            _, rotations, tables = self.windows(q0, budget)
             at, cursor = [o for o, _, _ in rotations], None  # the positions of index 0
             if rotations and all(w <= _GRID >> 1 for _, _, w in rotations):
                 cursor = q0, rotations, tables
@@ -558,22 +556,14 @@ class LatticeSearch:
                 else range(budget)
         for j in hits:
             i = j - low
-            # The pre-filter in Python floats: the same IEEE operations, in
-            # the same order, as a vectorized pass would perform (i * s
-            # converts i to a float first).
-            for c, s, w in tests:
-                u = c - i * s
-                if not u - math.floor(u) < w:
-                    break
-            else:
-                t = self.time_of(q0, i)
-                if t > t_min and _recheck(self, t, eps):
-                    if cursor is not None:
-                        (self.q0, self.rotations, self.tables), self.i, self.at = \
-                            cursor, j, at
-                    self.calls += 1
-                    self.steps += i + 1
-                    return t
+            t = self.time_of(q0, i)
+            if t > t_min and _recheck(self, t, eps):
+                if cursor is not None:
+                    (self.q0, self.rotations, self.tables), self.i, self.at = \
+                        cursor, j, at
+                self.calls += 1
+                self.steps += i + 1
+                return t
         raise BudgetExhaustedError(budget, *self._best_candidate(q0))
 
     def first_integer(self, t_min: float) -> int:
@@ -590,12 +580,20 @@ class LatticeSearch:
         return (TWO_PI * (float(q0) + i) - self.problem.targets[-1]) / self.logs[-1]
 
     def tests(self, q0: int):
-        """Each filtered coordinate's pre-filter ``(c, s, w)`` in turns for
-        the call whose first lattice integer is ``q0``: candidate ``i``
-        passes when ``frac(c - i*s) < w``.  The shifted window covers eps
-        plus slack for the float error of the linear parametrization over
-        the whole budget range, so it is a strict superset of the true
-        acceptance set."""
+        """Each filtered coordinate's float window ``(c, s, w)`` in turns
+        for the call whose first lattice integer is ``q0``: candidate ``i``
+        is inside when ``frac(c - i*s) < w``, i.e. when ``base - i*step``
+        lies within ``eps + slack`` of the target, ``slack = 32 eps64 M``,
+        ``M = |base| + budget*step + 2*pi``.
+
+        Every candidate that :func:`_recheck` accepts is inside: for any
+        ``q0`` that :func:`_check_t_min` admits (so ``q0 < 2^52``) and ``i <
+        budget``, no value either side computes exceeds ``M`` radians, and
+        each rounding, at most ``eps64/2`` of ``M``, of :meth:`time_of` (4),
+        of ``-t*log - g`` with its reduction and comparisons (4), of
+        ``beta`` (1) and of ``base``, ``turns``, ``c - i*s`` and ``w``
+        (about 10) adds up to less than ``10 eps64 M``, a third of the
+        slack.  :meth:`windows` widens these windows for the walks."""
         eps, budget, shift = self.problem.eps, self.budget, -(TWO_PI * q0)
         tests = []
         for origin, slope, step, turns, _ in self.coordinates:

@@ -420,7 +420,22 @@ FORMAT_VERSION = 1
 _ENCODE_ATOMS = 4096
 
 
+def _unnumbered(lam: AtomicLineMeasure):
+    """The message for the first atom whose source ``j``, then the first
+    whose repetition ``m``, lies below 1, or ``None``: both builders number
+    them from 1, so the encoder writes and the decoder reads no other."""
+    for name, numbers, column in (("source j", "sources", lam.source),
+                                  ("repetition m", "repetitions", lam.rep)):
+        if len(column) and column.min() < 1:
+            i = int(np.argmax(column < 1))
+            return (f"atom {i + 1} (t={lam.t[i].item()!r}) has {name}="
+                    f"{column[i].item()}, but {numbers} are numbered from 1")
+    return None
+
+
 def atoms_to_bytes(lam: AtomicLineMeasure) -> bytes:
+    if unnumbered := _unnumbered(lam):
+        raise DomainError(unnumbered)
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -616,12 +631,8 @@ def _checked(lam: AtomicLineMeasure, header: dict) -> AtomicLineMeasure:
     for k in range(1, levels + 1):
         if cuts[k - 1] == cuts[k]:
             raise ParseError(f"level {k} of {levels} holds no atom")
-    for name, numbers, column in (("source j", "sources", lam.source),
-                                  ("repetition m", "repetitions", lam.rep)):
-        if len(column) and column.min() < 1:
-            i = int(np.argmax(column < 1))
-            raise ParseError(f"atom {i + 1} (t={lam.t[i].item()!r}) has {name}="
-                             f"{column[i].item()}, but {numbers} are numbered from 1")
+    if unnumbered := _unnumbered(lam):
+        raise ParseError(unnumbered)
     # Both builders give level k the mass masses[k-1] exactly, up to the
     # point-mass weights' own tolerance and rounding.
     try:
@@ -786,8 +797,9 @@ def _past_int64(integers, number: int) -> ParseError | None:
 
 
 def save_atoms(lam: AtomicLineMeasure, path) -> None:
+    blob = atoms_to_bytes(lam)  # before the open: a refused measure leaves no file
     with open(path, "wb") as handle:
-        handle.write(atoms_to_bytes(lam))
+        handle.write(blob)
 
 
 def load_atoms(path) -> AtomicLineMeasure:

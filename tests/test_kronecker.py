@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from polytorus import (
@@ -402,6 +402,25 @@ def brute_force_first(problem, budget):
     return None
 
 
+def first_accepted(problem, budget):
+    """Second oracle for the window walk, with no pre-filter: the first
+    index whose time lies above ``t_min`` and whose ``residuals`` are all
+    below eps, over every index in order, as :func:`brute_force_first`
+    gives it."""
+    search, q0 = search_at(problem, budget)
+    for start in range(0, budget, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), budget), dtype=np.float64)
+        times = search.time_of(q0, idx)
+        res = residuals(problem.basis, problem.k, times, problem.targets)
+        found = np.flatnonzero((times > problem.t_min) & np.all(res < problem.eps, axis=-1))
+        if found.size:
+            j = int(found[0])
+            t = float(times[j])
+            return (t, tuple(float(r) for r in res[j]), implied_integers(problem, t),
+                    start + j + 1)
+    return None
+
+
 class TestWindowWalk:
     BUDGET = 1 << 18
 
@@ -416,6 +435,8 @@ class TestWindowWalk:
             targets = tuple(rng.uniform(0, TWO_PI, size=k))
             problem = KroneckerProblem(PrimeBasis(d), k, targets, eps, t_min)
             expected = brute_force_first(problem, self.BUDGET)
+            # the pre-filter drops no candidate that the recheck accepts
+            assert first_accepted(problem, self.BUDGET) == expected
             if expected is None:
                 outcomes["exhausted"] += 1
                 with pytest.raises(BudgetExhaustedError) as info:
@@ -515,6 +536,92 @@ class TestWindowWalk:
             assert set(np.flatnonzero(inside).tolist()) <= set(walked)
             assert walked == sorted(set(walked))
             assert all(loose[walked])
+
+
+def largest_admitted_t_min(eps, log_k):
+    """The largest float ``t_min`` at which float64 resolves ``eps`` on the
+    prime with log ``log_k``, as :class:`KroneckerProblem` checks it."""
+    top = math.nextafter(2.0 ** (math.floor(math.log2(eps / log_k)) + 53), 0.0)
+    while not math.ulp(top) * log_k < eps:
+        top /= 2.0
+    return top
+
+
+def edge_target(t, log, eps, above, nudge):
+    """A target in ``[0, 2*pi)`` for one coordinate whose recheck residual
+    at the time ``t`` is the largest below ``eps`` that a float target can
+    give, with the flow angle ``above`` the target or below it, moved
+    ``nudge`` floats inwards; ``None`` when there is none in ``[0, 2*pi)``.
+    The residual is monotone in the target near the window's edge, so the
+    edge is bracketed by doubling steps and then bisected."""
+    inward = 1.0 if above else -1.0
+
+    def accepted(g):
+        d = (-t * log - g) % TWO_PI  # as _recheck computes it
+        return (d if above else TWO_PI - d) < eps
+
+    g = (-t * log - inward * eps) % TWO_PI
+    outside, inside, step = g, g, math.ulp(TWO_PI)
+    while accepted(outside):
+        outside, step = outside - inward * step, 2.0 * step
+    step = math.ulp(TWO_PI)
+    while not accepted(inside):
+        if step > eps:  # the float angles near t are coarser than the window
+            return None
+        inside, step = inside + inward * step, 2.0 * step
+    while (mid := 0.5 * (outside + inside)) not in (outside, inside):
+        if accepted(mid):
+            inside = mid
+        else:
+            outside = mid
+    for _ in range(nudge):
+        inside = math.nextafter(inside, inside + inward)
+    return inside if 0.0 <= inside < TWO_PI and accepted(inside) else None
+
+
+class TestRecheckInsideTheWindows:
+    """The walk alone decides which candidates the recheck sees, so the
+    answer keeps its bits only if every candidate the recheck accepts lies
+    in its float window (the bound in ``LatticeSearch.tests``) and hence in
+    the widened grid window that the walk visits.  Each case puts one
+    candidate's filtered residuals at the largest float below eps, on
+    either side of its targets, over the whole accepted domain."""
+
+    @given(
+        st.integers(2, 4), st.integers(2, 4), st.floats(1.0, 12.0),
+        st.none() | st.floats(-40.0, 0.0), st.integers(1, 10**8), st.floats(0.0, 1.0),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 3)), min_size=3, max_size=3),
+    )
+    # t_min at the resolution limit and the last index of the largest budget
+    @example(4, 4, 12.0, 0.0, 10**8, 1.0, 1.0, [(True, 0), (False, 0), (True, 0)])
+    @example(3, 2, 1.0, 0.0, 10**8, 1.0, 6.0, [(False, 0), (True, 0), (True, 0)])
+    @example(2, 2, 1.0, None, 1, 0.0, 0.0, [(True, 0), (True, 0), (True, 0)])
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_candidates_lie_in_their_windows(self, d, k, e, scale, budget,
+                                                      where, theta_k, edges):
+        k, eps = min(k, d), 2.0 ** -e
+        basis = PrimeBasis(d)
+        t_min = 0.0 if scale is None else \
+            largest_admitted_t_min(eps, float(basis.logs[k - 1])) * 2.0 ** scale
+        i = min(int(where * budget), budget - 1)
+        search = LatticeSearch(KroneckerProblem(basis, k, (0.0,) * (k - 1) + (theta_k,),
+                                                eps, t_min), budget)
+        t = search.time_of(search.first_integer(t_min), i)
+        targets = [edge_target(t, log, eps, above, nudge)
+                   for log, (above, nudge) in zip(search.logs[:-1], edges)]
+        assume(None not in targets)
+        search, q0 = search_at(KroneckerProblem(basis, k, (*targets, theta_k), eps, t_min),
+                               budget)
+        assert search.time_of(q0, i) == t
+        tests, rotations, _ = search.windows(q0)
+        for log, g, (c, s, w), (o, a, wide) in zip(search.logs, search.reduced, tests,
+                                                   rotations):
+            angle = (-t * log - g) % TWO_PI  # as _recheck computes it
+            assert angle < eps or TWO_PI - angle < eps
+            u = c - i * s
+            assert u - math.floor(u) < w
+            assert (o + i * a) & _GRID_MASK < wide
 
 
 def pinned_outcomes(backend):

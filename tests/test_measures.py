@@ -323,14 +323,15 @@ class TestAtomFiles:
     @given(
         st.lists(st.floats(0.0, 1e300), unique=True, max_size=12).map(sorted),
         st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=12, max_size=12),
-        st.lists(st.integers(-2**63, 2**63 - 1), min_size=36, max_size=36),
+        st.lists(st.integers(-2**63, 2**63 - 1), min_size=12, max_size=12),
+        st.lists(st.integers(1, 2**63 - 1), min_size=24, max_size=24),
     )
     @example([0.0, 1e-300, 12.5], [5e-324, 1.7976931348623157e308, 1.0],
-             [2**63 - 1] * 36)
+             [2**63 - 1] * 12, [2**63 - 1] * 24)
     @settings(max_examples=200, deadline=None)
-    def test_encoder_matches_json_dumps_per_line(self, t, w, ints):
+    def test_encoder_matches_json_dumps_per_line(self, t, w, levels, numbered):
         n = len(t)
-        lam = AtomicLineMeasure(t, w[:n], ints[:n], ints[12:12 + n], ints[24:24 + n],
+        lam = AtomicLineMeasure(t, w[:n], levels[:n], numbered[:n], numbered[12:12 + n],
                                 level_boundaries=t[-1:], total_mass_by_level=w[:1])
         assert atoms_to_bytes(lam) == json_dumps_atoms(lam)
 
@@ -339,7 +340,7 @@ class TestAtomFiles:
         n = 2 * measures._ENCODE_ATOMS + extra
         t = np.cumsum(np.linspace(0.1, 3.7, n))
         w = np.full(n, 1.0 / 3.0)
-        lam = AtomicLineMeasure(t, w, [1] * n, [2] * n, np.arange(n),
+        lam = AtomicLineMeasure(t, w, [1] * n, [2] * n, np.arange(1, n + 1),
                                 level_boundaries=(t[-1] + 1.0,),
                                 total_mass_by_level=(math.fsum(w),))
         assert atoms_to_bytes(lam) == json_dumps_atoms(lam)
@@ -526,6 +527,23 @@ class TestAtomFiles:
         name, numbers = {"j": ("source j", "sources"), "m": ("repetition m", "repetitions")}[field]
         assert outcome(blob, fast) == (f"atom 1 (t=1.5) has {name}={value}, "
                                        f"but {numbers} are numbered from 1")
+
+    @pytest.mark.parametrize("field, message", [
+        ("source", "atom 1 (t=1.0) has source j=0, but sources are numbered from 1"),
+        ("rep", "atom 1 (t=1.0) has repetition m=0, but repetitions are numbered from 1"),
+    ])
+    def test_encoder_refuses_what_the_decoder_refuses(self, field, message, tmp_path):
+        # both measures used to encode into bytes that fail to load
+        columns = {"source": [1], "rep": [1], field: [0]}
+        lam = AtomicLineMeasure([1.0], [1.0], [1], columns["source"], columns["rep"],
+                                level_boundaries=[2.0], total_mass_by_level=[1.0])
+        with pytest.raises(DomainError) as info:
+            atoms_to_bytes(lam)
+        assert str(info.value) == message
+        path = tmp_path / "atoms.jsonl"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            save_atoms(lam, path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("line, message", [
         # a repeated key used to keep its last value: this loaded as level 1
