@@ -33,25 +33,25 @@ of such ``n`` up to a span of a few mean return times to the box (Slater's
 gap theorem in higher dimension; Haynes & Marklof, Ann. Sci. ENS 2020, bound
 how many gaps there are) holds every gap.  The first walk finds it once per
 level over doubled windows; from a joint hit the first ``n`` in it that
-lands is the next one, and past the span the first walk takes over.  A walk
+lands is the next one, and past the span the first walk finds it.  A walk
 from the first candidate meets about one joint hit, its answer, so it walks
 the first window alone.
 
-A :class:`KroneckerProblem` is validated data and nothing more.  A build
-asks one problem for successive returns of one rotation to one box: it makes
-one :class:`LatticeSearch` per box from a problem, once, and calls it with
-each atom's lower bound, which is all a call checks; :func:`lattice_solve`
-is one call of a new search.  The search sets up, once, what its calls share
+A :class:`KroneckerProblem` is validated data and nothing more.  A build asks
+one problem for successive returns of one rotation to one box: it makes one
+:class:`LatticeSearch` per box from a problem, once, and calls it with each
+atom's lower bound, which is all a call checks; :func:`lattice_solve` is one
+call of a new search.  The search sets up, once, what its calls share
 whatever ``t_min`` (logs, reduced targets, the filtered coordinates' lines),
-and it holds a walk cursor, left at its last solution.  A call whose first
-candidate lies above the cursor, within the span and within one budget of
-where the cursor's windows start, computes only its first candidate and
-walks on from the cursor: by the first window's jumps with one filtered
-window, by joint gaps with more.  The cursor's windows were widened once to
-contain the own widened window of every such call.  Any other call sets up
-its windows, walks from its first candidate and leaves a new cursor.  The walks' tables depend only on the grid steps and on the
-window widths rounded up to their leading bits, so the searches of a build
-level share them through the module's one cache, :func:`_tables`.
+and it keeps one walk alive from its last solution on.  A call whose first
+candidate lies above that solution, within the span and within one budget of
+where the live walk's windows start, resumes it: those windows were widened
+once to contain the own widened window of every such call.  Any other call
+sets up its windows, walks from its first candidate and starts a new live
+walk from its solution; a call that ends without one leaves none.  The walks'
+tables depend only on the grid steps and on the window widths rounded up to
+their leading bits, so the searches of a build level share them through the
+module's one cache, :func:`_tables`.
 
 Both walks track positions exactly, as integers on a grid of 2^-64 turns,
 and every window they use is wider than the float window by a bound on the
@@ -154,14 +154,16 @@ class KroneckerProblem:
 def _check_t_min(t_min, eps, logs, k) -> None:
     if not 0.0 <= t_min < math.inf:
         raise DomainError(f"t_min must be finite and >= 0, got {t_min}")
-    # Float64 times near t_min are ulp(t_min) apart, so their angles on the
-    # k-th prime step by ulp(t_min) * log p_k, and each computed angle is
-    # off by about as much.  Once that reaches eps, a residual below eps is
-    # rounding, not approximation: no candidate could be certified.
-    resolution = math.ulp(t_min) * float(logs[k - 1])
-    if not resolution < eps:
-        raise DomainError(f"float64 cannot resolve eps={eps} at t_min="
-                          f"{t_min} (angle step {resolution:.3g})")
+    if not math.ulp(t_min) * float(logs[k - 1]) < eps:
+        raise _unresolved("t_min", t_min, eps, float(logs[k - 1]))
+
+
+def _unresolved(name: str, t: float, eps: float, log: float) -> DomainError:
+    """The error for a time ``t`` whose angle step ``ulp(t) * log p_k`` is
+    not below ``eps``: float64 times there are ``ulp(t)`` apart, so from ``t``
+    on a residual below eps is rounding, not approximation."""
+    return DomainError(f"float64 cannot resolve eps={eps} at {name}={t} "
+                       f"(angle step {math.ulp(t) * log:.3g})")
 
 
 def _checked_targets(basis, k, targets, eps, t_min) -> tuple[float, ...]:
@@ -454,7 +456,7 @@ def _joint_hits(rotations, start: int, stop: int, tables: _Tables, low: int, at)
     wider than half the circle, that is ``0 <= p + s < w`` for the signed
     shift ``s``, with no reduction modulo 2^64.  Joint hits below ``low``
     are stepped over.  When no gap lands, the next joint hit lies past the
-    table's span, and the walk goes on as :func:`_rotation_hits` from there.
+    table's span: :func:`_rotation_hits` finds it, and the gaps go on from it.
     """
     span, gaps = tables.span, tables.joint_gaps()
     (_, _, w0), (_, _, w1), *more = rotations
@@ -465,19 +467,18 @@ def _joint_hits(rotations, start: int, stop: int, tables: _Tables, low: int, at)
         for n, s0, s1, rest in gaps:
             if lo0 <= s0 < hi0 and lo1 <= s1 < hi1 and (not rest or all(
                     0 <= p + s < w for p, s, (_, _, w) in zip(at[2:], rest, more))):
+                i += n
+                at[0], at[1] = s0 - lo0, s1 - lo1
+                for r, s in enumerate(rest, 2):
+                    at[r] += s
                 break
         else:
             i += span + 1
             for r, (_, a, _) in enumerate(rotations):
                 at[r] = (at[r] + (span + 1) * a) & _GRID_MASK
-            yield from _rotation_hits(rotations, i, stop, tables, low, at)
-            return
-        i += n
+            i = next(_rotation_hits(rotations, i, stop, tables, 0, at), stop)
         if i >= stop:
             return
-        at[0], at[1] = s0 - lo0, s1 - lo1
-        for r, s in enumerate(rest, 2):
-            at[r] += s
         if i >= low:
             yield i
 
@@ -503,17 +504,17 @@ class LatticeSearch:
     ``advances`` lists the advances.  The nailed coordinate ``k`` is not
     filtered; the exact recheck covers it.
 
-    The search holds its walk cursor, left at its last solution (see the
-    module docstring): the windows ``rotations``, none wider than half the
-    circle, and their ``tables``, indexed from the lattice integer ``q0``
-    (``None`` until a call leaves a cursor) and widened with ``reach =
-    budget`` (see :meth:`windows`); ``i``, the last solution's index, a hit
-    of every window, and ``at``, its positions.  ``calls`` and ``steps``
-    count the solutions returned and sum their ``steps``.
+    The search keeps its live walk (see the module docstring), ``None``
+    until a call leaves one, in ``walk``: a generator of the hits of windows
+    none wider than half the circle, indexed from the lattice integer
+    ``q0``, widened with ``reach = budget`` (see :meth:`windows`) and walked
+    up to ``2 * budget``; ``i`` is the hit it last yielded, the last
+    solution, and ``span`` its tables' span.  ``calls`` and ``steps`` count
+    the solutions returned and sum their ``steps``.
     """
 
     __slots__ = ("problem", "budget", "calls", "steps", "logs", "reduced",
-                 "coordinates", "advances", "q0", "rotations", "tables", "i", "at")
+                 "coordinates", "advances", "q0", "i", "span", "walk")
 
     def __init__(self, problem: KroneckerProblem, budget: int):
         self.problem, self.budget = problem, _checked_budget(budget)
@@ -529,40 +530,45 @@ class LatticeSearch:
             self.coordinates.append((targets[-1] * beta - g, beta, step, turns,
                                      _grid_advance(turns)))
         self.advances = tuple(c[-1] for c in self.coordinates)
-        self.q0 = None
+        self.q0 = self.walk = None
 
     def __call__(self, t_min: float) -> float:
         """The time of the first walked candidate above ``t_min`` that
         passes the recheck (the walks visit all it accepts: see
-        :meth:`tests`), walked on from the cursor when the call's first
-        candidate lies above it within the span and one budget of its ``q0``
-        (see the module docstring), and from 0 otherwise."""
-        eps, budget = self.problem.eps, self.budget
+        :meth:`tests`), from the live walk when the call's first candidate
+        lies above its last solution within the span and one budget of its
+        ``q0``, and from a walk from 0 otherwise (see the module docstring).
+        A time that float64 cannot resolve raises :class:`DomainError`."""
+        eps, budget, log = self.problem.eps, self.budget, self.logs[-1]
         _check_t_min(t_min, eps, self.logs, len(self.logs))
         q0 = self.first_integer(t_min)
-        low = q0 - self.q0 if self.q0 is not None else 0
-        if self.q0 is not None and budget >= low and \
-                self.i < low <= self.i + self.tables.span:
-            cursor, at = (self.q0, self.rotations, self.tables), list(self.at)
-            walk = _rotation_hits if len(at) == 1 else _joint_hits
-            hits = walk(self.rotations, self.i, low + budget, self.tables, low, at)
+        walk, self.walk = self.walk, None  # a call that ends unsolved leaves none
+        low = q0 - self.q0 if walk is not None else 0
+        if walk is not None and self.i < low <= self.i + self.span and low <= budget:
+            hits = walk
         else:
-            low = 0
+            low, walk = 0, None
             _, rotations, tables = self.windows(q0, budget)
-            at, cursor = [o for o, _, _ in rotations], None  # the positions of index 0
-            if rotations and all(w <= _GRID >> 1 for _, _, w in rotations):
-                cursor = q0, rotations, tables
+            at = [o for o, _, _ in rotations]  # the positions of index 0
             hits = _rotation_hits(rotations, 0, budget, tables, 0, at) if rotations \
                 else range(budget)
+        base, theta = float(q0 - low), self.problem.targets[-1]
         for j in hits:
-            i = j - low
-            t = self.time_of(q0, i)
-            if t > t_min and _recheck(self, t, eps):
-                if cursor is not None:
-                    (self.q0, self.rotations, self.tables), self.i, self.at = \
-                        cursor, j, at
+            if j >= low + budget:
+                break
+            # time_of(q0, j - low): both sums are exact integers below 2^53
+            t = (TWO_PI * (base + j) - theta) / log
+            if j >= low and t > t_min and _recheck(self, t, eps):
+                if not math.ulp(t) * log < eps:
+                    raise _unresolved("t", t, eps, log)
+                if walk is None and rotations and \
+                        all(w <= _GRID >> 1 for _, _, w in rotations):
+                    walk = _joint_hits if len(rotations) > 1 else _rotation_hits
+                    walk = walk(rotations, j, 2 * budget, tables, j + 1, at)
+                    self.q0, self.span = q0, tables.span
+                self.i, self.walk = j, walk
                 self.calls += 1
-                self.steps += i + 1
+                self.steps += j - low + 1
                 return t
         raise BudgetExhaustedError(budget, *self._best_candidate(q0))
 
@@ -657,7 +663,8 @@ def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolut
     the module docstring): the first ``t_min + (i + 1) * delta``, ``i <
     budget``, above ``t_min`` whose :func:`residuals` are all below ``eps``;
     ``steps`` is ``i + 1``.  Chunks of ``_SHORT_SCAN`` candidates, doubling
-    up to ``_RESCAN_CHUNK``, keep an early answer cheap."""
+    up to ``_RESCAN_CHUNK``, keep an early answer cheap.  A solution that
+    float64 cannot resolve (see :func:`_unresolved`) raises it."""
     budget = _checked_budget(budget)
     basis, k, targets, eps, t_min = (problem.basis, problem.k, problem.targets,
                                      problem.eps, problem.t_min)
@@ -672,7 +679,10 @@ def scan_solve(problem: KroneckerProblem, budget: int = 10**8) -> KroneckerSolut
         found = np.flatnonzero((worst < eps) & (times > t_min))
         if found.size:
             j = int(found[0])
-            return _solution(problem, float(times[j]), start + j + 1, "scan")
+            t, log = float(times[j]), float(basis.logs[k - 1])
+            if not math.ulp(t) * log < eps:
+                raise _unresolved("t", t, eps, log)
+            return _solution(problem, t, start + j + 1, "scan")
         j = int(np.argmin(worst))
         if worst[j] < best_worst:
             best_t, best_worst = float(times[j]), worst[j]

@@ -257,6 +257,18 @@ class TestProblemValidation:
         assert sol.t > 1e7
         assert np.all(residuals(problem.basis, 2, sol.t, problem.targets) < 2.0**-12)
 
+    @pytest.mark.parametrize("backend", [lattice_solve, scan_solve])
+    def test_unresolvable_solution_refused(self, backend):
+        # t_min lies just below 2^50, where ulp(t_min) * log 3 = 0.137 is
+        # below eps, but every candidate above it lies past 2^50, where the
+        # angle step is 0.275: a residual below eps there is rounding.
+        problem = KroneckerProblem(PrimeBasis(2), 2, (1.0, 2.0), 0.25,
+                                   1125899906842623.9)
+        with pytest.raises(DomainError, match=r"cannot resolve eps=0.25 at t=11258999068426") \
+                as info:
+            backend(problem, 10**6)
+        assert info.value.__context__ is None
+
 
 def reference_problem(basis, k, targets, eps, t_min):
     """Every check of a problem, in order, written out on its own: ``(targets,
@@ -717,7 +729,7 @@ def scan_cases(draw):
     """``(problem, budget, plant)``: random targets (``plant`` is ``None``),
     or targets planted on a candidate, often one of the last."""
     d = draw(st.integers(1, 4))
-    k = draw(st.integers(1, d))
+    k = draw(st.integers(min(2, d), d))
     eps = 2.0 ** -draw(st.integers(1, 8))
     t_min = draw(st.just(0.0) | st.floats(0.0, 1e6))
     budget = draw(st.sampled_from(CHUNK_EDGES) | st.integers(1, 4000))
@@ -879,16 +891,19 @@ def call_fields(search, t_min):
     return fields(_solution(search.problem, t, search.steps - before, "lattice"))
 
 
-def count_calls(monkeypatch, name):
-    """Count the calls of the kronecker function ``name`` in a list that
-    the test may clear."""
-    calls, real = [], getattr(kronecker, name)
+def count_calls(monkeypatch, *names):
+    """Count the calls of the kronecker functions ``names`` in one list
+    that the test may clear."""
+    calls = []
 
-    def counted(*args):
-        calls.append(None)
-        return real(*args)
+    def counted(real):
+        def call(*args):
+            calls.append(None)
+            return real(*args)
+        return call
 
-    monkeypatch.setattr(kronecker, name, counted)
+    for name in names:
+        monkeypatch.setattr(kronecker, name, counted(getattr(kronecker, name)))
     return calls
 
 
@@ -1105,6 +1120,26 @@ class TestJointGaps:
             assert warm_rescans == 3 and cold_rescans >= 36
 
 
+@st.composite
+def call_sequences(draw):
+    """A problem with ``d <= 4`` and eps from 2^-1 to 2^-8, at most about
+    2e5 lattice candidates per solution, a budget, a first ``t_min`` and
+    moves of ``t_min`` relative to the last solution: ``"step"`` up to three
+    mean return times to the box after it, ``"same"`` the solution itself,
+    ``"at"`` just below it, ``"next"`` just below the solution after it,
+    ``"jump"`` 9 to 40 mean return times after it (past the span), and
+    ``"below"`` anywhere under it."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(min(2, d), d))
+    depth = draw(st.integers(1, 8).filter(lambda e: (math.pi * 2 ** e) ** (k - 1) < 2e5))
+    targets = tuple(draw(st.floats(0, TWO_PI)) for _ in range(k))
+    budget = draw(st.sampled_from([1, 40, 300, 5000, 10**8, 10**8, 10**8]))
+    moves = st.sampled_from(["step", "step", "step", "same", "at", "next", "jump",
+                             "below"])
+    return (d, k, depth, targets, budget, draw(st.floats(0, 1e4)),
+            draw(st.lists(st.tuples(moves, st.floats(0, 1)), min_size=1, max_size=30)))
+
+
 class TestCursor:
     @pytest.mark.parametrize("mu, levels, growth", [
         pytest.param(THREE_POINTS, 4, GrowthSchedule.default(), id="d3-K4"),
@@ -1128,24 +1163,33 @@ class TestCursor:
     def test_continuing_solves_set_up_no_windows(self, monkeypatch, cold_caches):
         # The level-4 solves of a K=4 build, replayed in order through one
         # new search per source: the first call of each search sets up its
-        # windows (_on_grid per filtered coordinate) and leaves a cursor,
-        # and every later call continues it without setting up a window.
+        # windows (_on_grid per filtered coordinate), walks from its first
+        # candidate and starts the live walk from its solution, and every
+        # later call resumes that walk: it sets up no window and starts no
+        # walk.  A joint-gap table is found once, by a walk of its own.
         problems, solutions = build_solutions(THREE_POINTS, 4, GrowthSchedule.default(),
                                               monkeypatch)
         level4 = [(p, s) for p, s in zip(problems, solutions) if p[3] == 2.0 ** -4]
         assert len(level4) > 1000
         clear_kronecker_caches()
         grids = count_calls(monkeypatch, "_on_grid")
-        searches = {}
+        walks = count_calls(monkeypatch, "_rotation_hits", "_joint_hits")
+        gap_tables = count_calls(monkeypatch, "_joint_gaps")
+        searches, started = {}, 0
         for (basis, k, targets, eps, t_min, budget), expected in level4:
             grids.clear()
+            walks.clear()
+            gap_tables.clear()
             fresh = targets not in searches
             if fresh:
                 searches[targets] = LatticeSearch(KroneckerProblem(basis, k, targets, eps),
                                                   budget)
             assert call_fields(searches[targets], t_min) == fields(expected)
             assert len(grids) == (k - 1 if fresh else 0)
+            assert len(walks) - len(gap_tables) == (2 if fresh else 0)
+            started += len(walks) - len(gap_tables)
         assert len(searches) == len(THREE_POINTS)
+        assert started == 2 * len(searches)
 
     def test_two_searches_of_one_problem_keep_their_own_cursors(self, monkeypatch,
                                                                  cold_caches):
@@ -1206,7 +1250,7 @@ class TestCursor:
         }[case]
         low = search.first_integer(t_min) - search.q0
         # each case fails one condition of continuing the cursor, and only one
-        assert [low <= search.i, low > search.i + search.tables.span, low > budget] == \
+        assert [low <= search.i, low > search.i + search.span, low > budget] == \
             [case in c for c in (("below", "at"), "far", "range")]
         assert (low == search.i) == (case == "at")
 
@@ -1220,6 +1264,53 @@ class TestCursor:
         cold = off_call(LatticeSearch(problem, budget))
         assert warm == cold
         assert warm[1] <= 64 and warm[2] == k - 1
+
+    @given(call_sequences())
+    @example((3, 3, 4, (1.0, 2.0, 3.0), 10**8, 10.0,
+              [("step", 0.1)] * 8 + [("below", 0.5), ("same", 0), ("jump", 0.5),
+                                     ("at", 0), ("next", 0), ("step", 0.9)] * 3))
+    @example((2, 2, 6, (0.5, 5.0), 300, 0.0,
+              [("step", 0.2), ("step", 0.9), ("same", 0), ("step", 0.6)] * 6))
+    @example((4, 4, 3, (0.3, 1.0, 4.0, 6.0), 5000, 1e3,
+              [("step", 0.5)] * 10 + [("jump", 0.0), ("same", 0.0)] * 3))
+    @settings(max_examples=150, deadline=None)
+    def test_live_walk_answers_as_fresh_searches(self, case):
+        # One search called with a sequence of lower bounds returns, call
+        # for call, the time and steps of a new search called once, or
+        # raises what it raises; the counters sum the same.  A call that
+        # exhausts its budget leaves no live walk, so the next call is a
+        # fresh one.  Just below a lattice time, first_integer may round
+        # up past it; "next" makes such a call skip a solution of the
+        # live walk that lies above t_min, as a new search does.
+        d, k, depth, targets, budget, last, moves = case
+        problem = KroneckerProblem(PrimeBasis(d), k, targets, 2.0 ** -depth)
+        spacing = TWO_PI / float(problem.basis.logs[k - 1])
+        mean = spacing * (math.pi * 2 ** depth) ** (k - 1)
+        search, calls, steps = LatticeSearch(problem, budget), 0, 0
+
+        def outcome(search, t_min):
+            before = search.steps
+            try:
+                return search(t_min), search.steps - before
+            except BudgetExhaustedError as exc:
+                return type(exc), str(exc)
+
+        for move, u in moves:
+            if move == "next":
+                t_min = math.nextafter(LatticeSearch(problem, 10**8)(last), 0.0)
+            else:
+                t_min = {"step": last + 3 * u * mean, "same": last,
+                         "at": math.nextafter(last, 0.0),
+                         "jump": last + (9 + 31 * u) * mean, "below": u * last}[move]
+            fresh = LatticeSearch(problem, budget)
+            expected = outcome(fresh, t_min)
+            assert outcome(search, t_min) == expected
+            calls, steps = calls + fresh.calls, steps + fresh.steps
+            if expected[0] is BudgetExhaustedError:
+                assert search.walk is None
+            else:
+                last = expected[0]
+        assert (search.calls, search.steps) == (calls, steps)
 
     def test_windows_wider_than_half_the_circle_leave_no_cursor(self, cold_caches):
         # The joint walk's signed test needs windows no wider than half the
