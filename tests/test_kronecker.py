@@ -729,7 +729,7 @@ def scan_cases(draw):
     """``(problem, budget, plant)``: random targets (``plant`` is ``None``),
     or targets planted on a candidate, often one of the last."""
     d = draw(st.integers(1, 4))
-    k = draw(st.integers(min(2, d), d))
+    k = draw(st.integers(1, d))
     eps = 2.0 ** -draw(st.integers(1, 8))
     t_min = draw(st.just(0.0) | st.floats(0.0, 1e6))
     budget = draw(st.sampled_from(CHUNK_EDGES) | st.integers(1, 4000))
