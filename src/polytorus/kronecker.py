@@ -508,9 +508,9 @@ class LatticeSearch:
     until a call leaves one, in ``walk``: a generator of the hits of windows
     none wider than half the circle, indexed from the lattice integer
     ``q0``, widened with ``reach = budget`` (see :meth:`windows`) and walked
-    up to ``2 * budget``; ``i`` is the hit it last yielded, the last
-    solution, and ``span`` its tables' span.  ``calls`` and ``steps`` count
-    the solutions returned and sum their ``steps``.
+    up to ``2 * budget``; ``i`` is the last solution's index, where the
+    walk stands, and ``span`` its tables' span.  ``calls`` and ``steps``
+    count the solutions returned and sum their ``steps``.
     """
 
     __slots__ = ("problem", "budget", "calls", "steps", "logs", "reduced",
