@@ -575,7 +575,12 @@ class LatticeSearch:
     def first_integer(self, t_min: float) -> int:
         """``q0``, the first lattice integer whose time lies above ``t_min``."""
         log_last, theta_last = self.logs[-1], self.problem.targets[-1]
-        q0 = math.floor((t_min * log_last + theta_last) / TWO_PI) + 1
+        x = (t_min * log_last + theta_last) / TWO_PI
+        q0 = math.floor(x)
+        # x and the time of q0 each round by under 4 eps64 x: only a q0 within
+        # 16 eps64 x below x can have its time above t_min
+        if x - q0 >= 16.0 * _EPS64 * x or (TWO_PI * q0 - theta_last) / log_last <= t_min:
+            q0 += 1
         while (TWO_PI * q0 - theta_last) / log_last <= t_min:
             q0 += 1
         return q0

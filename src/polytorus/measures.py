@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 
@@ -462,16 +461,6 @@ def atoms_to_bytes(lam: AtomicLineMeasure) -> bytes:
     return b"".join(parts)
 
 
-# The encoder's atom line, with JSON number and JSON integer groups; any other
-# line is parsed by the strict JSON reader.  An integer group takes at most 19
-# digits, as many as an int64 has, so int() never meets its digit limit.
-_NUMBER = r"(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)"
-_INTEGER = r"(-?(?:0|[1-9][0-9]{0,18}))"
-_ATOM_LINE = re.compile(
-    rf'\{{"t": {_NUMBER}, "w": {_NUMBER}, "k": {_INTEGER}, "j": {_INTEGER}, '
-    rf'"m": {_INTEGER}\}}')
-
-
 def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     """Parse an atom stream, strictly.
 
@@ -481,11 +470,10 @@ def atoms_from_bytes(data: bytes) -> AtomicLineMeasure:
     lines at a time, whose numbers are checked against the JSON number
     grammar and parsed by one ``np.loadtxt`` call.  Any other stream, and
     any doubt, goes to :func:`_read_lines`, which alone names a line in an
-    error.  It reads UTF-8 text line by line: a line of the encoder's shape
-    by one regular expression, any other through
+    error.  It reads UTF-8 text line by line, each line through
     :func:`formats.loads_strict`, which refuses repeated keys and
-    non-finite numbers, and ``t``/``w`` must then be JSON numbers and
-    ``k``/``j``/``m`` JSON integers.  Every path gives an atom the values
+    non-finite numbers; ``t``/``w`` must then be JSON numbers and
+    ``k``/``j``/``m`` JSON integers.  Both readers give an atom the values
     ``json.loads`` would.  The stream must then have the structure both
     builders give: one boundary and one cumulative mass per level, each
     level-k atom above ``T_{k-1}`` and below ``T_k``, at least one atom per
@@ -533,47 +521,42 @@ def _read_lines(data: bytes):
     saw_trailer = False
     previous = -math.inf
     # Each line is dropped once read, so that the stream's lines and its
-    # atoms' values are not all held at once; an error splits it again.
+    # atoms' values are not all held at once.
     lines.reverse()
     lines.pop()  # the header, read above
     number = 1
     while lines:
         raw = lines.pop()
         number += 1
-        match = _ATOM_LINE.fullmatch(raw)
-        if match is not None and not saw_trailer:
-            t_s, w_s, k_s, j_s, m_s = match.groups()
-            t_i, w_i = float(t_s), float(w_s)
-            k_i, j_i, m_i = int(k_s), int(j_s), int(m_s)
-        else:
-            if not raw.strip():
+        if not raw.strip():
+            continue
+        if saw_trailer:
+            raise ParseError("content after the boundaries line", number)
+        try:
+            record = loads_strict(raw)
+        except ParseError as exc:
+            raise ParseError(f"malformed line: {exc}", number) from exc
+        if not isinstance(record, dict):
+            raise ParseError("expected a JSON object", number)
+        try:
+            if "boundaries" in record:
+                boundaries, masses = _trailer(record)
+                saw_trailer = True
                 continue
-            if saw_trailer:
-                raise ParseError("content after the boundaries line", number)
-            try:
-                record = loads_strict(raw)
-            except ParseError as exc:
-                raise ParseError(f"malformed line: {exc}", number) from exc
-            if not isinstance(record, dict):
-                raise ParseError("expected a JSON object", number)
-            try:
-                if "boundaries" in record:
-                    boundaries, masses = _trailer(record)
-                    saw_trailer = True
-                    continue
-                t_i = _number(record["t"], "position t")
-                w_i = _number(record["w"], "weight w")
-                k_i = _integer(record["k"], "level k")
-                j_i = _integer(record["j"], "source j")
-                m_i = _integer(record["m"], "repetition m")
-            except KeyError as exc:
-                raise ParseError(f"atom line missing key {exc}", number) from exc
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"malformed line: {exc}", number) from exc
-            if error := _past_int64((k_i, j_i, m_i), number):
-                raise error
+            t_i = _number(record["t"], "position t")
+            w_i = _number(record["w"], "weight w")
+            k_i = _integer(record["k"], "level k")
+            j_i = _integer(record["j"], "source j")
+            m_i = _integer(record["m"], "repetition m")
+        except KeyError as exc:
+            raise ParseError(f"atom line missing key {exc}", number) from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"malformed line: {exc}", number) from exc
+        for name, value in (("level k", k_i), ("source j", j_i), ("repetition m", m_i)):
+            if not -(1 << 63) <= value < 1 << 63:
+                raise ParseError(f"{name} {value} exceeds int64", number)
         if t_i <= previous:
-            raise _overflow(data, number) or ParseError(
+            raise ParseError(
                 f"atom positions must strictly increase ({t_i} after {previous})",
                 number,
             )
@@ -590,8 +573,8 @@ def _read_lines(data: bytes):
             total_mass_by_level=masses,
             growth_name=header.get("growth", "2^k"),
         )
-    except (DomainError, OverflowError) as exc:  # an integer beyond int64
-        raise _overflow(data, number) or ParseError(str(exc)) from exc
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
     return lam, header
 
 
@@ -758,6 +741,8 @@ def _read_fast(data: bytes):
             column[done:done + rows] = parsed[name]
         done += rows
         start = end
+    if np.signbit(columns[0][0]):  # "-0" is the int 0 to json.loads, -0.0 to np.loadtxt
+        return None
     try:
         lam = AtomicLineMeasure(*columns, level_boundaries=boundaries,
                                 total_mass_by_level=masses,
@@ -765,35 +750,6 @@ def _read_fast(data: bytes):
     except DomainError:  # the per-line reader names the line
         return None
     return lam, header
-
-
-def _overflow(data: bytes, stop: int) -> ParseError | None:
-    """The error for the first atom line of the stream ``data`` up to line
-    ``stop`` whose ``t`` or ``w`` the regular expression read as a number
-    beyond float64, or whose ``k``, ``j`` or ``m`` it read as an integer
-    beyond int64, or ``None``.  The strict path refuses such values itself;
-    this one is looked for only once decoding has failed, so that decoding
-    costs no more."""
-    lines = data.decode("utf-8").splitlines()
-    for number, raw in enumerate(lines[1:stop], start=2):
-        match = _ATOM_LINE.fullmatch(raw)
-        if match is not None:
-            t_s, w_s, *integers = match.groups()
-            for name, text in (("position t", t_s), ("weight w", w_s)):
-                if not math.isfinite(float(text)):
-                    return ParseError(f"{name} {text} overflows float64", number)
-            if error := _past_int64(map(int, integers), number):
-                return error
-    return None
-
-
-def _past_int64(integers, number: int) -> ParseError | None:
-    """The error for the first of an atom's ``k``, ``j``, ``m`` beyond
-    int64, or ``None``."""
-    for name, value in zip(("level k", "source j", "repetition m"), integers):
-        if not -(1 << 63) <= value < 1 << 63:
-            return ParseError(f"{name} {value} exceeds int64", number)
-    return None
 
 
 def save_atoms(lam: AtomicLineMeasure, path) -> None:

@@ -1279,9 +1279,9 @@ class TestCursor:
         # for call, the time and steps of a new search called once, or
         # raises what it raises; the counters sum the same.  A call that
         # exhausts its budget leaves no live walk, so the next call is a
-        # fresh one.  Just below a lattice time, first_integer may round
-        # up past it; "next" makes such a call skip a solution of the
-        # live walk that lies above t_min, as a new search does.
+        # fresh one.  "next" calls one float below the next solution, which
+        # the call must return: first_integer takes the lattice time just
+        # above t_min, as a new search does.
         d, k, depth, targets, budget, last, moves = case
         problem = KroneckerProblem(PrimeBasis(d), k, targets, 2.0 ** -depth)
         spacing = TWO_PI / float(problem.basis.logs[k - 1])
@@ -1345,6 +1345,28 @@ class TestCursor:
                 for (o, a, w), (oc, ac, wc) in zip(search.windows(later)[1], cursor):
                     assert a == ac
                     assert (oc + shift * a - o) % _GRID + w <= wc, (trial, shift)
+
+    def test_first_integer_is_the_first_above_t_min(self):
+        # (t_min * log + theta) / 2*pi rounds; one or two floats below a
+        # lattice time it used to land on that time's integer, and q0 went
+        # one past it: this t_min returned 3406.8237554638577.
+        problem = KroneckerProblem(PrimeBasis(2), 2, (1.0, 2.0), 2.0 ** -3,
+                                   3298.1589225034127)
+        assert lattice_solve(problem).t == 3298.158922503413
+        # t_min at, and one or two floats either side of, random lattice
+        # times: q0's time lies above t_min, and the time before it does not
+        rng = random.Random(0)
+        for _ in range(2000):
+            k = rng.randint(1, 4)
+            search = LatticeSearch(KroneckerProblem(
+                PrimeBasis(k), k, [rng.uniform(0.0, TWO_PI) for _ in range(k)],
+                2.0 ** -rng.randint(1, 8)), 1000)
+            t = search.time_of(rng.randint(1, 10 ** rng.randint(1, 12)), 0)
+            below, above = math.nextafter(t, 0.0), math.nextafter(t, math.inf)
+            for t_min in (t, below, math.nextafter(below, 0.0), above,
+                          math.nextafter(above, math.inf)):
+                q0 = search.first_integer(t_min)
+                assert search.time_of(q0, 0) > t_min >= search.time_of(q0, -1), t_min
 
 
 def run_build(name, budget=10**8):

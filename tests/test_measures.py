@@ -571,16 +571,30 @@ class TestAtomFiles:
     @pytest.mark.parametrize("atom", [0, 1, 2])
     @pytest.mark.parametrize("field, value", [
         ("t", "1e999"), ("t", "-1e999"), ("w", "1e999"), ("w", "-2e400")])
-    def test_overflow_on_the_regex_path_names_its_line(self, atom, field, value):
+    def test_overflow_names_its_line(self, atom, field, value):
         # the measure's finiteness check refused these without a line number,
         # or the next line was blamed for not increasing
         lines = self._two_level_stream().decode().splitlines()
         old = {"t": f'"t": {(1.5, 2.5, 4.0)[atom]}', "w": '"w": 0.5'}[field]
         lines[1 + atom] = lines[1 + atom].replace(old, f'"{field}": {value}')
-        name = {"t": "position t", "w": "weight w"}[field]
-        with pytest.raises(ParseError, match=f"^line {2 + atom}: {name} {value} "
-                                             "overflows float64$"):
+        with pytest.raises(ParseError, match=f"^line {2 + atom}: malformed line: "
+                                             f"non-finite number {value}$"):
             atoms_from_bytes("\n".join(lines).encode())
+
+    @pytest.mark.parametrize("value, sign", [("-0", 1.0), ("-0.0", -1.0)])
+    @pytest.mark.parametrize("line", [
+        '{"t": T, "w": 0.5, "k": 1, "j": 1, "m": 1}',
+        '{"m": 1, "j": 1, "k": 1, "w": 0.5, "t": T}',
+        '{"t":T,"w":0.5,"k":1,"j":1,"m":1}',
+    ], ids=["encoder", "reordered", "compact"])
+    def test_negative_zero_reads_as_json_reads_it(self, value, sign, line):
+        # json.loads reads -0 as the int 0 and -0.0 as the float -0.0; an
+        # encoder-shaped line used to read -0 as -0.0, and the same atom
+        # with its keys reordered as +0.0
+        lines = self._two_level_stream().decode().splitlines()
+        lines[1] = line.replace("T", value)
+        lam = atoms_from_bytes(("\n".join(lines) + "\n").encode())
+        assert lam.t[0] == 0.0 and math.copysign(1.0, lam.t[0]) == sign
 
     @pytest.mark.parametrize("field, name", [
         ("k", "level k"), ("j", "source j"), ("m", "repetition m")])
@@ -588,8 +602,8 @@ class TestAtomFiles:
         2**63, -(2**63) - 1, 9999999999999999999, 10**30])
     def test_integer_beyond_int64_names_its_line(self, field, name, value):
         # numpy's "Python int too large to convert to C long", with no line
-        # number, before; 19 digits take the regular-expression path, and 31
-        # the strict one
+        # number, before; the np.loadtxt reader refuses these, and the
+        # per-line reader names the line
         blob = self._two_level_stream().replace(
             f'"{field}": 1'.encode(), f'"{field}": {value}'.encode(), 1)
         with pytest.raises(ParseError, match=f"^line 2: {name} {value} exceeds int64$"):
@@ -605,9 +619,9 @@ class TestAtomFiles:
     @settings(max_examples=200, deadline=None)
     def test_encoder_lines_and_strict_lines_agree(self, t, w, ints):
         # the encoder's lines take the np.loadtxt path; the same atoms written
-        # compactly and with reordered keys take the strict JSON path, and
-        # mixed with encoder lines the regular-expression one; all give the
-        # measure that was written (sources and repetitions count from 1)
+        # compactly and with reordered keys, alone or mixed with encoder
+        # lines, take the per-line one; all give the measure that was written
+        # (sources and repetitions count from 1)
         n = len(t)
         lam = AtomicLineMeasure(t, w[:n], [1] * n, ints[:n], ints[12:12 + n],
                                 level_boundaries=[t[-1] * 2.0 + 1.0],
@@ -682,6 +696,22 @@ class TestBuiltFilesLoad:
             tracemalloc.stop()
         assert decoded == lam
         assert peak <= 1.5 * len(data), (peak, len(data))
+
+
+def test_per_line_peak_is_bounded_by_the_stream(synthetic):
+    # the per-line reader drops each line once it is read; a loop that kept
+    # every line peaked at 4.5 times the stream
+    lam, data = synthetic
+    data = data.replace(b"\n", b"\r\n")
+    atoms_from_bytes(TestAtomFiles._two_level_stream().replace(b"\n", b"\r\n"))
+    tracemalloc.start()
+    try:
+        decoded = atoms_from_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decoded == lam
+    assert peak <= 3.5 * len(data), (peak, len(data))
 
 
 def outcome(data, fast=True):
